@@ -14,17 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import (
-    METHOD_WIDTHS,
-    EncodingMethod,
-    TokenBlock,
-    apply_encoding,
-    care_apply,
-    mixed_apply,
-    quatro_apply,
-    rope1d_apply,
-    spherical_apply,
-)
+from .encodings import METHOD_WIDTHS, EncodingMethod, TokenBlock, apply_encoding, apply_maps
 
 MIN_DIRECTIONS = 100
 _DIRECTION_SEED = 20240915  # fixed so commutator sampling is reproducible
@@ -103,22 +93,12 @@ def _unit_directions(width: int, count: int) -> np.ndarray:
 
 def _band_rotation(method: EncodingMethod, band: int):
     """The sub-vector rotation v -> R(p) v for one schedule band."""
-    theta = float(method.schedule.band_angles[band])
+    theta = method.schedule.band_angles
     sx, sy = method.scale_x, method.scale_y
-    tag = method.tag
 
     def rotate(p, v):
-        ax = theta * sx * float(p[0])
-        ay = theta * sy * float(p[1])
-        if tag == "rope1d":
-            return rope1d_apply(v, ax)
-        if tag == "mixed":
-            return mixed_apply(v, ax + ay, method.axes.axes_x[band])
-        if tag == "spherical":
-            return spherical_apply(v, ax, ay)
-        if tag == "quatro":
-            return quatro_apply(v, ax, ay, method.axes.axes_x[band], method.axes.axes_y[band])
-        return care_apply(v, ax, ay, method.axes.axes_x[band], method.axes.axes_y[band])
+        maps = method.rotation_maps(theta * sx * float(p[0]), theta * sy * float(p[1]))
+        return apply_maps(method.tag, maps[..., band], v)
 
     return rotate
 

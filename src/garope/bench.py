@@ -1,13 +1,13 @@
 """Micro-benchmarks for the rotation kernels at attention-shaped workloads.
 
 Kernels, cheapest math to heaviest: ``rope1d`` (2x2 planar), ``quatro``
-(quaternion rotor to 3x3 matrices), ``care_fast`` (specialized 8-slot
-sandwich, compiled extension when available), ``care_fast_py`` (the same
-kernel forced onto the pure-numpy fallback; listed only when the compiled
-extension is active so both are measured), and ``care_generic`` (the
-dense blade-table engine, the oracle everything else is checked against).
-Checksums are reported so dead code cannot be eliminated and so the three
-care variants can be confirmed to compute the same thing.
+(one 3x3 map per token and band), ``care_fast`` (``apply_encoding``'s care
+path: one 3x3 map per token and band applied to the grade-1 and bivector
+slots, block-diag(1, M, M, 1)), and ``care_generic`` (the rotor sandwich
+through the dense blade-table engine, the oracle everything else is
+checked against). Checksums are reported so dead code cannot be
+eliminated and so the two care variants can be confirmed to compute the
+same thing.
 """
 
 from __future__ import annotations
@@ -107,17 +107,13 @@ def _kernel_table(head_dim: int):
         "rope1d": (rope, lambda b: apply_encoding(b, rope)),
         "quatro": (quatro, lambda b: apply_encoding(b, quatro)),
         "care_fast": (care, lambda b: apply_encoding(b, care)),
-        "care_fast_py": (care, lambda b: apply_encoding(b, care, cl3_backend="numpy")),
         "care_generic": (care, lambda b: _encode_care_generic(b, care)),
     }
     return table
 
 
 def default_kernels() -> tuple[str, ...]:
-    names = ["rope1d", "quatro", "care_generic", "care_fast"]
-    if cl3.have_extension():
-        names.append("care_fast_py")
-    return tuple(names)
+    return ("rope1d", "quatro", "care_generic", "care_fast")
 
 
 def run_bench(

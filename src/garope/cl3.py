@@ -109,7 +109,7 @@ def _validate_rotor(rows: np.ndarray) -> None:
         if np.any(rows[:, slot] != 0.0):
             raise ValueError("mv8 rotor has nonzero odd-grade slots")
     mag = np.einsum("ij,ij->i", rows, rows)
-    if np.any(np.abs(mag - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(mag - 1.0) <= UNIT_TOL):  # written so NaN fails too
         raise ValueError("mv8 rotor is not unit norm")
 
 

@@ -18,17 +18,15 @@ import numpy as np
 from . import bench as bench_mod
 from . import checks
 from .encodings import (
+    METHOD_WIDTHS,
     METHODS,
     EncodingMethod,
     TokenBlock,
     apply_encoding,
-    care_apply,
+    apply_maps,
     grid_positions,
-    mixed_apply,
-    quatro_apply,
-    rope1d_apply,
     rotation_gradient,
-    spherical_apply,
+    rotation_maps,
     unit_axis,
 )
 from .formats import (
@@ -176,29 +174,41 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _grad_case(tag: str, rng: np.random.Generator, positions: np.ndarray, schedule):
-    """One random gradient sample: carrier, position, angle and axes."""
-    from .encodings import METHOD_WIDTHS
+def _grad_cases(tag: str, rng: np.random.Generator, positions: np.ndarray, schedule, count: int):
+    """``count`` random gradient samples, stacked: carriers, positions,
+    band angles and unit axes."""
+    cases = []
+    for _ in range(count):
+        v = rng.standard_normal(METHOD_WIDTHS[tag])
+        p = positions[rng.integers(0, positions.shape[0])]
+        theta = float(schedule.band_angles[rng.integers(0, schedule.num_bands)])
+        axis_x = unit_axis(rng.standard_normal(3))
+        axis_y = axis_x if tag == "mixed" else unit_axis(rng.standard_normal(3))
+        cases.append((v, p, theta, axis_x, axis_y))
+    return tuple(np.array(column) for column in zip(*cases))
 
-    v = rng.standard_normal(METHOD_WIDTHS[tag])
-    p = positions[rng.integers(0, positions.shape[0])]
-    theta = float(schedule.band_angles[rng.integers(0, schedule.num_bands)])
-    axis_x = unit_axis(rng.standard_normal(3))
-    axis_y = axis_x if tag == "mixed" else unit_axis(rng.standard_normal(3))
-    return v, p, theta, axis_x, axis_y
+
+def _grad_analytic(tag, cases, coordinate, scales) -> np.ndarray:
+    """rotation_gradient of every sample, one call each (the oracle)."""
+    return np.array(
+        [
+            rotation_gradient(
+                tag, v, p, theta, coordinate,
+                axis_x=axis_x, axis_y=axis_y, scale_x=scales[0], scale_y=scales[1],
+            )
+            for v, p, theta, axis_x, axis_y in zip(*cases)
+        ]
+    )
 
 
-def _grad_fd(tag, v, ax, ay, axis_x, axis_y, coordinate, h):
+def _grad_fd(tag, cases, coordinate, scales, h) -> np.ndarray:
+    """Central differences of every sample at once, through the map table."""
+    v, p, theta, axis_x, axis_y = cases
+    ax = theta * scales[0] * p[:, 0]
+    ay = theta * scales[1] * p[:, 1]
+
     def f(dx, dy):
-        if tag == "rope1d":
-            return rope1d_apply(v, ax + dx)
-        if tag == "mixed":
-            return mixed_apply(v, (ax + dx) + (ay + dy), axis_x)
-        if tag == "spherical":
-            return spherical_apply(v, ax + dx, ay + dy)
-        if tag == "quatro":
-            return quatro_apply(v, ax + dx, ay + dy, axis_x, axis_y)
-        return care_apply(v, ax + dx, ay + dy, axis_x, axis_y)
+        return apply_maps(tag, rotation_maps(tag, ax + dx, ay + dy, axis_x, axis_y), v)
 
     if coordinate == "angle_x":
         return (f(h, 0.0) - f(-h, 0.0)) / (2.0 * h)
@@ -220,23 +230,12 @@ def cmd_grad(args) -> int:
     for tag_index, tag in enumerate(METHODS):
         for coord_index, coordinate in enumerate(("angle_x", "angle_y")):
             rng = np.random.default_rng([seed, 2 * tag_index + coord_index])
-            cases = [
-                _grad_case(tag, rng, positions, schedule)
-                for _ in range(samples_per_case)
-            ]
+            cases = _grad_cases(tag, rng, positions, schedule, samples_per_case)
+            g = _grad_analytic(tag, cases, coordinate, scales)  # independent of h
             for h in GRAD_H_SWEEP:
-                worst = 0.0
-                for v, p, theta, axis_x, axis_y in cases:
-                    g = rotation_gradient(
-                        tag, v, p, theta, coordinate,
-                        axis_x=axis_x, axis_y=axis_y,
-                        scale_x=scales[0], scale_y=scales[1],
-                    )
-                    ax = theta * scales[0] * float(p[0])
-                    ay = theta * scales[1] * float(p[1])
-                    fd = _grad_fd(tag, v, ax, ay, axis_x, axis_y, coordinate, h)
-                    rel = float(np.max(np.abs(g - fd))) / max(1.0, float(np.max(np.abs(fd))))
-                    worst = max(worst, rel)
+                fd = _grad_fd(tag, cases, coordinate, scales, h)
+                rel = np.max(np.abs(g - fd), axis=-1) / np.maximum(1.0, np.max(np.abs(fd), axis=-1))
+                worst = float(np.max(rel))
                 ok = worst <= tol
                 all_ok &= ok
                 if worst > worst_val:
@@ -245,19 +244,13 @@ def cmd_grad(args) -> int:
 
     # invariant channels: care scalar/e123 slots must have zero sensitivity
     rng = np.random.default_rng([seed, 999])
+    cases = _grad_cases("care", rng, positions, schedule, samples_per_case)
     chan_worst = 0.0
-    for _ in range(samples_per_case):
-        v, p, theta, axis_x, axis_y = _grad_case("care", rng, positions, schedule)
-        for coordinate in ("angle_x", "angle_y"):
-            g = rotation_gradient(
-                "care", v, p, theta, coordinate,
-                axis_x=axis_x, axis_y=axis_y, scale_x=scales[0], scale_y=scales[1],
-            )
-            ax = theta * scales[0] * float(p[0])
-            ay = theta * scales[1] * float(p[1])
-            fd = _grad_fd("care", v, ax, ay, axis_x, axis_y, coordinate, 1e-5)
-            chan_worst = max(chan_worst, float(np.max(np.abs(g[[0, 7]]))))
-            chan_worst = max(chan_worst, float(np.max(np.abs(fd[[0, 7]]))))
+    for coordinate in ("angle_x", "angle_y"):
+        g = _grad_analytic("care", cases, coordinate, scales)
+        fd = _grad_fd("care", cases, coordinate, scales, 1e-5)
+        chan_worst = max(chan_worst, float(np.max(np.abs(g[:, [0, 7]]))))
+        chan_worst = max(chan_worst, float(np.max(np.abs(fd[:, [0, 7]]))))
     chan_ok = chan_worst <= GRAD_CHANNEL_TOL
     all_ok &= chan_ok
     lines.append(

@@ -13,14 +13,18 @@ Five methods act on query/key sub-vectors, distinguished by carrier width:
   by a composite rotor; here the p_y rotor is the outer one.
 
 Angles come from a per-band frequency schedule theta_i scaled by
-per-coordinate speed factors. ``*_rotate`` functions take grid positions;
-the ``*_apply`` variants take the resolved angles directly (used by the
-finite-difference gradient checks).
+per-coordinate speed factors. The block path (``apply_encoding``) and the
+sampling tools go through one method table, ``ROTATIONS``: each method
+builds one orthogonal map per (token, band) and applies it with explicit
+multiply-adds. The single sub-vector ``*_rotate`` functions (grid
+positions) and ``*_apply`` variants (resolved angles) compute the same
+rotations independently, through rotors, and serve as its oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -40,11 +44,12 @@ SPHERICAL_AXIS_Y = np.array([0.0, 0.0, 1.0])
 
 
 def unit_axis(axis) -> np.ndarray:
-    """Normalize (..., 3) axes, rejecting raw norms below AXIS_MIN_NORM."""
+    """Normalize (..., 3) axes, rejecting raw norms below AXIS_MIN_NORM or
+    non-finite ones."""
     axis = np.asarray(axis, dtype=np.float64)
     norm = np.sqrt(np.sum(axis * axis, axis=-1, keepdims=True))
-    if np.any(norm < AXIS_MIN_NORM):
-        raise ValueError("degenerate rotation axis (norm below 1e-8)")
+    if not np.all((norm >= AXIS_MIN_NORM) & np.isfinite(norm)):  # so NaN fails too
+        raise ValueError("degenerate rotation axis (norm below 1e-8 or not finite)")
     return axis / norm
 
 
@@ -93,8 +98,9 @@ class AxisParams:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{name} must have shape (num_bands, 3)")
-            if np.any(np.linalg.norm(arr, axis=1) < AXIS_MIN_NORM):
-                raise ValueError(f"{name} contains a degenerate axis")
+            norm = np.linalg.norm(arr, axis=1)
+            if not np.all((norm >= AXIS_MIN_NORM) & np.isfinite(norm)):
+                raise ValueError(f"{name} contains a degenerate or non-finite axis")
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -144,6 +150,13 @@ class EncodingMethod:
     @property
     def width(self) -> int:
         return METHOD_WIDTHS[self.tag]
+
+    def rotation_maps(self, angles_x, angles_y) -> np.ndarray:
+        """This method's maps at resolved angles whose last axis runs over
+        the schedule bands (see ``rotation_maps``)."""
+        if self.axes is None:
+            return rotation_maps(self.tag, angles_x, angles_y)
+        return rotation_maps(self.tag, angles_x, angles_y, self.axes.unit_x(), self.axes.unit_y())
 
     @classmethod
     def configure(
@@ -439,6 +452,160 @@ def rotation_gradient(
 
 
 # ---------------------------------------------------------------------------
+# rotation-map core
+#
+# Every method is one orthogonal map per (token, band). rope1d's is a planar
+# turn, stored as (cos, sin); mixed, spherical and quatro have a 3x3 matrix.
+# care's composite rotor turns the grade-1 slots (e1, e2, e3) by a 3x3
+# matrix M and, since the pseudoscalar is central, the bivector slots
+# (e23, e31, e12) = (e1, e2, e3) e123 by the same M, while the scalar and
+# e123 slots stay put: its 8x8 map is block-diag(1, M, M, 1). Maps are built
+# once per (token, band), components first, and applied to every batch row
+# with explicit multiply-adds; the inverse map is the transpose.
+
+CARE_VECTOR_SLOTS = (1, 2, 4)  # e1, e2, e3
+CARE_BIVECTOR_SLOTS = (6, 5, 3)  # e23, e31, e12: the duals of e1, e2, e3
+CARE_INVARIANT_SLOTS = (0, 7)  # scalar, e123
+
+
+def _matrix_components(mats: np.ndarray) -> np.ndarray:
+    """(..., 3, 3) matrices as one contiguous (3, 3, ...) component array."""
+    return np.ascontiguousarray(mats.transpose(-2, -1, *range(mats.ndim - 2)))
+
+
+def _planar_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
+    maps = np.empty((2,) + angles_x.shape)  # p_y does not contribute
+    np.cos(angles_x, out=maps[0, ...])
+    np.sin(angles_x, out=maps[1, ...])
+    return maps
+
+
+def _mixed_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
+    """Rodrigues matrix c I + s [u]x + (1 - c) u u^T of the summed angle."""
+    angle = angles_x + angles_y
+    c, s = np.cos(angle), np.sin(angle)
+    k = 1.0 - c
+    u = np.moveaxis(np.asarray(unit_x, dtype=np.float64), -1, 0)  # (3, ...)
+    mats = np.empty((3, 3) + np.broadcast_shapes(c.shape, u.shape[1:]))
+    for i in range(3):
+        for j in range(3):
+            np.multiply(k, u[i] * u[j], out=mats[i, j, ...])
+        mats[i, i] += c
+    for i, j, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # [u]x holds -u_n at (i, j), u_n at (j, i)
+        term = s * u[n]
+        mats[i, j] -= term
+        mats[j, i] += term
+    return mats
+
+
+def _two_rotor_matrix(axis_outer, angle_outer, axis_inner, angle_inner) -> np.ndarray:
+    outer = quat_rotor(axis_outer, angle_outer / 2.0)
+    inner = quat_rotor(axis_inner, angle_inner / 2.0)
+    return _matrix_components(quat_to_rotation_matrix(hamilton_product(outer, inner)))
+
+
+def _spherical_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
+    return _two_rotor_matrix(SPHERICAL_AXIS_X, angles_x, SPHERICAL_AXIS_Y, angles_y)
+
+
+def _quatro_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
+    return _two_rotor_matrix(unit_x, angles_x, unit_y, angles_y)  # r_x outermost
+
+
+def _care_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
+    """M of the rotor R_y R_x on grade 1: the quaternion q_y q_x about the
+    grade-1 axes of the two bivectors (y outermost, unlike quatro)."""
+    return _two_rotor_matrix(
+        grade1_rotation_axis(unit_y), angles_y, grade1_rotation_axis(unit_x), angles_x
+    )
+
+
+def _apply_planar(maps, src, dst, inverse: bool) -> None:
+    c, s = maps
+    if inverse:
+        s = -s
+    x, y = src[..., 0], src[..., 1]
+    np.subtract(c * x, s * y, out=dst[..., 0])
+    np.add(s * x, c * y, out=dst[..., 1])
+
+
+def _matvec3(mats, src, dst, slots_in, slots_out, inverse: bool) -> None:
+    """dst[slots_out] = M src[slots_in] (M^T when inverse), one row at a time."""
+    x, y, z = (src[..., k] for k in slots_in)
+    term = np.empty(np.broadcast_shapes(mats.shape[2:], x.shape))
+    for i, k in enumerate(slots_out):
+        row = mats[:, i] if inverse else mats[i]
+        out = dst[..., k]
+        np.multiply(row[0], x, out=out)
+        out += np.multiply(row[1], y, out=term)
+        out += np.multiply(row[2], z, out=term)
+
+
+def _apply_3x3(maps, src, dst, inverse: bool) -> None:
+    _matvec3(maps, src, dst, (0, 1, 2), (0, 1, 2), inverse)
+
+
+def _apply_care(maps, src, dst, inverse: bool) -> None:
+    _matvec3(maps, src, dst, CARE_VECTOR_SLOTS, CARE_VECTOR_SLOTS, inverse)
+    _matvec3(maps, src, dst, CARE_BIVECTOR_SLOTS, CARE_BIVECTOR_SLOTS, inverse)
+    for k in CARE_INVARIANT_SLOTS:  # exactly invariant: copied, not recomputed
+        dst[..., k] = src[..., k]
+
+
+@dataclass(frozen=True)
+class Rotation:
+    """How one method builds its per-(token, band) maps and applies them.
+
+    ``build(angles_x, angles_y, unit_x, unit_y)`` takes resolved angles and
+    unit axes that broadcast against them (axes carry a trailing 3) and
+    returns the maps components first: (2, ...) for (cos, sin), (3, 3, ...)
+    for a matrix. ``apply(maps, src, dst, inverse)`` writes the rotated
+    (..., width) carriers of src into dst.
+    """
+
+    build: Callable[..., np.ndarray]
+    apply: Callable[[np.ndarray, np.ndarray, np.ndarray, bool], None]
+    map_rank: int  # leading component axes of the maps
+
+
+ROTATIONS = {
+    "rope1d": Rotation(_planar_maps, _apply_planar, 1),
+    "mixed": Rotation(_mixed_maps, _apply_3x3, 2),
+    "spherical": Rotation(_spherical_maps, _apply_3x3, 2),
+    "quatro": Rotation(_quatro_maps, _apply_3x3, 2),
+    "care": Rotation(_care_maps, _apply_care, 2),
+}
+
+
+def rotation_maps(tag: str, angles_x, angles_y, unit_x=None, unit_y=None) -> np.ndarray:
+    """Maps of method ``tag`` at resolved angles, components first.
+
+    ``unit_x``/``unit_y`` are unit axes (mixed, quatro, care; mixed reads
+    only ``unit_x``) broadcasting like quat_rotor's; rope1d and spherical
+    ignore them.
+    """
+    angles_x = np.asarray(angles_x, dtype=np.float64)
+    angles_y = np.asarray(angles_y, dtype=np.float64)
+    return ROTATIONS[tag].build(angles_x, angles_y, unit_x, unit_y)
+
+
+def apply_maps(tag: str, maps: np.ndarray, v, inverse: bool = False, out=None) -> np.ndarray:
+    """Rotate (..., width) carriers by maps whose per-map shape broadcasts
+    against v's leading axes; ``inverse=True`` applies the transposes.
+    Writes into ``out`` when given (it must not overlap v)."""
+    rotation = ROTATIONS[tag]
+    v = np.asarray(v, dtype=np.float64)
+    width = METHOD_WIDTHS[tag]
+    if v.shape[-1:] != (width,):
+        raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
+    if out is None:
+        lead = np.broadcast_shapes(maps.shape[rotation.map_rank :], v.shape[:-1])
+        out = np.empty(lead + (width,))
+    rotation.apply(maps, v, out, inverse)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # block application
 
 
@@ -449,16 +616,13 @@ def _band_split(head_dim: int, width: int) -> tuple[int, int]:
     return bands, head_dim - bands * width
 
 
-def apply_encoding(
-    block: TokenBlock, method: EncodingMethod, inverse: bool = False, cl3_backend: str | None = None
-) -> TokenBlock:
+def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = False) -> TokenBlock:
     """Rotate every sub-vector of the block by its band/position angles.
 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
     leftover trailing dims pass through untouched. ``inverse=True`` applies
-    the inverse rotations (conjugate rotors), recovering the input of a
-    forward pass up to round-off. ``cl3_backend`` pins the Cl(3,0) kernel
-    implementation for the care method (benchmark use).
+    the inverse rotations (transposed maps), recovering the input of a
+    forward pass up to round-off.
     """
     bands, remainder = _band_split(block.head_dim, method.width)
     if method.schedule.num_bands != bands:
@@ -469,56 +633,23 @@ def apply_encoding(
     pos = block.positions
     angles_x = theta[None, :] * (method.scale_x * pos[:, 0])[:, None]  # (tokens, bands)
     angles_y = theta[None, :] * (method.scale_y * pos[:, 1])[:, None]
-    if inverse:
-        sign = -1.0
-        angles_x, angles_y = sign * angles_x, sign * angles_y
+    maps = method.rotation_maps(angles_x, angles_y)
 
-    body = block.data[:, :, : bands * method.width]
-    sub = body.reshape(block.batch, block.tokens, bands, method.width)
-
-    if method.tag == "rope1d":
-        c, s = np.cos(angles_x), np.sin(angles_x)  # p_y does not contribute
-        x, y = sub[..., 0], sub[..., 1]
-        out = np.stack([c * x - s * y, s * x + c * y], axis=-1)
-    elif method.tag == "mixed":
-        u = method.axes.unit_x()  # (bands, 3), shared with y
-        ang = angles_x + angles_y
-        c, s = np.cos(ang)[None, ..., None], np.sin(ang)[None, ..., None]
-        cross = np.cross(u[None, None], sub)
-        dot = np.sum(u[None, None] * sub, axis=-1, keepdims=True)
-        out = c * sub + s * cross + (1.0 - c) * dot * u[None, None]
-    elif method.tag in ("spherical", "quatro"):
-        if method.tag == "spherical":
-            ux = np.tile(SPHERICAL_AXIS_X, (bands, 1))
-            uy = np.tile(SPHERICAL_AXIS_Y, (bands, 1))
-        else:
-            ux, uy = method.axes.unit_x(), method.axes.unit_y()
-        rx = quat_rotor(ux[None], angles_x / 2.0)  # (tokens, bands, 4)
-        ry = quat_rotor(uy[None], angles_y / 2.0)
-        rotor = hamilton_product(rx, ry)
-        if inverse:
-            # inverse of (r_x r_y at +angles) is its conjugate; the sign
-            # flip above built r_x(-ax) r_y(-ay), whose order is wrong, so
-            # rebuild: conj(r) = r_y(-ay) r_x(-ax)
-            rotor = hamilton_product(ry, rx)
-        mats = quat_to_rotation_matrix(rotor)  # (tokens, bands, 3, 3)
-        out = np.einsum("tbij,ctbj->ctbi", mats, sub)
-    elif method.tag == "care":
-        ux, uy = method.axes.unit_x(), method.axes.unit_y()
-        rx = mv8_rotor(ux[None], angles_x / 2.0)  # (tokens, bands, 8)
-        ry = mv8_rotor(uy[None], angles_y / 2.0)
-        rotor = cl3.mv8_product(ry, rx)
-        if inverse:
-            rotor = cl3.mv8_product(rx, ry)  # conjugate of the forward rotor
-        tiled = np.broadcast_to(rotor, sub.shape)
-        out = cl3.mv8_rotor_sandwich(tiled, sub, backend=cl3_backend)
-        out[..., 0] = sub[..., 0]  # exactly invariant channels, as in care_apply
-        out[..., 7] = sub[..., 7]
-    else:  # pragma: no cover - tags validated in EncodingMethod
-        raise ValueError(f"unknown encoding method {method.tag!r}")
-
-    data = np.empty_like(block.data)
-    data[:, :, : bands * method.width] = out.reshape(block.batch, block.tokens, -1)
+    body = bands * method.width
+    src = block.data[:, :, :body].reshape(block.batch, block.tokens, bands, method.width)
+    data = np.empty(block.data.shape)
     if remainder:
-        data[:, :, bands * method.width :] = block.data[:, :, bands * method.width :]
+        data[:, :, body:] = block.data[:, :, body:]
+    dst = data[:, :, :body].reshape(src.shape)
+    # One batch row at a time keeps the temporaries cache-sized. A
+    # multiply-add runs as one long loop over (token, band) only on
+    # contiguous rows; pass-through dims break the output body up, so rows
+    # are then rotated into a contiguous scratch and copied over.
+    scratch = np.empty(src.shape[1:]) if remainder else None
+    for c in range(block.batch):
+        row = np.ascontiguousarray(src[c])
+        if scratch is None:
+            apply_maps(method.tag, maps, row, inverse=inverse, out=dst[c])
+        else:
+            dst[c] = apply_maps(method.tag, maps, row, inverse=inverse, out=scratch)
     return TokenBlock(data=data, positions=block.positions)

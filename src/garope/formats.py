@@ -9,6 +9,7 @@ fail loudly instead of silently using a default.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -64,11 +65,14 @@ def read_tensor(path) -> np.ndarray:
         raise TensorFileError("truncated dims")
     dims = struct.unpack_from(f"<{rank}Q", raw, 10)
     dtype = _CODE_DTYPES[code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize  # Python ints: no wrap-around
     payload = raw[dims_end:]
     if len(payload) != expected:
         raise TensorFileError(f"payload is {len(payload)} bytes, dims require {expected}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
+    try:
+        arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
+    except ValueError as exc:  # an empty payload with dims numpy cannot hold
+        raise TensorFileError(f"dims {dims} cannot be loaded: {exc}") from None
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
@@ -133,9 +137,12 @@ def _parse_axes(value: str, line: int) -> AxisSpec:
         if len(parts) != 3:
             raise ConfigError(f"axis {g.strip()!r} is not a 3-vector", line)
         try:
-            vectors.append([float(s) for s in parts])
+            components = [float(s) for s in parts]
         except ValueError:
             raise ConfigError(f"axis {g.strip()!r} has a non-numeric component", line) from None
+        if not all(math.isfinite(c) for c in components):
+            raise ConfigError(f"axis {g.strip()!r} has a non-finite component", line)
+        vectors.append(components)
     return AxisSpec(vectors=np.array(vectors, dtype=np.float64), shared=shared)
 
 
@@ -166,6 +173,8 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
                 values[key] = int(value)
             elif key in _FLOAT_KEYS:
                 values[key] = float(value)
+                if not math.isfinite(values[key]):
+                    raise ConfigError(f"{key} must be finite, got {value!r}", lineno)
             elif key in _BOOL_KEYS:
                 if value not in ("true", "false"):
                     raise ConfigError(f"{key} must be true or false", lineno)

@@ -211,7 +211,7 @@ class Rotor(Multivector):
         if np.any(self.coeffs[alg.grades % 2 == 1] != 0.0):
             raise ValueError("rotor has nonzero odd-grade coefficients")
         mag = float(np.dot(self.coeffs, self.coeffs))
-        if abs(mag - 1.0) > UNIT_TOL:
+        if not abs(mag - 1.0) <= UNIT_TOL:  # written so NaN fails too
             raise ValueError(f"rotor is not unit: <R ~R>_0 = {mag!r}")
 
     def __mul__(self, other):
@@ -253,7 +253,7 @@ def rotor_exp(B: Multivector, half_angle: float) -> Rotor:
     if np.any(B.coeffs[alg.grades != 2] != 0.0):
         raise ValueError("rotor generator must be purely grade 2")
     mag = float(np.dot(B.coeffs, B.coeffs))
-    if abs(mag - 1.0) > UNIT_TOL:
+    if not abs(mag - 1.0) <= UNIT_TOL:
         raise ValueError(f"rotor generator must be a unit bivector, got norm^2 {mag!r}")
     coeffs = math.sin(half_angle) * B.coeffs
     coeffs = coeffs.copy()

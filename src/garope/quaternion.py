@@ -49,7 +49,7 @@ def conjugate(q) -> np.ndarray:
 
 def _require_unit(r: np.ndarray) -> None:
     mag = np.sum(r * r, axis=-1)
-    if np.any(np.abs(mag - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(mag - 1.0) <= UNIT_TOL):  # written so NaN fails too
         raise ValueError("quaternion rotor is not unit norm")
 
 
@@ -63,7 +63,7 @@ def quat_rotor(axis, half_angle) -> np.ndarray:
     axis = np.asarray(axis, dtype=np.float64)
     half_angle = np.asarray(half_angle, dtype=np.float64)
     mag = np.sum(axis * axis, axis=-1)
-    if np.any(np.abs(mag - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(mag - 1.0) <= UNIT_TOL):
         raise ValueError("rotation axis must be a unit 3-vector")
     w = np.cos(half_angle)
     xyz = np.sin(half_angle)[..., None] * axis

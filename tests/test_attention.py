@@ -153,6 +153,19 @@ class TestCommutatorNorm:
             p_a, p_b = rng.uniform(-4, 4, 2), rng.uniform(-4, 4, 2)
             assert att.commutator_norm(method, p_a, p_b) <= 1e-12
 
+    def test_mixed_with_random_per_band_axes_commutes(self):
+        method = EncodingMethod.configure("mixed", 12, axes_x=rng.standard_normal((4, 3)))
+        for band in range(method.schedule.num_bands):
+            p_a, p_b = rng.uniform(-4, 4, 2), rng.uniform(-4, 4, 2)
+            assert att.commutator_norm(method, p_a, p_b, band=band) <= 1e-12
+
+    @pytest.mark.parametrize("tag", ["quatro", "care"])
+    def test_non_parallel_axes_do_not_commute(self, tag):
+        method = EncodingMethod.configure(
+            tag, 16, axes_x=np.array([1.0, 0.5, -0.25]), axes_y=np.array([-0.3, 0.9, 1.1])
+        )
+        assert att.commutator_norm(method, PA, PB) > 0.1
+
     def test_same_position_commutes_exactly(self):
         method = EncodingMethod.configure("spherical", 6)
         assert att.commutator_norm(method, PA, PA) == 0.0

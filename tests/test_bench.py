@@ -17,7 +17,6 @@ class TestRunBench:
     def test_default_kernel_set(self):
         names = bench.default_kernels()
         assert {"rope1d", "quatro", "care_fast", "care_generic"} <= set(names)
-        assert ("care_fast_py" in names) == cl3.have_extension()
 
     def test_rows_cover_requested_kernels(self):
         report = tiny_report(kernels=("rope1d", "care_fast"))
@@ -25,7 +24,8 @@ class TestRunBench:
         for row in report.rows:
             assert (row.batch, row.tokens, row.head_dim, row.reps) == (1, 12, 16, 30)
             assert row.min_ns > 0
-            assert row.min_ns <= row.median_ns <= row.mean_ns * 1.0000001
+            assert row.min_ns <= row.median_ns
+            assert row.min_ns <= row.mean_ns
             assert row.rot_per_sec == pytest.approx(1e9 / row.median_ns)
 
     def test_band_counts_per_kernel(self):
@@ -34,10 +34,7 @@ class TestRunBench:
         assert bands == {"rope1d": 8, "quatro": 5, "care_fast": 2}
 
     def test_care_variants_share_checksum(self):
-        kernels = ["care_fast", "care_generic"]
-        if cl3.have_extension():
-            kernels.append("care_fast_py")
-        report = tiny_report(kernels=tuple(kernels))
+        report = tiny_report(kernels=("care_fast", "care_generic"))
         sums = [r.checksum for r in report.rows]
         assert max(sums) - min(sums) <= 1e-10 * max(1.0, abs(sums[0]))
 

@@ -82,6 +82,14 @@ class TestRotorSandwich:
         with pytest.raises(ValueError):
             cl3.mv8_rotor_sandwich(r, np.zeros(8))
 
+    def test_rejects_nan_rotor(self):
+        # abs(nan - 1) > tol is False, so the unit check must be written
+        # the other way round to catch it
+        r = np.zeros(8)
+        r[0] = np.nan
+        with pytest.raises(ValueError, match="unit norm"):
+            cl3.mv8_rotor_sandwich(r, np.ones(8))
+
     def test_scalar_and_pseudoscalar_pass_through(self):
         r = random_rotors(500)
         a = rng.standard_normal((500, 8))

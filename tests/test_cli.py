@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: exit codes, determinism, file I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,23 @@ class TestEncode:
     def test_corrupt_tensor_is_io_error(self, capsys, tmp_path):
         path = tmp_path / "broken.rten"
         path.write_bytes(b"RTEN" + b"\x00" * 3)
+        code, _, err = run(capsys, ["encode", str(path), "--output", str(tmp_path / "o.rten")])
+        assert code == cli.EXIT_IO
+        assert "tensor file error" in err
+
+    @pytest.mark.parametrize("text", ["base = nan", "coord_scale_x = inf", "axes_x = nan,0,1"])
+    def test_non_finite_config_value_names_its_line(self, capsys, tmp_path, text):
+        src, _ = self.setup_tensor(tmp_path)
+        cfg = self.write_cfg(tmp_path, f"grid_h = 3\ngrid_w = 4\n{text}\n")
+        code, _, err = run(
+            capsys, ["encode", str(src), "--config", cfg, "--output", str(tmp_path / "o.rten")]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "line 3" in err and "finite" in err
+
+    def test_wrapping_dims_are_an_io_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.rten"
+        path.write_bytes(b"RTEN" + struct.pack("<IBB", 1, 1, 3) + struct.pack("<3Q", 2**62, 4, 1))
         code, _, err = run(capsys, ["encode", str(path), "--output", str(tmp_path / "o.rten")])
         assert code == cli.EXIT_IO
         assert "tensor file error" in err

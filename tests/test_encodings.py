@@ -72,6 +72,13 @@ class TestMethodConfigure:
         with pytest.raises(ValueError):
             enc.EncodingMethod.configure("quatro", 6, axes_x=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_axis_rejected(self, bad):
+        with pytest.raises(ValueError, match="degenerate or non-finite"):
+            enc.AxisParams(np.array([[bad, 0.0, 1.0]]), np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not finite"):
+            enc.unit_axis(np.array([0.0, bad, 1.0]))
+
     def test_default_axes_are_the_orthogonal_pair(self):
         m = enc.EncodingMethod.configure("quatro", 9)
         assert np.all(m.axes.axes_x == enc.SPHERICAL_AXIS_X)
@@ -360,6 +367,116 @@ class TestApplyEncoding:
         assert method.schedule.num_bands == 21
         assert np.array_equal(out.data[..., 63], block.data[..., 63])
         assert not np.allclose(out.data[..., :63], block.data[..., :63])
+
+
+def _rotate_one(method, v, p, band):
+    """One sub-vector through the single-sub-vector ``*_rotate`` oracle."""
+    theta = float(method.schedule.band_angles[band])
+    sx, sy = method.scale_x, method.scale_y
+    if method.tag == "rope1d":
+        return enc.rope1d_rotate(v, sx * p[0], theta)
+    if method.tag == "spherical":
+        return enc.spherical_rotate(v, p, theta, sx, sy)
+    ax, ay = method.axes.axes_x[band], method.axes.axes_y[band]
+    if method.tag == "mixed":
+        return enc.mixed_rotate(v, p, ax, theta, sx, sy)
+    if method.tag == "quatro":
+        return enc.quatro_rotate(v, p, ax, ay, theta, sx, sy)
+    return enc.care_rotate(v, p, ax, ay, theta, sx, sy)
+
+
+class TestRotationMaps:
+    """The map table against the rotor oracles, with non-parallel axes."""
+
+    POS = enc.grid_positions(3, 4)
+
+    def configure(self, tag, head_dim):
+        axes_x = rng.standard_normal(3) if tag in ("mixed", "quatro", "care") else None
+        axes_y = rng.standard_normal(3) if tag in ("quatro", "care") else None
+        return enc.EncodingMethod.configure(
+            tag, head_dim, base=30.0, axes_x=axes_x, axes_y=axes_y, scale_x=1.3, scale_y=0.8
+        )
+
+    def test_care_map_equals_the_mv8_sandwich_on_all_slots(self):
+        from garope import cl3
+
+        n = 500
+        ux, uy = enc.unit_axis(rng.standard_normal((2, n, 3)))
+        ax, ay = rng.uniform(-4.0, 4.0, (2, n))
+        m = rng.standard_normal((n, 8))
+        got = enc.apply_maps("care", enc.rotation_maps("care", ax, ay, ux, uy), m)
+        rotor = cl3.mv8_product(enc.mv8_rotor(uy, ay / 2.0), enc.mv8_rotor(ux, ax / 2.0))
+        want = cl3.mv8_rotor_sandwich(rotor, m)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_single_carrier_matches_the_apply_oracle(self, tag):
+        v = rng.standard_normal(enc.METHOD_WIDTHS[tag])
+        ax, ay = rng.uniform(-4.0, 4.0, 2)
+        ux = unit3()
+        uy = ux if tag == "mixed" else unit3()
+        want = {
+            "rope1d": lambda: enc.rope1d_apply(v, ax),
+            "mixed": lambda: enc.mixed_apply(v, ax + ay, ux),
+            "spherical": lambda: enc.spherical_apply(v, ax, ay),
+            "quatro": lambda: enc.quatro_apply(v, ax, ay, ux, uy),
+            "care": lambda: enc.care_apply(v, ax, ay, ux, uy),
+        }[tag]()
+        maps = enc.rotation_maps(tag, ax, ay, ux, uy)
+        got = enc.apply_maps(tag, maps, v)
+        assert got.shape == v.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.max(np.abs(enc.apply_maps(tag, maps, got, inverse=True) - v)) <= 1e-13
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_care_invariant_slots_are_copied(self, inverse):
+        n = 50
+        ux, uy = enc.unit_axis(rng.standard_normal((2, n, 3)))
+        ax, ay = rng.uniform(-4.0, 4.0, (2, n))
+        m = rng.standard_normal((n, 8))
+        out = enc.apply_maps("care", enc.rotation_maps("care", ax, ay, ux, uy), m, inverse=inverse)
+        assert np.array_equal(out[:, enc.CARE_INVARIANT_SLOTS], m[:, enc.CARE_INVARIANT_SLOTS])
+
+    @pytest.mark.parametrize(
+        "tag,head_dim",
+        [("rope1d", 9), ("mixed", 10), ("spherical", 9), ("quatro", 10), ("care", 18)],
+    )
+    def test_inverse_block_rotates_forward_to_the_input(self, tag, head_dim):
+        method = self.configure(tag, head_dim)
+        block = enc.random_block(2, head_dim, self.POS, seed=17)
+        back = enc.apply_encoding(block, method, inverse=True).data
+        w, nb = method.width, method.schedule.num_bands
+        for t, p in enumerate(self.POS):
+            for band in range(nb):
+                seg = slice(band * w, (band + 1) * w)
+                for c in range(block.batch):
+                    forward = _rotate_one(method, back[c, t, seg], p, band)
+                    assert np.max(np.abs(forward - block.data[c, t, seg])) <= 1e-12
+        assert np.array_equal(back[..., nb * w :], block.data[..., nb * w :])
+
+    def test_non_contiguous_block_data(self):
+        method = self.configure("quatro", 7)
+        fortran = np.asfortranarray(rng.standard_normal((2, 12, 7)))
+        strided = rng.standard_normal((2, 12, 14))[:, :, ::2]
+        for arr in (fortran, strided):
+            block = enc.TokenBlock(data=arr, positions=self.POS)
+            want = enc.apply_encoding(enc.TokenBlock(data=arr.copy(), positions=self.POS), method)
+            assert np.array_equal(enc.apply_encoding(block, method).data, want.data)
+
+    def test_maps_are_orthogonal(self):
+        for tag in ("mixed", "spherical", "quatro", "care"):
+            method = self.configure(tag, 9 if tag != "care" else 16)
+            theta = method.schedule.band_angles
+            maps = method.rotation_maps(theta * 2.5, theta * -1.5)
+            mats = np.moveaxis(maps, (0, 1), (-2, -1))
+            eye = np.einsum("...ij,...kj->...ik", mats, mats)
+            assert np.max(np.abs(eye - np.eye(3))) <= 1e-14
+            assert np.max(np.abs(np.linalg.det(mats) - 1.0)) <= 1e-14
+
+    def test_carrier_width_checked(self):
+        maps = enc.rotation_maps("quatro", 0.1, 0.2, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
+        with pytest.raises(ValueError, match="trailing axis of 3"):
+            enc.apply_maps("quatro", maps, np.zeros(4))
 
 
 class TestRotationGradient:

@@ -127,6 +127,18 @@ class TestTensorErrors:
         with pytest.raises(TensorFileError, match="payload"):
             read_tensor(self.write(tmp_path, self.valid_bytes() + b"\x00"))
 
+    def test_huge_dims_do_not_wrap_to_zero(self, tmp_path):
+        # 2**62 * 4 elements * 8 bytes is 0 modulo 2**64; an int64 size
+        # would match the empty payload and fail later inside numpy
+        raw = b"RTEN" + struct.pack("<IBB", 1, 1, 2) + struct.pack("<2Q", 2**62, 4)
+        with pytest.raises(TensorFileError, match="payload is 0 bytes"):
+            read_tensor(self.write(tmp_path, raw))
+
+    def test_empty_payload_with_unloadable_dims(self, tmp_path):
+        raw = b"RTEN" + struct.pack("<IBB", 1, 1, 2) + struct.pack("<2Q", 0, 2**62)
+        with pytest.raises(TensorFileError, match="cannot be loaded"):
+            read_tensor(self.write(tmp_path, raw))
+
 
 class TestConfigParsing:
     def test_empty_text_gives_defaults(self):
@@ -209,6 +221,29 @@ class TestConfigParsing:
     def test_value_bounds(self, text):
         with pytest.raises(ConfigError):
             parse_run_config(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize(
+        "key",
+        ["base", "coord_scale_x", "coord_scale_y", "origin_x", "origin_y", "tolerance"],
+    )
+    def test_non_finite_floats_rejected_with_line(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite") as err:
+            parse_run_config(f"method = quatro\n{key} = {value}\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text", ["axes_x = 1,nan,0", "axes_x = shared:inf,0,0", "axes_y = 0,0,1 ; 1,-inf,0"]
+    )
+    def test_non_finite_axis_components_rejected(self, text):
+        with pytest.raises(ConfigError, match="non-finite component") as err:
+            parse_run_config("method = care\n" + text)
+        assert err.value.line == 2
+
+    def test_nan_base_with_one_band_rejected(self):
+        # nan**0 == 1, so a one-band schedule would not notice a nan base
+        with pytest.raises(ConfigError, match="base must be finite"):
+            parse_run_config("method = rope1d\nhead_dim = 2\nbase = nan\n")
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"

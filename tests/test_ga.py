@@ -152,6 +152,12 @@ class TestRotor:
         with pytest.raises(ValueError):
             Rotor(3, coeffs)
 
+    def test_rejects_nan(self):
+        coeffs = np.zeros(8)
+        coeffs[0] = np.nan
+        with pytest.raises(ValueError, match="not unit"):
+            Rotor(3, coeffs)
+
     def test_rotor_product_stays_rotor(self):
         r1 = rotor_exp(blade(3, "e12"), 0.3)
         r2 = rotor_exp(blade(3, "e23"), -1.1)
@@ -168,6 +174,10 @@ class TestRotor:
             rotor_exp(blade(3, "e12", 2.0), 0.5)
         with pytest.raises(ValueError):
             rotor_exp(blade(3, "e1"), 0.5)
+
+    def test_exp_rejects_nan_bivector(self):
+        with pytest.raises(ValueError, match="unit bivector"):
+            rotor_exp(blade(3, "e12", np.nan), 0.5)
 
     def test_exp_matches_power_series(self):
         biv = blade(3, "e12", 0.6) + blade(3, "e23", -0.8)

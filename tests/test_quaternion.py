@@ -77,12 +77,21 @@ class TestRotor:
         with pytest.raises(ValueError):
             quat_rotor(np.array([1.0, 1.0, 0.0]), 0.3)
 
+    def test_rejects_nan_axis(self):
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            quat_rotor(np.array([np.nan, 0.0, 0.0]), 0.3)
+
     def test_zero_angle_is_identity(self):
         r = quat_rotor(np.array([0.0, 0.0, 1.0]), 0.0)
         assert np.array_equal(r, ONE)
 
 
 class TestSandwich:
+    @pytest.mark.parametrize("apply", [lambda r: quat_sandwich(r, np.ones(3)), quat_to_rotation_matrix])
+    def test_nan_rotor_rejected(self, apply):
+        with pytest.raises(ValueError, match="not unit norm"):
+            apply(np.array([np.nan, 0.0, 0.0, 0.0]))
+
     def test_quarter_turn_about_k_sends_i_to_j(self):
         r = quat_rotor(np.array([0.0, 0.0, 1.0]), np.pi / 4)  # half angle
         out = quat_sandwich(r, np.array([1.0, 0.0, 0.0]))
