@@ -189,16 +189,7 @@ def _suite_cl3_invariant_channels(seed: int) -> str:
     scale = np.maximum(1.0, np.abs(a[:, [0, 7]]))
     drift = float(np.max(np.abs(out[:, [0, 7]] - a[:, [0, 7]]) / scale))
     _require(drift <= 1e-15, f"scalar/e123 slots drift {drift:.3e} > 1e-15")
-    if cl3.have_extension():
-        same = np.array_equal(
-            cl3.mv8_rotor_sandwich(rotors, a, backend="cython"),
-            cl3.mv8_rotor_sandwich(rotors, a, backend="numpy"),
-        )
-        _require(same, "cython and numpy kernels disagree bitwise")
-        note = "; backends bitwise equal"
-    else:
-        note = "; extension absent, numpy only"
-    return f"invariant-channel drift {drift:.3e} on {n} rows" + note
+    return f"invariant-channel drift {drift:.3e} on {n} rows"
 
 
 def reduction_deviations(
@@ -215,51 +206,41 @@ def reduction_deviations(
     rng = np.random.default_rng([seed, 6])
     grid = grid_positions(grid_h, grid_w)
     schedule = EncodingMethod.configure("quatro", 64, base=base).schedule
-    dev = dict.fromkeys(
-        (
-            "quatro_orthogonal_vs_spherical",
-            "quatro_parallel_vs_mixed",
-            "care_grade1_vs_quatro",
-            "care_parallel_vs_mixed",
-        ),
-        0.0,
-    )
+    # one sample's draws at a time keeps the random stream, and so each
+    # seed's sample set, fixed; each reduction then runs over all samples
+    draws = []
     for _ in range(samples):
         p = grid[rng.integers(0, grid.shape[0])]
-        theta = float(schedule.band_angles[rng.integers(0, schedule.num_bands)])
-        v = rng.standard_normal(3)
+        theta = schedule.band_angles[rng.integers(0, schedule.num_bands)]
+        v, u, ux, uy = (rng.standard_normal(3) for _ in range(4))
+        draws.append((p, theta, v, u, ux, uy))
+    p, theta, v, u, ux, uy = (np.array(column) for column in zip(*draws))
+    u, ux, uy = unit_axis(u), unit_axis(ux), unit_axis(uy)
 
-        a = quatro_rotate(v, p, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y, theta)
-        b = spherical_rotate(v, p, theta)
-        dev["quatro_orthogonal_vs_spherical"] = max(
-            dev["quatro_orthogonal_vs_spherical"], float(np.max(np.abs(a - b)))
-        )
+    def worst(a, b) -> float:
+        return float(np.max(np.abs(a - b)))
 
-        u = unit_axis(rng.standard_normal(3))
-        a = quatro_rotate(v, p, u, 2.5 * u, theta)  # parallel, different raw norms
-        b = mixed_rotate(v, p, u, theta)
-        dev["quatro_parallel_vs_mixed"] = max(
-            dev["quatro_parallel_vs_mixed"], float(np.max(np.abs(a - b)))
-        )
-
-        ux = unit_axis(rng.standard_normal(3))
-        uy = unit_axis(rng.standard_normal(3))
-        m = np.zeros(8)
-        m[[1, 2, 4]] = v
-        out8 = care_rotate(m, p, ux, uy, theta)
-        # order-aligned quaternion oracle: care conjugates y outermost
-        rx = quat_rotor(grade1_rotation_axis(ux), theta * p[0] / 2.0)
-        ry = quat_rotor(grade1_rotation_axis(uy), theta * p[1] / 2.0)
-        b = quat_sandwich(hamilton_product(ry, rx), v)
-        dev["care_grade1_vs_quatro"] = max(
-            dev["care_grade1_vs_quatro"], float(np.max(np.abs(out8[[1, 2, 4]] - b)))
-        )
-
-        out8 = care_rotate(m, p, ux, 0.5 * ux, theta)  # parallel pair
-        b = mixed_apply(v, theta * (p[0] + p[1]), grade1_rotation_axis(ux))
-        dev["care_parallel_vs_mixed"] = max(
-            dev["care_parallel_vs_mixed"], float(np.max(np.abs(out8[[1, 2, 4]] - b)))
-        )
+    dev = {}
+    dev["quatro_orthogonal_vs_spherical"] = worst(
+        quatro_rotate(v, p, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y, theta),
+        spherical_rotate(v, p, theta),
+    )
+    dev["quatro_parallel_vs_mixed"] = worst(  # parallel, different raw norms
+        quatro_rotate(v, p, u, 2.5 * u, theta), mixed_rotate(v, p, u, theta)
+    )
+    m = np.zeros((samples, 8))
+    m[:, [1, 2, 4]] = v
+    # order-aligned quaternion oracle: care conjugates y outermost
+    rx = quat_rotor(grade1_rotation_axis(ux), theta * p[:, 0] / 2.0)
+    ry = quat_rotor(grade1_rotation_axis(uy), theta * p[:, 1] / 2.0)
+    dev["care_grade1_vs_quatro"] = worst(
+        care_rotate(m, p, ux, uy, theta)[:, [1, 2, 4]],
+        quat_sandwich(hamilton_product(ry, rx), v),
+    )
+    dev["care_parallel_vs_mixed"] = worst(  # parallel pair
+        care_rotate(m, p, ux, 0.5 * ux, theta)[:, [1, 2, 4]],
+        mixed_apply(v, theta * (p[:, 0] + p[:, 1]), grade1_rotation_axis(ux)),
+    )
     return dev
 
 

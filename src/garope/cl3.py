@@ -1,33 +1,21 @@
-"""Fixed-size Cl(3,0) kernels with a compiled core and a numpy fallback.
+"""Fixed-size Cl(3,0) kernels in numpy.
 
 An 8-slot element ("mv8") stores coefficients in the order
 (1, e1, e2, e12, e3, e31, e23, e123). This matches the generic engine's
 ascending-mask order except that slot 5 carries the e31 = -e13
 orientation, so converting to/from a ga.Multivector is a single sign flip.
 
-At import time the compiled extension is used when available; the pure
-numpy implementation is always importable for comparison and as a
-fallback. Set GAROPE_FORCE_NUMPY=1 to skip the extension.
+The row kernels live in ``_cl3_numpy``. The encodings' block path does not
+use them; they serve the single sub-vector oracles, the analytic
+gradients and the checks.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import _cl3_numpy
 from .ga import Algebra, Multivector, UNIT_TOL
-
-try:
-    if os.environ.get("GAROPE_FORCE_NUMPY", "") == "1":
-        _cl3ext = None
-    else:
-        from . import _cl3ext
-except ImportError:
-    _cl3ext = None
-
-_impl = _cl3ext if _cl3ext is not None else _cl3_numpy
 
 REVERSE_SIGNS = _cl3_numpy.REVERSE_SIGNS
 _SLOT_ORIENTATION = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
@@ -57,24 +45,8 @@ PRODUCT_TERMS = (
 
 
 def backend_name() -> str:
-    """"cython" when the compiled extension is active, else "numpy"."""
-    return "cython" if _impl is _cl3ext else "numpy"
-
-
-def have_extension() -> bool:
-    return _cl3ext is not None
-
-
-def _impl_for(backend: str | None):
-    if backend is None:
-        return _impl
-    if backend == "numpy":
-        return _cl3_numpy
-    if backend == "cython":
-        if _cl3ext is None:
-            raise ValueError("compiled Cl(3,0) extension is not available")
-        return _cl3ext
-    raise ValueError(f"unknown Cl(3,0) backend {backend!r}")
+    """Name of the kernel implementation; there is only numpy."""
+    return "numpy"
 
 
 def _as_rows(a) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -84,12 +56,8 @@ def _as_rows(a) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.ascontiguousarray(arr.reshape(-1, 8)), arr.shape
 
 
-def mv8_product(a, b, backend: str | None = None) -> np.ndarray:
-    """Geometric product of mv8 arrays with shape (..., 8), broadcasting.
-
-    ``backend`` pins "cython" or "numpy" instead of the import-time pick
-    (benchmark use); results are bit-identical either way.
-    """
+def mv8_product(a, b) -> np.ndarray:
+    """Geometric product of mv8 arrays with shape (..., 8), broadcasting."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     shape = np.broadcast_shapes(a.shape, b.shape)
@@ -97,7 +65,7 @@ def mv8_product(a, b, backend: str | None = None) -> np.ndarray:
         raise ValueError("mv8 values need a trailing axis of 8")
     rows_a, _ = _as_rows(np.broadcast_to(a, shape))
     rows_b, _ = _as_rows(np.broadcast_to(b, shape))
-    return _impl_for(backend).gp_batch(rows_a, rows_b).reshape(shape)
+    return _cl3_numpy.gp_batch(rows_a, rows_b).reshape(shape)
 
 
 def mv8_reverse(a) -> np.ndarray:
@@ -113,7 +81,7 @@ def _validate_rotor(rows: np.ndarray) -> None:
         raise ValueError("mv8 rotor is not unit norm")
 
 
-def mv8_rotor_sandwich(rotor, a, backend: str | None = None) -> np.ndarray:
+def mv8_rotor_sandwich(rotor, a) -> np.ndarray:
     """R a ~R for even unit rotor(s); shapes broadcast like mv8_product.
 
     Scalar and e123 slots of a pass through unchanged (the pseudoscalar is
@@ -128,7 +96,7 @@ def mv8_rotor_sandwich(rotor, a, backend: str | None = None) -> np.ndarray:
     rows_r, _ = _as_rows(np.broadcast_to(rotor, shape))
     rows_a, _ = _as_rows(np.broadcast_to(a, shape))
     _validate_rotor(rows_r)
-    return _impl_for(backend).rotor_sandwich_batch(rows_r, rows_a).reshape(shape)
+    return _cl3_numpy.rotor_sandwich_batch(rows_r, rows_a).reshape(shape)
 
 
 def mv8_from_multivector(mv: Multivector) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -92,6 +93,8 @@ def _seed(args, config: RunConfig) -> int:
 
 def _tolerance(args, config: RunConfig, default: float) -> float:
     if args.tolerance is not None:
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):  # the config key's rule
+            raise ValueError(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
         return args.tolerance
     if config.tolerance is not None:
         return config.tolerance
@@ -189,15 +192,11 @@ def _grad_cases(tag: str, rng: np.random.Generator, positions: np.ndarray, sched
 
 
 def _grad_analytic(tag, cases, coordinate, scales) -> np.ndarray:
-    """rotation_gradient of every sample, one call each (the oracle)."""
-    return np.array(
-        [
-            rotation_gradient(
-                tag, v, p, theta, coordinate,
-                axis_x=axis_x, axis_y=axis_y, scale_x=scales[0], scale_y=scales[1],
-            )
-            for v, p, theta, axis_x, axis_y in zip(*cases)
-        ]
+    """rotation_gradient of every sample at once (the oracle)."""
+    v, p, theta, axis_x, axis_y = cases
+    return rotation_gradient(
+        tag, v, p, theta, coordinate,
+        axis_x=axis_x, axis_y=axis_y, scale_x=scales[0], scale_y=scales[1],
     )
 
 

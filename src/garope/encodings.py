@@ -18,7 +18,8 @@ sampling tools go through one method table, ``ROTATIONS``: each method
 builds one orthogonal map per (token, band) and applies it with explicit
 multiply-adds. The single sub-vector ``*_rotate`` functions (grid
 positions) and ``*_apply`` variants (resolved angles) compute the same
-rotations independently, through rotors, and serve as its oracles.
+rotations independently, through rotors, and serve as its oracles; they
+and ``rotation_gradient`` broadcast over leading sample axes.
 """
 
 from __future__ import annotations
@@ -261,20 +262,22 @@ def random_block(batch: int, head_dim: int, positions, seed: int) -> TokenBlock:
 # single sub-vector operations
 
 
-def _pos_angles(p, theta: float, scale_x: float, scale_y: float) -> tuple[float, float]:
+def _pos_angles(p, theta, scale_x: float, scale_y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Resolved (angle_x, angle_y) of (..., 2) positions at band angle(s)
+    theta broadcasting against them."""
     p = np.asarray(p, dtype=np.float64)
-    return float(theta * scale_x * p[0]), float(theta * scale_y * p[1])
+    return theta * scale_x * p[..., 0], theta * scale_y * p[..., 1]
 
 
-def rope1d_apply(v, angle: float) -> np.ndarray:
+def rope1d_apply(v, angle) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     c, s = np.cos(angle), np.sin(angle)
     return np.stack([c * v[..., 0] - s * v[..., 1], s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
-def rope1d_rotate(v, p: float, theta: float) -> np.ndarray:
+def rope1d_rotate(v, p, theta) -> np.ndarray:
     """Planar rotation of a 2-vector by theta * p."""
-    return rope1d_apply(v, theta * float(p))
+    return rope1d_apply(v, theta * np.asarray(p, dtype=np.float64))
 
 
 def _rot_xy(angle) -> np.ndarray:
@@ -293,27 +296,27 @@ def _rot_yz(angle) -> np.ndarray:
     )
 
 
-def spherical_apply(v, angle_x: float, angle_y: float) -> np.ndarray:
+def spherical_apply(v, angle_x, angle_y) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     step = np.einsum("...ij,...j->...i", _rot_xy(angle_y), v)
     return np.einsum("...ij,...j->...i", _rot_yz(angle_x), step)
 
 
-def spherical_rotate(v, p, theta: float, scale_x: float = 1.0, scale_y: float = 1.0) -> np.ndarray:
+def spherical_rotate(v, p, theta, scale_x: float = 1.0, scale_y: float = 1.0) -> np.ndarray:
     """Fixed-axis 3-vector rotation: xy-plane by the p_y angle first, then
     yz-plane by the p_x angle. The two steps do not commute."""
     ax, ay = _pos_angles(p, theta, scale_x, scale_y)
     return spherical_apply(v, ax, ay)
 
 
-def quatro_apply(v, angle_x: float, angle_y: float, axis_x, axis_y) -> np.ndarray:
+def quatro_apply(v, angle_x, angle_y, axis_x, axis_y) -> np.ndarray:
     ux, uy = unit_axis(axis_x), unit_axis(axis_y)
     rotor = hamilton_product(quat_rotor(ux, angle_x / 2.0), quat_rotor(uy, angle_y / 2.0))
     return quat_sandwich(rotor, v)
 
 
 def quatro_rotate(
-    v, p, axis_x, axis_y, theta: float, scale_x: float = 1.0, scale_y: float = 1.0
+    v, p, axis_x, axis_y, theta, scale_x: float = 1.0, scale_y: float = 1.0
 ) -> np.ndarray:
     """Two-rotor quaternion rotation of a 3-vector; the x rotor conjugates
     outermost, so the composite rotor is r_x * r_y."""
@@ -321,15 +324,16 @@ def quatro_rotate(
     return quatro_apply(v, ax, ay, axis_x, axis_y)
 
 
-def mixed_apply(v, angle: float, axis) -> np.ndarray:
+def mixed_apply(v, angle, axis) -> np.ndarray:
     u = unit_axis(axis)
     v = np.asarray(v, dtype=np.float64)
+    angle = np.asarray(angle, dtype=np.float64)[..., None]  # one angle per carrier
     c, s = np.cos(angle), np.sin(angle)
     return c * v + s * np.cross(u, v) + (1.0 - c) * np.sum(u * v, axis=-1, keepdims=True) * u
 
 
 def mixed_rotate(
-    v, p, axis, theta: float, scale_x: float = 1.0, scale_y: float = 1.0
+    v, p, axis, theta, scale_x: float = 1.0, scale_y: float = 1.0
 ) -> np.ndarray:
     """Shared-axis rotation by the combined angle theta * (s_x p_x + s_y p_y).
 
@@ -360,7 +364,7 @@ def mv8_rotor(axis, half_angle) -> np.ndarray:
     return out
 
 
-def care_apply(m, angle_x: float, angle_y: float, axis_x, axis_y) -> np.ndarray:
+def care_apply(m, angle_x, angle_y, axis_x, axis_y) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     rx = mv8_rotor(axis_x, np.asarray(angle_x) / 2.0)
     ry = mv8_rotor(axis_y, np.asarray(angle_y) / 2.0)
@@ -374,7 +378,7 @@ def care_apply(m, angle_x: float, angle_y: float, axis_x, axis_y) -> np.ndarray:
 
 
 def care_rotate(
-    m, p, axis_x, axis_y, theta: float, scale_x: float = 1.0, scale_y: float = 1.0
+    m, p, axis_x, axis_y, theta, scale_x: float = 1.0, scale_y: float = 1.0
 ) -> np.ndarray:
     """Conjugate an 8-slot multivector by the composite rotor R_y R_x (the
     y rotor outermost, unlike quatro). Scalar and e123 slots are invariant;
@@ -395,7 +399,7 @@ def rotation_gradient(
     tag: str,
     v,
     p,
-    theta: float,
+    theta,
     coordinate: str,
     axis_x=None,
     axis_y=None,

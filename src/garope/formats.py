@@ -10,6 +10,7 @@ fail loudly instead of silently using a default.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -43,37 +44,40 @@ def write_tensor(path, array: np.ndarray) -> None:
     code = _DTYPE_CODES[array.dtype]
     header = MAGIC + struct.pack("<IBB", VERSION, code, array.ndim)
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
+    payload = np.ascontiguousarray(array).astype(_CODE_DTYPES[code], copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(array).astype(_CODE_DTYPES[code], copy=False).tobytes())
+        fh.write(payload.data)  # the array's own buffer, no bytes copy
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a tensor file, holding its payload in memory once."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise TensorFileError("not a tensor file (bad magic)")
-    if len(raw) < 10:
-        raise TensorFileError("truncated tensor header")
-    version, code, rank = struct.unpack_from("<IBB", raw, 4)
-    if version != VERSION:
-        raise TensorFileError(f"unsupported tensor file version {version}")
-    if code not in _CODE_DTYPES:
-        raise TensorFileError(f"unknown dtype code {code}")
-    dims_end = 10 + 8 * rank
-    if len(raw) < dims_end:
-        raise TensorFileError("truncated dims")
-    dims = struct.unpack_from(f"<{rank}Q", raw, 10)
-    dtype = _CODE_DTYPES[code]
-    expected = math.prod(dims) * dtype.itemsize  # Python ints: no wrap-around
-    payload = raw[dims_end:]
-    if len(payload) != expected:
-        raise TensorFileError(f"payload is {len(payload)} bytes, dims require {expected}")
+        head = fh.read(10)
+        if head[:4] != MAGIC:
+            raise TensorFileError("not a tensor file (bad magic)")
+        if len(head) < 10:
+            raise TensorFileError("truncated tensor header")
+        version, code, rank = struct.unpack_from("<IBB", head, 4)
+        if version != VERSION:
+            raise TensorFileError(f"unsupported tensor file version {version}")
+        if code not in _CODE_DTYPES:
+            raise TensorFileError(f"unknown dtype code {code}")
+        raw_dims = fh.read(8 * rank)
+        if len(raw_dims) < 8 * rank:
+            raise TensorFileError("truncated dims")
+        dims = struct.unpack(f"<{rank}Q", raw_dims)
+        dtype = _CODE_DTYPES[code]
+        expected = math.prod(dims) * dtype.itemsize  # Python ints: no wrap-around
+        size = os.fstat(fh.fileno()).st_size - (10 + 8 * rank)
+        if size != expected:
+            raise TensorFileError(f"payload is {size} bytes, dims require {expected}")
+        arr = np.fromfile(fh, dtype=dtype, count=expected // dtype.itemsize)
     try:
-        arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
+        arr = arr.reshape(dims)
     except ValueError as exc:  # an empty payload with dims numpy cannot hold
         raise TensorFileError(f"dims {dims} cannot be loaded: {exc}") from None
-    return arr.astype(dtype.newbyteorder("="), copy=True)
+    return arr.astype(dtype.newbyteorder("="), copy=False)
 
 
 _INT_KEYS = ("head_dim", "grid_h", "grid_w", "seed")

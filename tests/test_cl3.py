@@ -1,13 +1,8 @@
 """Specialized 8-slot Cl(3,0) kernels against the generic-engine oracle."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import garope
 from garope import cl3
 from garope.ga import Algebra, Multivector
 from garope.quaternion import quat_to_even_cl3
@@ -115,47 +110,7 @@ class TestRotorSandwich:
 
 class TestBackends:
     def test_backend_name_is_known(self):
-        assert cl3.backend_name() in ("cython", "numpy")
-
-    def test_explicit_backends_agree_bitwise(self):
-        if not cl3.have_extension():
-            pytest.skip("compiled extension not built")
-        r = random_rotors(300)
-        a = rng.standard_normal((300, 8))
-        fast = cl3.mv8_rotor_sandwich(r, a, backend="cython")
-        slow = cl3.mv8_rotor_sandwich(r, a, backend="numpy")
-        assert np.array_equal(fast, slow)
-        pa = cl3.mv8_product(r, a, backend="cython")
-        pb = cl3.mv8_product(r, a, backend="numpy")
-        assert np.array_equal(pa, pb)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            cl3.mv8_product(np.zeros(8), np.zeros(8), backend="fortran")
-
-    def test_force_numpy_env_selects_fallback(self):
-        code = (
-            "import garope.cl3 as c; "
-            "assert c.backend_name() == 'numpy'; "
-            "import numpy as np; "
-            "out = c.mv8_product(np.eye(8)[1], np.eye(8)[2]); "
-            "assert out[3] == 1.0"
-        )
-        # keep the parent's environment and put the directory holding the
-        # imported package first on the child's path, so the child imports
-        # this same garope whether it is installed or run from a checkout
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(garope.__file__)))
-        env = dict(os.environ, GAROPE_FORCE_NUMPY="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH", "")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
+        assert cl3.backend_name() == "numpy"
 
 
 class TestConversions:

@@ -1,12 +1,23 @@
 """End-to-end command-line behavior: exit codes, determinism, file I/O."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from garope import cl3, cli
-from garope.encodings import EncodingMethod, TokenBlock, apply_encoding, grid_positions
+from garope.encodings import (
+    METHOD_WIDTHS,
+    METHODS,
+    EncodingMethod,
+    TokenBlock,
+    apply_encoding,
+    grid_positions,
+)
 from garope.formats import read_tensor, write_tensor
 
 
@@ -48,9 +59,7 @@ class TestCheck:
         # sabotage the specialized product; the generic-engine comparison
         # suite must notice and name itself
         orig = cl3.mv8_product
-        monkeypatch.setattr(
-            cl3, "mv8_product", lambda a, b, backend=None: -orig(a, b, backend=backend)
-        )
+        monkeypatch.setattr(cl3, "mv8_product", lambda a, b: -orig(a, b))
         code, out, err = run(capsys, ["check", "--seed", "0"])
         assert code == cli.EXIT_PROPERTY
         assert "FAIL cl3-oracle-equivalence" in out
@@ -95,6 +104,16 @@ class TestEquiv:
         # explicit flag outranks the config value
         code, _, _ = run(capsys, ["equiv", "--config", str(cfg), "--tolerance", "1e-10"])
         assert code == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", ["equiv", "grad"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_tolerance_flag_must_be_finite_and_positive(self, capsys, command, value):
+        # the flag follows the config key's rule instead of passing (inf) or
+        # failing (nan) every figure
+        code, out, err = run(capsys, [command, "--seed", "0", "--tolerance", value])
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "--tolerance" in err
 
 
 class TestGrad:
@@ -243,6 +262,74 @@ class TestEncode:
         )
         assert code == cli.EXIT_CONFIG
         assert "line 2" in err
+
+
+def _axis_text(vectors) -> str:
+    return ";".join(",".join(repr(c) for c in vec) for vec in vectors)
+
+
+@st.composite
+def encode_configs(draw):
+    """A valid run config, as file text, and the tensor shape it encodes."""
+    method = draw(st.sampled_from(METHODS))
+    width = METHOD_WIDTHS[method]
+    bands = draw(st.integers(1, 4))
+    head_dim = bands * width + draw(st.integers(0, width - 1))
+    grid_h, grid_w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    lines = [
+        f"method = {method}",
+        f"head_dim = {head_dim}",
+        f"grid_h = {grid_h}",
+        f"grid_w = {grid_w}",
+        f"base = {draw(st.floats(1.5, 1e5, **finite))!r}",
+    ]
+    for key in ("coord_scale_x", "coord_scale_y", "origin_x", "origin_y"):
+        if draw(st.booleans()):
+            lines.append(f"{key} = {draw(st.floats(-4.0, 4.0, **finite))!r}")
+    axis = st.lists(st.floats(-2.0, 2.0, **finite), min_size=3, max_size=3).filter(
+        lambda v: np.linalg.norm(v) > 0.1
+    )
+    # mixed takes one axis for both coordinates; rope1d and spherical none
+    keys = {"mixed": ("axes_x",), "quatro": ("axes_x", "axes_y"), "care": ("axes_x", "axes_y")}
+    for key in keys.get(method, ()):
+        form = draw(st.sampled_from(["default", "shared", "per-band"]))
+        if form == "shared":
+            lines.append(f"{key} = shared:{_axis_text([draw(axis)])}")
+        elif form == "per-band":
+            vectors = draw(st.lists(axis, min_size=bands, max_size=bands))
+            lines.append(f"{key} = {_axis_text(vectors)}")
+    return "\n".join(lines) + "\n", (grid_h * grid_w, head_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=encode_configs(),
+    batch=st.integers(1, 3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_encode_then_invert_recovers_the_input(config, batch, dtype, seed):
+    text, shape = config
+    arr = np.random.default_rng(seed).standard_normal((batch,) + shape).astype(dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "fwd.cfg").write_text(text)
+        (tmp / "inv.cfg").write_text(text + "invert = true\n")
+        write_tensor(tmp / "in.rten", arr)
+        for cfg, src, dst in (("fwd", "in", "mid"), ("inv", "mid", "back")):
+            argv = ["encode", f"{tmp / src}.rten", "--config", f"{tmp / cfg}.cfg"]
+            assert cli.main(argv + ["--output", f"{tmp / dst}.rten"]) == cli.EXIT_OK
+        back = read_tensor(tmp / "back.rten")
+    assert back.dtype == arr.dtype and back.shape == arr.shape
+    err = np.max(np.abs(back.astype(np.float64) - arr))
+    if dtype == np.float64:
+        assert err <= 1e-10
+    else:
+        # both passes compute in float64 and round once to float32 on the
+        # way out; each rounding moves a sub-vector by at most eps/2 of its
+        # norm, which the norm of the whole row bounds
+        assert err <= np.finfo(np.float32).eps * np.max(np.linalg.norm(arr, axis=-1))
 
 
 class TestBench:

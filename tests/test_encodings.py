@@ -165,6 +165,16 @@ class TestScalarOps:
         b = enc.mixed_rotate(v, (2.0 + 1.25, 5.0 - 1.25), u, theta)
         assert np.max(np.abs(a - b)) < 1e-14
 
+    def test_mixed_apply_takes_one_angle_per_carrier(self):
+        n = 40
+        v = rng.standard_normal((n, 3))
+        angle = rng.uniform(-5, 5, n)
+        u = enc.unit_axis(rng.standard_normal((n, 3)))
+        batch = enc.mixed_apply(v, angle, u)
+        single = np.array([enc.mixed_apply(v[i], float(angle[i]), u[i]) for i in range(n)])
+        assert batch.shape == (n, 3)
+        assert np.array_equal(batch, single)
+
     def test_mixed_zero_position_identity(self):
         v = rng.standard_normal(3)
         assert np.max(np.abs(enc.mixed_rotate(v, (0.0, 0.0), unit3(), 0.9) - v)) < 1e-15
@@ -513,6 +523,31 @@ class TestRotationGradient:
             rel = float(np.max(np.abs(g - fd))) / max(1.0, float(np.max(np.abs(fd))))
             worst = max(worst, rel)
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    @pytest.mark.parametrize("coordinate", ["angle_x", "angle_y"])
+    def test_batch_equals_per_sample_calls(self, tag, coordinate):
+        n = 50
+        v = rng.standard_normal((n, enc.METHOD_WIDTHS[tag]))
+        p = rng.uniform(-8, 8, (n, 2))
+        theta = 10 ** rng.uniform(-2, 0, n)
+        ux = enc.unit_axis(rng.standard_normal((n, 3)))
+        uy = ux if tag == "mixed" else enc.unit_axis(rng.standard_normal((n, 3)))
+        scales = dict(scale_x=1.2, scale_y=0.8)
+        batch = enc.rotation_gradient(
+            tag, v, p, theta, coordinate, axis_x=ux, axis_y=uy, **scales
+        )
+        single = np.array(
+            [
+                enc.rotation_gradient(
+                    tag, v[i], p[i], float(theta[i]), coordinate,
+                    axis_x=ux[i], axis_y=uy[i], **scales,
+                )
+                for i in range(n)
+            ]
+        )
+        assert batch.shape == v.shape
+        assert np.array_equal(batch, single)  # same arithmetic, element by element
 
     def test_planar_derivative_at_zero(self):
         # rotating e1 in the e12-style plane: derivative at angle 0 points
