@@ -14,9 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import METHOD_WIDTHS, EncodingMethod, TokenBlock, apply_encoding, apply_maps
+from .encodings import (
+    METHOD_WIDTHS,
+    EncodingMethod,
+    TokenBlock,
+    apply_encoding,
+    apply_maps,
+    block_maps,
+    rotate_rows,
+    rotation_maps,
+)
 
 MIN_DIRECTIONS = 100
+# Q K^T is formed in query-row chunks of at most this many multiply-adds
+# per matrix product. OpenBLAS runs products this small on the calling
+# thread; larger ones wake its worker threads, and on a 2-vCPU VM such
+# wake-ups stalled single score requests for ~30 ms. The chunks cost about
+# 0.5 ms on the largest scores measured (2 x 256 tokens, head_dim 64).
+PRODUCT_CHUNK_MULADDS = 1 << 18
 _DIRECTION_SEED = 20240915  # fixed so commutator sampling is reproducible
 
 
@@ -43,14 +58,26 @@ class AttentionScores:
 def score_matrix(
     q_block: TokenBlock, k_block: TokenBlock, method: EncodingMethod
 ) -> AttentionScores:
-    """Encode queries and keys, then form (Q K^T) / sqrt(head_dim)."""
+    """Encode queries and keys, then form (Q K^T) / sqrt(head_dim).
+
+    Queries and keys share positions, so their maps are built once; a
+    block passed as both is rotated once.
+    """
     if q_block.data.shape != k_block.data.shape:
         raise ValueError("query and key blocks must share batch/tokens/head_dim")
     if not np.array_equal(q_block.positions, k_block.positions):
         raise ValueError("query and key blocks must share positions")
-    q = apply_encoding(q_block, method).data
-    k = apply_encoding(k_block, method).data
-    scores = np.einsum("btd,bsd->bts", q, k) / np.sqrt(q_block.head_dim)
+    maps = block_maps(method, q_block.positions)
+    q = rotate_rows(q_block, method, maps)
+    k = q if k_block is q_block else rotate_rows(k_block, method, maps)
+    batch, tokens, head_dim = q.shape
+    scores = np.empty((batch, tokens, tokens))
+    k_t = k.transpose(0, 2, 1)
+    step = max(1, PRODUCT_CHUNK_MULADDS // max(1, tokens * head_dim))
+    for start in range(0, tokens, step):
+        rows = slice(start, start + step)
+        np.matmul(q[:, rows], k_t, out=scores[:, rows])
+    scores /= np.sqrt(head_dim)
     return AttentionScores(scores=scores)
 
 
@@ -93,12 +120,13 @@ def _unit_directions(width: int, count: int) -> np.ndarray:
 
 def _band_rotation(method: EncodingMethod, band: int):
     """The sub-vector rotation v -> R(p) v for one schedule band."""
-    theta = method.schedule.band_angles
+    theta = float(method.schedule.band_angles[band])
     sx, sy = method.scale_x, method.scale_y
+    axes = () if method.axes is None else (method.axes.unit_x()[band], method.axes.unit_y()[band])
 
     def rotate(p, v):
-        maps = method.rotation_maps(theta * sx * float(p[0]), theta * sy * float(p[1]))
-        return apply_maps(method.tag, maps[..., band], v)
+        maps = rotation_maps(method.tag, theta * sx * float(p[0]), theta * sy * float(p[1]), *axes)
+        return apply_maps(method.tag, maps, v)
 
     return rotate
 

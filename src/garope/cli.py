@@ -171,7 +171,7 @@ def cmd_encode(args) -> int:
         )
         return EXIT_CONFIG
     method = build_method(dataclasses.replace(config, head_dim=head_dim))
-    block = TokenBlock(data=arr.astype(np.float64), positions=config_positions(config))
+    block = TokenBlock(data=arr.astype(np.float64, copy=False), positions=config_positions(config))
     out = apply_encoding(block, method, inverse=config.invert)
     write_tensor(args.output, out.data.astype(arr.dtype, copy=False))
     return EXIT_OK

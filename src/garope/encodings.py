@@ -13,13 +13,18 @@ Five methods act on query/key sub-vectors, distinguished by carrier width:
   by a composite rotor; here the p_y rotor is the outer one.
 
 Angles come from a per-band frequency schedule theta_i scaled by
-per-coordinate speed factors. The block path (``apply_encoding``) and the
-sampling tools go through one method table, ``ROTATIONS``: each method
-builds one orthogonal map per (token, band) and applies it with explicit
-multiply-adds. The single sub-vector ``*_rotate`` functions (grid
-positions) and ``*_apply`` variants (resolved angles) compute the same
-rotations independently, through rotors, and serve as its oracles; they
-and ``rotation_gradient`` broadcast over leading sample axes.
+per-coordinate speed factors. The block path and the sampling tools go
+through one method table, ``ROTATIONS``: each method builds one
+orthogonal map per (token, band) and applies it with explicit
+multiply-adds. spherical, quatro and care build the 3x3 matrix of a
+two-rotor quaternion product, written out in closed form. A block is
+encoded in two steps, ``block_maps`` (maps from positions) and
+``rotate_rows`` (maps applied to every batch row); ``apply_encoding``
+runs both, and attention scores reuse one build for queries and keys.
+The single sub-vector ``*_rotate`` functions (grid positions) and
+``*_apply`` variants (resolved angles) compute the same rotations
+independently, through rotors, and serve as its oracles; they and
+``rotation_gradient`` broadcast over leading sample axes.
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ from typing import Callable
 import numpy as np
 
 from . import cl3
-from .quaternion import hamilton_product, quat_rotor, quat_sandwich, quat_to_rotation_matrix
+from .quaternion import (
+    hamilton_product,
+    quat_rotor,
+    quat_sandwich,
+    require_unit_axis,
+    require_unit_norm,
+)
 
 METHODS = ("rope1d", "mixed", "spherical", "quatro", "care")
 METHOD_WIDTHS = {"rope1d": 2, "mixed": 3, "spherical": 3, "quatro": 3, "care": 8}
@@ -463,18 +474,18 @@ def rotation_gradient(
 # care's composite rotor turns the grade-1 slots (e1, e2, e3) by a 3x3
 # matrix M and, since the pseudoscalar is central, the bivector slots
 # (e23, e31, e12) = (e1, e2, e3) e123 by the same M, while the scalar and
-# e123 slots stay put: its 8x8 map is block-diag(1, M, M, 1). Maps are built
-# once per (token, band), components first, and applied to every batch row
-# with explicit multiply-adds; the inverse map is the transpose.
+# e123 slots stay put: its 8x8 map is block-diag(1, M, M, 1). The 3x3
+# matrices of spherical, quatro and care all come from one two-rotor build:
+# the components of q = r_outer r_inner are written out from the two
+# half-angle cosines and sines and the axes' dot and cross products, and
+# the nine entries of q's rotation matrix go straight into one (3, 3, ...)
+# array, with no quaternion arrays in between. Maps are built once per
+# (token, band), components first, and applied to every batch row with
+# explicit multiply-adds; the inverse map is the transpose.
 
 CARE_VECTOR_SLOTS = (1, 2, 4)  # e1, e2, e3
 CARE_BIVECTOR_SLOTS = (6, 5, 3)  # e23, e31, e12: the duals of e1, e2, e3
 CARE_INVARIANT_SLOTS = (0, 7)  # scalar, e123
-
-
-def _matrix_components(mats: np.ndarray) -> np.ndarray:
-    """(..., 3, 3) matrices as one contiguous (3, 3, ...) component array."""
-    return np.ascontiguousarray(mats.transpose(-2, -1, *range(mats.ndim - 2)))
 
 
 def _planar_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
@@ -503,9 +514,37 @@ def _mixed_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
 
 
 def _two_rotor_matrix(axis_outer, angle_outer, axis_inner, angle_inner) -> np.ndarray:
-    outer = quat_rotor(axis_outer, angle_outer / 2.0)
-    inner = quat_rotor(axis_inner, angle_inner / 2.0)
-    return _matrix_components(quat_to_rotation_matrix(hamilton_product(outer, inner)))
+    """Rotation matrix of the quaternion q = r_outer r_inner, components
+    first, for rotors r = cos(a/2) + sin(a/2) u about unit axes u (outer)
+    and v (inner). With c, s the half-angle cosines and sines,
+    w = c1 c2 - s1 s2 (u.v) and xyz = c1 s2 v + s1 c2 u + s1 s2 (u x v).
+    """
+    u = np.moveaxis(require_unit_axis(axis_outer), -1, 0)  # (3, ...)
+    v = np.moveaxis(require_unit_axis(axis_inner), -1, 0)
+    h1, h2 = 0.5 * angle_outer, 0.5 * angle_inner
+    c1, s1, c2, s2 = np.cos(h1), np.sin(h1), np.cos(h2), np.sin(h2)
+    ss, cs, sc = s1 * s2, c1 * s2, s1 * c2
+    w = c1 * c2 - ss * (u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+    x, y, z = (
+        cs * v[i] + sc * u[i] + ss * (u[j] * v[k] - u[k] * v[j])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    )
+    x2, y2, z2 = 2.0 * x, 2.0 * y, 2.0 * z
+    xx, yy, zz = x * x2, y * y2, z * z2
+    xy, xz, yz = x * y2, x * z2, y * z2
+    wx, wy, wz = w * x2, w * y2, w * z2
+    require_unit_norm(w * w + 0.5 * (xx + yy + zz))  # also rejects NaN angles
+    mats = np.empty((3, 3) + w.shape)
+    np.subtract(1.0, yy + zz, out=mats[0, 0, ...])
+    np.subtract(xy, wz, out=mats[0, 1, ...])
+    np.add(xz, wy, out=mats[0, 2, ...])
+    np.add(xy, wz, out=mats[1, 0, ...])
+    np.subtract(1.0, xx + zz, out=mats[1, 1, ...])
+    np.subtract(yz, wx, out=mats[1, 2, ...])
+    np.subtract(xz, wy, out=mats[2, 0, ...])
+    np.add(yz, wx, out=mats[2, 1, ...])
+    np.subtract(1.0, xx + yy, out=mats[2, 2, ...])
+    return mats
 
 
 def _spherical_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
@@ -620,25 +659,35 @@ def _band_split(head_dim: int, width: int) -> tuple[int, int]:
     return bands, head_dim - bands * width
 
 
-def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = False) -> TokenBlock:
-    """Rotate every sub-vector of the block by its band/position angles.
+def block_maps(method: EncodingMethod, positions) -> np.ndarray:
+    """Maps of ``method`` for every (token, band) at (tokens, 2) positions,
+    components first; ``rotate_rows`` applies them to any block at those
+    positions."""
+    theta = method.schedule.band_angles  # (bands,)
+    pos = np.asarray(positions, dtype=np.float64)
+    angles_x = theta[None, :] * (method.scale_x * pos[:, 0])[:, None]  # (tokens, bands)
+    angles_y = theta[None, :] * (method.scale_y * pos[:, 1])[:, None]
+    return method.rotation_maps(angles_x, angles_y)
+
+
+def rotate_rows(
+    block: TokenBlock, method: EncodingMethod, maps: np.ndarray, inverse: bool = False
+) -> np.ndarray:
+    """The block's data with every sub-vector rotated by its (token, band)
+    map from ``block_maps``; ``inverse=True`` applies the transposes.
 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
-    leftover trailing dims pass through untouched. ``inverse=True`` applies
-    the inverse rotations (transposed maps), recovering the input of a
-    forward pass up to round-off.
+    leftover trailing dims pass through untouched.
     """
     bands, remainder = _band_split(block.head_dim, method.width)
     if method.schedule.num_bands != bands:
         raise ValueError(
             f"schedule has {method.schedule.num_bands} bands, block needs {bands}"
         )
-    theta = method.schedule.band_angles  # (bands,)
-    pos = block.positions
-    angles_x = theta[None, :] * (method.scale_x * pos[:, 0])[:, None]  # (tokens, bands)
-    angles_y = theta[None, :] * (method.scale_y * pos[:, 1])[:, None]
-    maps = method.rotation_maps(angles_x, angles_y)
-
+    if maps.shape[ROTATIONS[method.tag].map_rank :] != (block.tokens, bands):
+        raise ValueError(
+            f"maps of shape {maps.shape} do not cover {block.tokens} tokens x {bands} bands"
+        )
     body = bands * method.width
     src = block.data[:, :, :body].reshape(block.batch, block.tokens, bands, method.width)
     data = np.empty(block.data.shape)
@@ -656,4 +705,16 @@ def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = Fa
             apply_maps(method.tag, maps, row, inverse=inverse, out=dst[c])
         else:
             dst[c] = apply_maps(method.tag, maps, row, inverse=inverse, out=scratch)
-    return TokenBlock(data=data, positions=block.positions)
+    return data
+
+
+def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = False) -> TokenBlock:
+    """Rotate every sub-vector of the block by its band/position angles.
+
+    Builds the maps at the block's positions (``block_maps``) and applies
+    them (``rotate_rows``). ``inverse=True`` applies the inverse rotations
+    (transposed maps), recovering the input of a forward pass up to
+    round-off.
+    """
+    maps = block_maps(method, block.positions)
+    return TokenBlock(data=rotate_rows(block, method, maps, inverse), positions=block.positions)

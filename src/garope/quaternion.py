@@ -47,24 +47,32 @@ def conjugate(q) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _require_unit(r: np.ndarray) -> None:
-    mag = np.sum(r * r, axis=-1)
-    if not np.all(np.abs(mag - 1.0) <= UNIT_TOL):  # written so NaN fails too
+def require_unit_norm(sq_norm) -> None:
+    """Reject rotors whose squared norms w^2 + x^2 + y^2 + z^2 are not 1
+    within UNIT_TOL."""
+    if not np.all(np.abs(sq_norm - 1.0) <= UNIT_TOL):  # written so NaN fails too
         raise ValueError("quaternion rotor is not unit norm")
+
+
+def require_unit_axis(axis) -> np.ndarray:
+    """(..., 3) rotation axes as float64, rejecting any not of unit length
+    within UNIT_TOL (normalize upstream; a zero axis is an error, not a
+    convention)."""
+    axis = np.asarray(axis, dtype=np.float64)
+    mag = np.sum(axis * axis, axis=-1)
+    if not np.all(np.abs(mag - 1.0) <= UNIT_TOL):  # written so NaN fails too
+        raise ValueError("rotation axis must be a unit 3-vector")
+    return axis
 
 
 def quat_rotor(axis, half_angle) -> np.ndarray:
     """Unit rotor cos(h) + sin(h) u for a unit pure-quaternion axis u.
 
     Broadcasts: axis (..., 3) against half_angle (...,). The axis must be
-    unit length within UNIT_TOL (normalize upstream; a zero axis is an
-    error, not a convention).
+    unit length (see require_unit_axis).
     """
-    axis = np.asarray(axis, dtype=np.float64)
+    axis = require_unit_axis(axis)
     half_angle = np.asarray(half_angle, dtype=np.float64)
-    mag = np.sum(axis * axis, axis=-1)
-    if not np.all(np.abs(mag - 1.0) <= UNIT_TOL):
-        raise ValueError("rotation axis must be a unit 3-vector")
     w = np.cos(half_angle)
     xyz = np.sin(half_angle)[..., None] * axis
     return np.concatenate([w[..., None], xyz], axis=-1)
@@ -79,7 +87,7 @@ def quat_sandwich(r, v) -> np.ndarray:
     """
     r = np.asarray(r, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    _require_unit(r)
+    require_unit_norm(np.sum(r * r, axis=-1))
     vq = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
     out = hamilton_product(hamilton_product(r, vq), conjugate(r))
     scale = max(1.0, float(np.max(np.sqrt(np.sum(v * v, axis=-1)), initial=0.0)))
@@ -92,7 +100,7 @@ def quat_sandwich(r, v) -> np.ndarray:
 def quat_to_rotation_matrix(r) -> np.ndarray:
     """3x3 proper rotation matrix M with M v = quat_sandwich(r, v)."""
     r = np.asarray(r, dtype=np.float64)
-    _require_unit(r)
+    require_unit_norm(np.sum(r * r, axis=-1))
     w, x, y, z = (r[..., i] for i in range(4))
     row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
     row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)

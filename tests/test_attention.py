@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from garope import attention as att
+from garope import encodings as enc
 from garope import fixtures
-from garope.encodings import EncodingMethod, TokenBlock, grid_positions, random_block
+from garope.encodings import EncodingMethod, TokenBlock, apply_encoding, grid_positions, random_block
 
 rng = np.random.default_rng(8128)
 
@@ -24,7 +25,7 @@ class TestScoreMatrix:
         k = random_block(2, 12, pos, seed=2)
         method = EncodingMethod.configure("quatro", 12)
         got = att.score_matrix(q, k, method).scores
-        raw = np.einsum("btd,bsd->bts", q.data, k.data) / np.sqrt(12.0)
+        raw = (q.data @ k.data.transpose(0, 2, 1)) / np.sqrt(12.0)  # the same product, exactly
         assert np.array_equal(got, raw)
 
     def test_orthonormal_self_scores_are_scaled_identity(self):
@@ -48,6 +49,12 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             att.score_matrix(q, k, EncodingMethod.configure("rope1d", 8))
 
+    @pytest.mark.parametrize("shape", [(1, 0, 8), (0, 3, 8)])
+    def test_empty_blocks(self, shape):
+        block = TokenBlock(data=np.zeros(shape), positions=np.zeros((shape[1], 2)))
+        got = att.score_matrix(block, block, EncodingMethod.configure("care", 8)).scores
+        assert got.shape == (shape[0], shape[1], shape[1])
+
     def test_scores_validation(self):
         with pytest.raises(ValueError):
             att.AttentionScores(scores=np.zeros((2, 3, 4)))
@@ -55,6 +62,66 @@ class TestScoreMatrix:
         bad[0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             att.AttentionScores(scores=bad)
+
+
+class TestScoreMatrixReference:
+    """score_matrix against encoding q and k separately and contracting
+    with einsum, with seeded random per-band axes and a non-zero origin."""
+
+    POS = grid_positions(5, 6, origin=(7.0, -3.0))
+
+    def method(self, tag, head_dim, seed):
+        axes_rng = np.random.default_rng(seed)
+        bands = head_dim // enc.METHOD_WIDTHS[tag]
+        axes_x = axes_rng.standard_normal((bands, 3)) if tag in ("mixed", "quatro", "care") else None
+        axes_y = axes_rng.standard_normal((bands, 3)) if tag in ("quatro", "care") else None
+        return EncodingMethod.configure(tag, head_dim, axes_x=axes_x, axes_y=axes_y, scale_x=1.2)
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("head_dim", [64, 66])
+    def test_matches_separate_encodes_and_einsum(self, tag, batch, head_dim):
+        method = self.method(tag, head_dim, seed=head_dim + batch)
+        q = random_block(batch, head_dim, self.POS, seed=3)
+        k = random_block(batch, head_dim, self.POS, seed=4)
+        qe, ke = apply_encoding(q, method).data, apply_encoding(k, method).data
+        want = np.einsum("btd,bsd->bts", qe, ke) / np.sqrt(head_dim)
+        got = att.score_matrix(q, k, method).scores
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        self_want = np.einsum("btd,bsd->bts", qe, qe) / np.sqrt(head_dim)
+        self_got = att.score_matrix(q, q, method).scores
+        assert np.max(np.abs(self_got - self_want)) <= 1e-13 * np.max(np.abs(self_want))
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7])
+    def test_chunked_product_matches_einsum(self, monkeypatch, rows_per_chunk):
+        method = self.method("quatro", 66, seed=2)
+        q = random_block(2, 66, self.POS, seed=3)
+        k = random_block(2, 66, self.POS, seed=4)
+        qe, ke = apply_encoding(q, method).data, apply_encoding(k, method).data
+        want = np.einsum("btd,bsd->bts", qe, ke) / np.sqrt(66)
+        monkeypatch.setattr(att, "PRODUCT_CHUNK_MULADDS", rows_per_chunk * q.tokens * 66)
+        got = att.score_matrix(q, k, method).scores
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_one_map_build_per_score(self, monkeypatch, same):
+        builds, rotations = [], []
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(enc, "rotation_maps", counted(builds, enc.rotation_maps))
+        monkeypatch.setattr(att, "rotate_rows", counted(rotations, att.rotate_rows))
+        method = self.method("care", 66, seed=1)
+        q = random_block(2, 66, self.POS, seed=3)
+        k = q if same else random_block(2, 66, self.POS, seed=4)
+        att.score_matrix(q, k, method)
+        assert len(builds) == 1
+        assert len(rotations) == (1 if same else 2)  # a self-score rotates its block once
 
 
 class TestShiftPositions:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garope import encodings as enc
-from garope.quaternion import hamilton_product, quat_rotor, quat_sandwich
+from garope.quaternion import hamilton_product, quat_rotor, quat_sandwich, quat_to_rotation_matrix
 
 rng = np.random.default_rng(31337)
 
@@ -487,6 +487,47 @@ class TestRotationMaps:
         maps = enc.rotation_maps("quatro", 0.1, 0.2, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
         with pytest.raises(ValueError, match="trailing axis of 3"):
             enc.apply_maps("quatro", maps, np.zeros(4))
+
+
+class TestTwoRotorMatrix:
+    """The closed-form two-rotor build against the quaternion oracle, with
+    the (bands, 3) axes against (tokens, bands) angles of a block."""
+
+    TOKENS, BANDS = 40, 7
+
+    def draw(self):
+        u, v = enc.unit_axis(rng.standard_normal((2, self.BANDS, 3)))
+        a, b = rng.uniform(-50.0, 50.0, (2, self.TOKENS, self.BANDS))
+        return u, a, v, b
+
+    def test_matches_the_quaternion_oracle(self):
+        u, a, v, b = self.draw()
+        got = enc._two_rotor_matrix(u, a, v, b)
+        assert got.shape == (3, 3, self.TOKENS, self.BANDS)
+        want = quat_to_rotation_matrix(hamilton_product(quat_rotor(u, a / 2.0), quat_rotor(v, b / 2.0)))
+        assert np.max(np.abs(np.moveaxis(got, (0, 1), (-2, -1)) - want)) <= 1e-14
+
+    def test_is_a_proper_rotation(self):
+        mats = np.moveaxis(enc._two_rotor_matrix(*self.draw()), (0, 1), (-2, -1))
+        eye = np.einsum("...ij,...kj->...ik", mats, mats)
+        assert np.max(np.abs(eye - np.eye(3))) <= 1e-14
+        assert np.max(np.abs(np.linalg.det(mats) - 1.0)) <= 1e-14
+
+    def test_nan_angle_rejected(self):
+        u, a, v, b = self.draw()
+        a[3, 2] = np.nan
+        with pytest.raises(ValueError, match="not unit norm"):
+            enc._two_rotor_matrix(u, a, v, b)
+        with pytest.raises(ValueError, match="not unit norm"):
+            enc._two_rotor_matrix(u, b, v, a)
+
+    @pytest.mark.parametrize("bad", [(1.0, 1.0, 0.0), (np.nan, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("outer", [True, False])
+    def test_non_unit_axis_rejected(self, bad, outer):
+        u, a, v, b = self.draw()
+        (u if outer else v)[1] = bad
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            enc._two_rotor_matrix(u, a, v, b)
 
 
 class TestRotationGradient:
