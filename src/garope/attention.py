@@ -22,7 +22,6 @@ from .encodings import (
     apply_maps,
     block_maps,
     rotate_rows,
-    rotation_maps,
 )
 
 MIN_DIRECTIONS = 100
@@ -120,12 +119,9 @@ def _unit_directions(width: int, count: int) -> np.ndarray:
 
 def _band_rotation(method: EncodingMethod, band: int):
     """The sub-vector rotation v -> R(p) v for one schedule band."""
-    theta = float(method.schedule.band_angles[band])
-    sx, sy = method.scale_x, method.scale_y
-    axes = () if method.axes is None else (method.axes.unit_x()[band], method.axes.unit_y()[band])
 
     def rotate(p, v):
-        maps = rotation_maps(method.tag, theta * sx * float(p[0]), theta * sy * float(p[1]), *axes)
+        maps = block_maps(method, [p])[..., 0, band]
         return apply_maps(method.tag, maps, v)
 
     return rotate

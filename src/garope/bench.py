@@ -20,12 +20,9 @@ import numpy as np
 
 from . import cl3
 from .encodings import EncodingMethod, TokenBlock, apply_encoding, grid_positions, mv8_rotor
-from .ga import Algebra
 
 MIN_REPS = 30
 WARMUP_RUNS = 5
-
-_ORIENT = np.array(cl3._SLOT_ORIENTATION, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -63,14 +60,6 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _generic_sandwich_rows(rotor_rows: np.ndarray, a_rows: np.ndarray) -> np.ndarray:
-    """R a ~R through the dense Cl(3,0) engine on mv8-layout rows."""
-    alg = Algebra(3)
-    r = rotor_rows * _ORIENT
-    a = a_rows * _ORIENT
-    return _ORIENT * alg.gp(alg.gp(r, a), alg.reverse(r))
-
-
 def _encode_care_generic(block: TokenBlock, method: EncodingMethod) -> TokenBlock:
     """care apply_encoding with every product routed through the generic engine."""
     bands, width = method.schedule.num_bands, method.width
@@ -80,10 +69,9 @@ def _encode_care_generic(block: TokenBlock, method: EncodingMethod) -> TokenBloc
     ay = theta[None, :] * (method.scale_y * pos[:, 1])[:, None]
     rx = mv8_rotor(method.axes.unit_x()[None], ax / 2.0).reshape(-1, 8)
     ry = mv8_rotor(method.axes.unit_y()[None], ay / 2.0).reshape(-1, 8)
-    rotor = _ORIENT * Algebra(3).gp(ry * _ORIENT, rx * _ORIENT)  # y outermost
+    rotor = cl3.generic_product(ry, rx)  # y outermost
     sub = block.data[:, :, : bands * width].reshape(block.batch, -1, 8)
-    tiled = np.broadcast_to(rotor[None], sub.shape).reshape(-1, 8)
-    out = _generic_sandwich_rows(tiled, sub.reshape(-1, 8))
+    out = cl3.generic_rotor_sandwich(rotor, sub)  # one rotor row serves every batch row
     out = out.reshape(block.batch, block.tokens, bands * width)
     out[..., 0::width] = block.data[:, :, : bands * width : width]  # invariant channels
     out[..., 7::width] = block.data[:, :, 7 : bands * width : width]
@@ -185,11 +173,5 @@ def run_bench(
             warnings.append(
                 f"cost ordering violated on this machine: {slow} median "
                 f"{medians[slow]:.1f} ns/rot beat {fast} at {medians[fast]:.1f} ns/rot"
-            )
-    if "care_fast" in medians and "care_generic" in medians:
-        if medians["care_fast"] > 1.05 * medians["care_generic"]:
-            warnings.append(
-                f"care_fast regressed: {medians['care_fast']:.1f} ns/rot vs "
-                f"care_generic {medians['care_generic']:.1f} ns/rot (>5% slower)"
             )
     return BenchReport(rows=tuple(rows), warnings=tuple(warnings))

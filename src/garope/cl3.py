@@ -7,7 +7,10 @@ orientation, so converting to/from a ga.Multivector is a single sign flip.
 
 The row kernels live in ``_cl3_numpy``. The encodings' block path does not
 use them; they serve the single sub-vector oracles, the analytic
-gradients and the checks.
+gradients and the checks. ``generic_product`` and ``generic_rotor_sandwich``
+run the same products through the generic engine instead: the
+independent oracle that the kernels and the care benchmark are checked
+against.
 """
 
 from __future__ import annotations
@@ -97,6 +100,20 @@ def mv8_rotor_sandwich(rotor, a) -> np.ndarray:
     rows_a, _ = _as_rows(np.broadcast_to(a, shape))
     _validate_rotor(rows_r)
     return _cl3_numpy.rotor_sandwich_batch(rows_r, rows_a).reshape(shape)
+
+
+def generic_product(a, b) -> np.ndarray:
+    """Geometric product of mv8 arrays through the generic Cl(3,0) engine;
+    shapes broadcast like ``Algebra.gp``."""
+    a = np.asarray(a, dtype=np.float64) * _SLOT_ORIENTATION
+    b = np.asarray(b, dtype=np.float64) * _SLOT_ORIENTATION
+    return Algebra(3).gp(a, b) * _SLOT_ORIENTATION
+
+
+def generic_rotor_sandwich(rotor, a) -> np.ndarray:
+    """R a ~R through the generic engine; shapes broadcast like
+    ``generic_product``, so one rotor row can serve a whole batch."""
+    return generic_product(generic_product(rotor, a), mv8_reverse(rotor))
 
 
 def mv8_from_multivector(mv: Multivector) -> np.ndarray:

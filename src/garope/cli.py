@@ -53,24 +53,29 @@ EQUIV_DEFAULT_TOL = 1e-10
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads: --config and --output
+    everywhere, --seed everywhere but encode, --tolerance on equiv and
+    grad."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
     common.add_argument("--config", default=None, help="run config file path")
-    common.add_argument(
+    common.add_argument("--output", default=None, help="write report/tensor here instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    tolerant.add_argument(
         "--tolerance", type=float, default=None, help="pass/fail tolerance (overrides config)"
     )
-    common.add_argument("--output", default=None, help="write report/tensor here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="garope", description="rotary positional encodings over quaternion/Clifford rotors"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check", parents=[common], help="run the named invariant suites")
-    sub.add_parser("equiv", parents=[common], help="measure the special-case reductions")
+    sub.add_parser("check", parents=[seeded], help="run the named invariant suites")
+    sub.add_parser("equiv", parents=[tolerant], help="measure the special-case reductions")
     p_enc = sub.add_parser("encode", parents=[common], help="encode a rank-3 tensor file")
     p_enc.add_argument("input", help="input tensor file (batch x tokens x head_dim)")
-    sub.add_parser("grad", parents=[common], help="analytic vs finite-difference gradients")
-    p_bench = sub.add_parser("bench", parents=[common], help="time the rotation kernels")
+    sub.add_parser("grad", parents=[tolerant], help="analytic vs finite-difference gradients")
+    p_bench = sub.add_parser("bench", parents=[seeded], help="time the rotation kernels")
     p_bench.add_argument("--reps", type=int, default=50, help="timing repetitions (min 30)")
     p_bench.add_argument("--batch", type=int, default=2, help="batch size of the workload")
     p_bench.add_argument(

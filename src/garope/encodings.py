@@ -129,12 +129,6 @@ class AxisParams:
     def unit_y(self) -> np.ndarray:
         return unit_axis(self.axes_y)
 
-    @classmethod
-    def shared(cls, axis_x, axis_y, num_bands: int) -> "AxisParams":
-        ax = np.tile(np.asarray(axis_x, dtype=np.float64), (num_bands, 1))
-        ay = np.tile(np.asarray(axis_y, dtype=np.float64), (num_bands, 1))
-        return cls(ax, ay)
-
 
 @dataclass(frozen=True)
 class EncodingMethod:
@@ -162,13 +156,6 @@ class EncodingMethod:
     @property
     def width(self) -> int:
         return METHOD_WIDTHS[self.tag]
-
-    def rotation_maps(self, angles_x, angles_y) -> np.ndarray:
-        """This method's maps at resolved angles whose last axis runs over
-        the schedule bands (see ``rotation_maps``)."""
-        if self.axes is None:
-            return rotation_maps(self.tag, angles_x, angles_y)
-        return rotation_maps(self.tag, angles_x, angles_y, self.axes.unit_x(), self.axes.unit_y())
 
     @classmethod
     def configure(
@@ -220,6 +207,16 @@ def _per_band(axes, num_bands: int, name: str) -> np.ndarray:
     return arr
 
 
+def _read_only(values) -> np.ndarray:
+    """values as float64, frozen through a view so that an array the
+    caller passed in keeps its own flags; read-only input is kept as is."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class TokenBlock:
     """batch x tokens x head_dim values plus one 2D position per token."""
@@ -228,16 +225,14 @@ class TokenBlock:
     positions: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        pos = np.asarray(self.positions, dtype=np.float64)
+        data = _read_only(self.data)
+        pos = _read_only(self.positions)
         if data.ndim != 3:
             raise ValueError("block data must be batch x tokens x head_dim")
         if pos.shape != (data.shape[1], 2):
             raise ValueError("positions must be (tokens, 2) matching the block")
         if not (np.all(np.isfinite(data)) and np.all(np.isfinite(pos))):
             raise ValueError("block contains non-finite values")
-        for arr in (data, pos):
-            arr.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "positions", pos)
 
@@ -667,7 +662,8 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.float64)
     angles_x = theta[None, :] * (method.scale_x * pos[:, 0])[:, None]  # (tokens, bands)
     angles_y = theta[None, :] * (method.scale_y * pos[:, 1])[:, None]
-    return method.rotation_maps(angles_x, angles_y)
+    axes = () if method.axes is None else (method.axes.unit_x(), method.axes.unit_y())
+    return rotation_maps(method.tag, angles_x, angles_y, *axes)
 
 
 def rotate_rows(

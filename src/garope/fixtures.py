@@ -3,14 +3,14 @@
 The non-commuting methods (spherical, quatro with non-parallel axes) lose
 the relative-position property: a common shift of all positions changes
 the attention scores. That is an existential claim, so the evidence is a
-concrete configuration. ``find_witness`` is the randomized search that
-produced them; the found configurations are frozen below so test runs are
-deterministic and regressions reproduce exactly.
+concrete configuration. The two below are hand-picked and frozen, so test
+runs are deterministic and regressions reproduce exactly;
+``evaluate_witness`` re-measures each gap from scratch on every run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def evaluate_witness(fixture: WitnessFixture) -> float:
     return shift_invariance_gap(fixture.method(), fixture.block(), np.array(fixture.shift))
 
 
-# Found by find_witness; measured gaps ~1.68 and ~2.51, far above the floor.
+# Hand-picked; evaluate_witness measures gaps 1.684 and 2.509, far above the floor.
 SPHERICAL_WITNESS = WitnessFixture(
     tag="spherical", head_dim=6, grid_h=4, grid_w=4, seed=11, shift=(1.0, -1.0), expected_gap=1.68
 )
@@ -65,34 +65,3 @@ QUATRO_WITNESS = WitnessFixture(
 )
 
 WITNESSES = (SPHERICAL_WITNESS, QUATRO_WITNESS)
-
-
-def find_witness(tag: str, search_seed: int = 0, attempts: int = 50) -> WitnessFixture:
-    """Randomized search for a gap above the floor (fixture generator).
-
-    Kept so the frozen constants can be regenerated or extended; tests use
-    the constants, never this search.
-    """
-    rng = np.random.default_rng(search_seed)
-    for trial in range(attempts):
-        axes_x = axes_y = None
-        if tag == "quatro":
-            axes_x = tuple(rng.uniform(-1.0, 1.0, 3))
-            axes_y = tuple(rng.uniform(-1.0, 1.0, 3))
-        cand = WitnessFixture(
-            tag=tag,
-            head_dim=6,
-            grid_h=4,
-            grid_w=4,
-            seed=int(rng.integers(0, 2**31)),
-            shift=tuple(rng.uniform(-5.0, 5.0, 2)),
-            axes_x=axes_x,
-            axes_y=axes_y,
-        )
-        try:
-            gap = evaluate_witness(cand)
-        except ValueError:  # e.g. a degenerate sampled axis
-            continue
-        if gap > WITNESS_GAP_FLOOR:
-            return replace(cand, expected_gap=gap)
-    raise RuntimeError(f"no {tag} witness found in {attempts} attempts")

@@ -162,9 +162,6 @@ class Multivector:
     def grade(self, g: int) -> "Multivector":
         return grade_project(self, g)
 
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
     def norm(self) -> float:
         return mv_norm(self)
 

@@ -64,6 +64,22 @@ class TestProductTable:
             cl3.mv8_product(np.zeros(7), np.zeros(7))
 
 
+class TestGenericOracle:
+    def test_product_is_the_oriented_engine_product(self):
+        a = rng.standard_normal((50, 8))
+        b = rng.standard_normal((50, 8))
+        assert np.array_equal(cl3.generic_product(a, b), oracle_product(a, b))
+        e1, e3 = np.eye(8)[1], np.eye(8)[4]
+        assert np.array_equal(cl3.generic_product(e3, e1), np.eye(8)[5])  # e3 e1 = e31
+
+    def test_sandwich_broadcasts_one_rotor_over_a_batch(self):
+        r = random_rotors(6)
+        a = rng.standard_normal((3, 6, 8))
+        tiled = np.broadcast_to(r, a.shape).reshape(-1, 8)
+        want = cl3.generic_rotor_sandwich(tiled, a.reshape(-1, 8)).reshape(a.shape)
+        assert np.array_equal(cl3.generic_rotor_sandwich(r, a), want)
+
+
 class TestRotorSandwich:
     def test_rejects_odd_slots(self):
         r = np.zeros(8)

@@ -411,6 +411,15 @@ class TestParser:
         assert exc.value.code == 2
         assert "command" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["check", "--tolerance", "1e-3"], ["encode", "--seed", "1", "in.rten"]]
+    )
+    def test_flags_a_command_ignores_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["check", "--config", str(tmp_path / "none.cfg")])
         assert code == cli.EXIT_IO

@@ -102,6 +102,14 @@ class TestTokenBlock:
         with pytest.raises(ValueError):
             enc.TokenBlock(data=data, positions=np.zeros((2, 2)))
 
+    def test_caller_arrays_keep_their_flags(self):
+        data, pos = np.zeros((1, 2, 4)), np.zeros((2, 2))
+        block = enc.TokenBlock(data=data, positions=pos)
+        for given, held in ((data, block.data), (pos, block.positions)):
+            assert given.flags.writeable
+            assert not held.flags.writeable
+            assert np.shares_memory(given, held)
+
     def test_grid_positions_row_major(self):
         pos = enc.grid_positions(2, 3)
         # p_x runs along columns, p_y along rows
@@ -476,8 +484,7 @@ class TestRotationMaps:
     def test_maps_are_orthogonal(self):
         for tag in ("mixed", "spherical", "quatro", "care"):
             method = self.configure(tag, 9 if tag != "care" else 16)
-            theta = method.schedule.band_angles
-            maps = method.rotation_maps(theta * 2.5, theta * -1.5)
+            maps = enc.block_maps(method, [[2.5, -1.5]])
             mats = np.moveaxis(maps, (0, 1), (-2, -1))
             eye = np.einsum("...ij,...kj->...ik", mats, mats)
             assert np.max(np.abs(eye - np.eye(3))) <= 1e-14
