@@ -1,9 +1,11 @@
-"""Vectorized numpy fallback for the fixed-size Cl(3,0) kernels.
+"""The row kernel of the fixed-size Cl(3,0) product, in numpy.
 
 Coefficient layout per 8-slot element: (1, e1, e2, e12, e3, e31, e23, e123).
-The expanded 64-term expressions below were generated from the generic
-blade-table product in that layout and are locked in by a test that
-re-derives them; edit the generator, not these lines.
+The expanded 64-term expression below was generated from the generic
+blade-table product in that layout. The tests re-derive its term table,
+``cl3.PRODUCT_TERMS``, from the generic engine on every run and hold
+``gp_batch`` to the generic engine at 1e-13; edit the generator, not
+these lines.
 """
 
 import numpy as np
@@ -26,20 +28,3 @@ def gp_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:, 7] = a0*b7 + a1*b6 + a2*b5 + a3*b4 + a4*b3 + a5*b2 + a6*b1 + a7*b0
     return out
 
-
-def rotor_sandwich_batch(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row-wise R a ~R for even rotors r; reversion signs folded into the
-    second product so no reversed copy of r is materialized."""
-    t = gp_batch(r, a)
-    t0, t1, t2, t3, t4, t5, t6, t7 = (t[:, i] for i in range(8))
-    r0, r1, r2, r3, r4, r5, r6, r7 = (r[:, i] for i in range(8))
-    out = np.empty_like(a)
-    out[:, 0] = t0*r0 + t1*r1 + t2*r2 + t3*r3 + t4*r4 + t5*r5 + t6*r6 + t7*r7
-    out[:, 1] = t0*r1 + t1*r0 + t2*r3 + t3*r2 - t4*r5 - t5*r4 + t6*r7 + t7*r6
-    out[:, 2] = t0*r2 - t1*r3 + t2*r0 - t3*r1 + t4*r6 + t5*r7 + t6*r4 + t7*r5
-    out[:, 3] = -t0*r3 + t1*r2 - t2*r1 + t3*r0 - t4*r7 - t5*r6 + t6*r5 + t7*r4
-    out[:, 4] = t0*r4 + t1*r5 - t2*r6 + t3*r7 + t4*r0 + t5*r1 - t6*r2 + t7*r3
-    out[:, 5] = -t0*r5 - t1*r4 - t2*r7 + t3*r6 + t4*r1 + t5*r0 - t6*r3 + t7*r2
-    out[:, 6] = -t0*r6 - t1*r7 + t2*r4 - t3*r5 - t4*r2 + t5*r3 + t6*r0 + t7*r1
-    out[:, 7] = -t0*r7 - t1*r6 - t2*r5 + t3*r4 - t4*r3 + t5*r2 + t6*r1 + t7*r0
-    return out

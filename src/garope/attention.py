@@ -18,6 +18,7 @@ from .encodings import (
     METHOD_WIDTHS,
     EncodingMethod,
     TokenBlock,
+    _read_only,
     apply_encoding,
     apply_maps,
     block_maps,
@@ -41,12 +42,11 @@ class AttentionScores:
     scores: np.ndarray  # (batch, tokens, tokens)
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = _read_only(self.scores)
         if scores.ndim != 3 or scores.shape[1] != scores.shape[2]:
             raise ValueError("scores must be batch x tokens x tokens")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores contain non-finite values")
-        scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
 
     @property

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cl3
-from .encodings import EncodingMethod, TokenBlock, apply_encoding, grid_positions, mv8_rotor
+from .encodings import (
+    EncodingMethod,
+    TokenBlock,
+    apply_encoding,
+    grid_positions,
+    mv8_rotor,
+    token_band_angles,
+)
 
 MIN_REPS = 30
 WARMUP_RUNS = 5
@@ -63,10 +70,7 @@ class BenchReport:
 def _encode_care_generic(block: TokenBlock, method: EncodingMethod) -> TokenBlock:
     """care apply_encoding with every product routed through the generic engine."""
     bands, width = method.schedule.num_bands, method.width
-    theta = method.schedule.band_angles
-    pos = block.positions
-    ax = theta[None, :] * (method.scale_x * pos[:, 0])[:, None]
-    ay = theta[None, :] * (method.scale_y * pos[:, 1])[:, None]
+    ax, ay = token_band_angles(method, block.positions)
     rx = mv8_rotor(method.axes.unit_x()[None], ax / 2.0).reshape(-1, 8)
     ry = mv8_rotor(method.axes.unit_y()[None], ay / 2.0).reshape(-1, 8)
     rotor = cl3.generic_product(ry, rx)  # y outermost

@@ -5,11 +5,12 @@ An 8-slot element ("mv8") stores coefficients in the order
 ascending-mask order except that slot 5 carries the e31 = -e13
 orientation, so converting to/from a ga.Multivector is a single sign flip.
 
-The row kernels live in ``_cl3_numpy``. The encodings' block path does not
-use them; they serve the single sub-vector oracles, the analytic
+The one row kernel, the product ``gp_batch``, lives in ``_cl3_numpy``;
+the rotor sandwich is two of its products. The encodings' block path does
+not use it; it serves the single sub-vector oracles, the analytic
 gradients and the checks. ``generic_product`` and ``generic_rotor_sandwich``
 run the same products through the generic engine instead: the
-independent oracle that the kernels and the care benchmark are checked
+independent oracle that the kernel and the care benchmark are checked
 against.
 """
 
@@ -52,11 +53,11 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _as_rows(a) -> tuple[np.ndarray, tuple[int, ...]]:
+def _as_rows(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.shape[-1:] != (8,):
         raise ValueError(f"mv8 values need a trailing axis of 8, got shape {arr.shape}")
-    return np.ascontiguousarray(arr.reshape(-1, 8)), arr.shape
+    return np.ascontiguousarray(arr.reshape(-1, 8))
 
 
 def mv8_product(a, b) -> np.ndarray:
@@ -66,8 +67,8 @@ def mv8_product(a, b) -> np.ndarray:
     shape = np.broadcast_shapes(a.shape, b.shape)
     if shape[-1:] != (8,):
         raise ValueError("mv8 values need a trailing axis of 8")
-    rows_a, _ = _as_rows(np.broadcast_to(a, shape))
-    rows_b, _ = _as_rows(np.broadcast_to(b, shape))
+    rows_a = _as_rows(np.broadcast_to(a, shape))
+    rows_b = _as_rows(np.broadcast_to(b, shape))
     return _cl3_numpy.gp_batch(rows_a, rows_b).reshape(shape)
 
 
@@ -85,10 +86,11 @@ def _validate_rotor(rows: np.ndarray) -> None:
 
 
 def mv8_rotor_sandwich(rotor, a) -> np.ndarray:
-    """R a ~R for even unit rotor(s); shapes broadcast like mv8_product.
+    """R a ~R for even unit rotor(s), as two products of the one kernel;
+    shapes broadcast like mv8_product.
 
     Scalar and e123 slots of a pass through unchanged (the pseudoscalar is
-    central in Cl(3,0)); the kernels recompute them anyway and tests pin
+    central in Cl(3,0)); the products recompute them anyway and tests pin
     the pass-through to round-off.
     """
     rotor = np.asarray(rotor, dtype=np.float64)
@@ -96,10 +98,11 @@ def mv8_rotor_sandwich(rotor, a) -> np.ndarray:
     shape = np.broadcast_shapes(rotor.shape, a.shape)
     if shape[-1:] != (8,):
         raise ValueError("mv8 values need a trailing axis of 8")
-    rows_r, _ = _as_rows(np.broadcast_to(rotor, shape))
-    rows_a, _ = _as_rows(np.broadcast_to(a, shape))
+    rows_r = _as_rows(np.broadcast_to(rotor, shape))
+    rows_a = _as_rows(np.broadcast_to(a, shape))
     _validate_rotor(rows_r)
-    return _cl3_numpy.rotor_sandwich_batch(rows_r, rows_a).reshape(shape)
+    gp = _cl3_numpy.gp_batch
+    return gp(gp(rows_r, rows_a), rows_r * REVERSE_SIGNS).reshape(shape)
 
 
 def generic_product(a, b) -> np.ndarray:

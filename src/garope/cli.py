@@ -25,7 +25,6 @@ from .encodings import (
     TokenBlock,
     apply_encoding,
     apply_maps,
-    grid_positions,
     rotation_gradient,
     rotation_maps,
     unit_axis,

@@ -654,16 +654,22 @@ def _band_split(head_dim: int, width: int) -> tuple[int, int]:
     return bands, head_dim - bands * width
 
 
+def token_band_angles(method: EncodingMethod, positions) -> tuple[np.ndarray, np.ndarray]:
+    """(angle_x, angle_y) of ``method`` for every (token, band) at
+    (tokens, 2) positions, each of shape (tokens, bands)."""
+    theta = method.schedule.band_angles  # (bands,)
+    pos = np.asarray(positions, dtype=np.float64)
+    angles_x = theta[None, :] * (method.scale_x * pos[:, 0])[:, None]
+    angles_y = theta[None, :] * (method.scale_y * pos[:, 1])[:, None]
+    return angles_x, angles_y
+
+
 def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     """Maps of ``method`` for every (token, band) at (tokens, 2) positions,
     components first; ``rotate_rows`` applies them to any block at those
     positions."""
-    theta = method.schedule.band_angles  # (bands,)
-    pos = np.asarray(positions, dtype=np.float64)
-    angles_x = theta[None, :] * (method.scale_x * pos[:, 0])[:, None]  # (tokens, bands)
-    angles_y = theta[None, :] * (method.scale_y * pos[:, 1])[:, None]
     axes = () if method.axes is None else (method.axes.unit_x(), method.axes.unit_y())
-    return rotation_maps(method.tag, angles_x, angles_y, *axes)
+    return rotation_maps(method.tag, *token_band_angles(method, positions), *axes)
 
 
 def rotate_rows(

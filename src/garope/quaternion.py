@@ -108,19 +108,25 @@ def quat_to_rotation_matrix(r) -> np.ndarray:
     return np.stack([row0, row1, row2], axis=-2)
 
 
-def quat_to_even_cl3(q) -> Multivector:
-    """Embed a quaternion into the even subalgebra of Cl(3,0).
+def even_cl3_coeffs(q) -> np.ndarray:
+    """Cl(3,0) coefficients (..., 8) of quaternions (..., 4) in the even
+    subalgebra.
 
     Exact coefficient placement (1, i, j, k) -> (1, e12, e23, e13); a
     product homomorphism, inverted by even_cl3_to_quat.
     """
     q = np.asarray(q, dtype=np.float64)
+    coeffs = np.zeros(q.shape[:-1] + (8,))
+    coeffs[..., _EVEN_MASKS] = q
+    return coeffs
+
+
+def quat_to_even_cl3(q) -> Multivector:
+    """Embed a single quaternion into the even subalgebra of Cl(3,0)."""
+    q = np.asarray(q, dtype=np.float64)
     if q.shape != (4,):
         raise ValueError("expected a single quaternion of shape (4,)")
-    coeffs = np.zeros(8)
-    for qi, mask in enumerate(_EVEN_MASKS):
-        coeffs[mask] = q[qi]
-    return Multivector(3, coeffs)
+    return Multivector(3, even_cl3_coeffs(q))
 
 
 def even_cl3_to_quat(mv: Multivector, odd_tol: float = 1e-12) -> np.ndarray:
@@ -131,4 +137,4 @@ def even_cl3_to_quat(mv: Multivector, odd_tol: float = 1e-12) -> np.ndarray:
     worst = float(np.max(np.abs(mv.coeffs[odd]), initial=0.0))
     if worst > odd_tol:
         raise ValueError(f"multivector has odd-grade coefficients up to {worst!r}")
-    return np.array([mv.coeffs[mask] for mask in _EVEN_MASKS])
+    return mv.coeffs[..., _EVEN_MASKS]

@@ -63,6 +63,13 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             att.AttentionScores(scores=bad)
 
+    def test_caller_array_keeps_its_flags(self):
+        given = np.zeros((1, 3, 3))
+        held = att.AttentionScores(scores=given).scores
+        assert given.flags.writeable
+        assert not held.flags.writeable
+        assert np.shares_memory(given, held)
+
 
 class TestScoreMatrixReference:
     """score_matrix against encoding q and k separately and contracting

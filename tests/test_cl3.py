@@ -101,6 +101,20 @@ class TestRotorSandwich:
         with pytest.raises(ValueError, match="unit norm"):
             cl3.mv8_rotor_sandwich(r, np.ones(8))
 
+    def test_is_two_products_of_the_kernel(self):
+        r = random_rotors(300)
+        a = rng.standard_normal((300, 8))
+        want = cl3.mv8_product(cl3.mv8_product(r, a), cl3.mv8_reverse(r))
+        assert cl3.mv8_rotor_sandwich(r, a).tobytes() == want.tobytes()
+
+    def test_one_rotor_broadcasts_over_a_batch(self):
+        r = random_rotors(1)[0]
+        a = rng.standard_normal((4, 5, 8))
+        want = cl3.mv8_product(cl3.mv8_product(r, a), cl3.mv8_reverse(r))
+        got = cl3.mv8_rotor_sandwich(r, a)
+        assert got.shape == (4, 5, 8)
+        assert got.tobytes() == want.tobytes()
+
     def test_scalar_and_pseudoscalar_pass_through(self):
         r = random_rotors(500)
         a = rng.standard_normal((500, 8))

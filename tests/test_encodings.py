@@ -490,6 +490,15 @@ class TestRotationMaps:
             assert np.max(np.abs(eye - np.eye(3))) <= 1e-14
             assert np.max(np.abs(np.linalg.det(mats) - 1.0)) <= 1e-14
 
+    def test_token_band_angles_scale_each_position_first(self):
+        method = self.configure("quatro", 9)
+        theta = method.schedule.band_angles
+        ax, ay = enc.token_band_angles(method, self.POS)
+        assert ax.shape == ay.shape == (12, 3)
+        for t, (px, py) in enumerate(self.POS):
+            assert np.array_equal(ax[t], theta * (1.3 * px))
+            assert np.array_equal(ay[t], theta * (0.8 * py))
+
     def test_carrier_width_checked(self):
         maps = enc.rotation_maps("quatro", 0.1, 0.2, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
         with pytest.raises(ValueError, match="trailing axis of 3"):

@@ -6,6 +6,7 @@ import pytest
 from garope.ga import Algebra
 from garope.quaternion import (
     conjugate,
+    even_cl3_coeffs,
     even_cl3_to_quat,
     hamilton_product,
     quat,
@@ -154,6 +155,18 @@ class TestIsomorphism:
         assert mv.coeffs[alg.blade_mask("e12")] == 3.0
         assert mv.coeffs[alg.blade_mask("e23")] == 5.0
         assert mv.coeffs[alg.blade_mask("e13")] == 7.0
+
+    def test_row_embedding_matches_single_embedding(self):
+        q = rng.standard_normal((6, 5, 4))
+        rows = even_cl3_coeffs(q)
+        assert rows.shape == (6, 5, 8)
+        for i in range(6):
+            for j in range(5):
+                assert np.array_equal(rows[i, j], quat_to_even_cl3(q[i, j]).coeffs)
+
+    def test_single_embedding_keeps_its_shape_check(self):
+        with pytest.raises(ValueError, match="single quaternion"):
+            quat_to_even_cl3(np.zeros((2, 4)))
 
     def test_all_basis_products_exact(self):
         basis = np.eye(4)
