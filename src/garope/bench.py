@@ -1,13 +1,13 @@
 """Micro-benchmarks for the rotation kernels at attention-shaped workloads.
 
-Kernels, cheapest math to heaviest: ``rope1d`` (2x2 planar), ``quatro``
-(one 3x3 map per token and band), ``care_fast`` (``apply_encoding``'s care
-path: one 3x3 map per token and band applied to the grade-1 and bivector
-slots, block-diag(1, M, M, 1)), and ``care_generic`` (the rotor sandwich
-through the dense blade-table engine, the oracle everything else is
-checked against). Checksums are reported so dead code cannot be
-eliminated and so the two care variants can be confirmed to compute the
-same thing.
+Kernels, cheapest math to heaviest: ``rope1d`` (one unit-complex phase
+multiply per token and band), ``quatro`` (one 3x3 map per token and band),
+``care_fast`` (``apply_encoding``'s care path: one 3x3 map per token and
+band applied to the grade-1 and bivector slots, block-diag(1, M, M, 1)),
+and ``care_generic`` (the rotor sandwich through the dense blade-table
+engine, the oracle everything else is checked against). Checksums are
+reported so dead code cannot be eliminated and so the two care variants
+can be confirmed to compute the same thing.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from .encodings import (
     TokenBlock,
     apply_encoding,
     apply_maps,
+    position_angles,
     rotation_gradient,
     rotation_maps,
     unit_axis,
@@ -207,8 +208,7 @@ def _grad_analytic(tag, cases, coordinate, scales) -> np.ndarray:
 def _grad_fd(tag, cases, coordinate, scales, h) -> np.ndarray:
     """Central differences of every sample at once, through the map table."""
     v, p, theta, axis_x, axis_y = cases
-    ax = theta * scales[0] * p[:, 0]
-    ay = theta * scales[1] * p[:, 1]
+    ax, ay = position_angles(p, theta, *scales)
 
     def f(dx, dy):
         return apply_maps(tag, rotation_maps(tag, ax + dx, ay + dy, axis_x, axis_y), v)

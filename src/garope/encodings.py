@@ -15,12 +15,15 @@ Five methods act on query/key sub-vectors, distinguished by carrier width:
 Angles come from a per-band frequency schedule theta_i scaled by
 per-coordinate speed factors. The block path and the sampling tools go
 through one method table, ``ROTATIONS``: each method builds one
-orthogonal map per (token, band) and applies it with explicit
-multiply-adds. spherical, quatro and care build the 3x3 matrix of a
-two-rotor quaternion product, written out in closed form. A block is
-encoded in two steps, ``block_maps`` (maps from positions) and
-``rotate_rows`` (maps applied to every batch row); ``apply_encoding``
-runs both, and attention scores reuse one build for queries and keys.
+orthogonal map per (token, band) and applies it to every batch row.
+rope1d's map is a complex phase exp(i angle) (rank 0) that multiplies
+each 2-slot carrier read as one complex number; the 3x3 maps (rank 2)
+are applied with explicit multiply-adds. spherical, quatro and care
+build the 3x3 matrix of a two-rotor quaternion product, written out in
+closed form. A block is encoded in two steps, ``block_maps`` (maps from
+positions) and ``rotate_rows`` (maps applied to every batch row);
+``apply_encoding`` runs both, and attention scores reuse one build for
+queries and keys.
 The single sub-vector ``*_rotate`` functions (grid positions) and
 ``*_apply`` variants (resolved angles) compute the same rotations
 independently, through rotors, and serve as its oracles; they and
@@ -29,6 +32,7 @@ independently, through rotors, and serve as its oracles; they and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -90,6 +94,8 @@ class FrequencySchedule:
     def for_bands(cls, num_bands: int, base: float = 10000.0) -> "FrequencySchedule":
         if num_bands < 1:
             raise ValueError("schedule needs at least one band")
+        if not math.isfinite(base):
+            raise ValueError(f"schedule base must be finite, got {base!r}")
         if base <= 1.0:
             raise ValueError("schedule base must exceed 1")
         i = np.arange(num_bands, dtype=np.float64)
@@ -143,6 +149,9 @@ class EncodingMethod:
     def __post_init__(self):
         if self.tag not in METHODS:
             raise ValueError(f"unknown encoding method {self.tag!r}")
+        for name, scale in (("scale_x", self.scale_x), ("scale_y", self.scale_y)):
+            if not math.isfinite(scale):
+                raise ValueError(f"{name} must be finite, got {scale!r}")
         if self.tag in ("mixed", "quatro", "care"):
             if self.axes is None:
                 raise ValueError(f"{self.tag} needs axis parameters")
@@ -268,11 +277,13 @@ def random_block(batch: int, head_dim: int, positions, seed: int) -> TokenBlock:
 # single sub-vector operations
 
 
-def _pos_angles(p, theta, scale_x: float, scale_y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Resolved (angle_x, angle_y) of (..., 2) positions at band angle(s)
-    theta broadcasting against them."""
+def position_angles(p, theta, scale_x: float, scale_y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Resolved (angle_x, angle_y) = (theta (s_x p_x), theta (s_y p_y)) of
+    (..., 2) positions at band angle(s) theta broadcasting against them.
+    Each position is scaled first: the encoder, its oracles and ``grad``
+    all form angles here, so they agree to the last bit."""
     p = np.asarray(p, dtype=np.float64)
-    return theta * scale_x * p[..., 0], theta * scale_y * p[..., 1]
+    return theta * (scale_x * p[..., 0]), theta * (scale_y * p[..., 1])
 
 
 def rope1d_apply(v, angle) -> np.ndarray:
@@ -311,7 +322,7 @@ def spherical_apply(v, angle_x, angle_y) -> np.ndarray:
 def spherical_rotate(v, p, theta, scale_x: float = 1.0, scale_y: float = 1.0) -> np.ndarray:
     """Fixed-axis 3-vector rotation: xy-plane by the p_y angle first, then
     yz-plane by the p_x angle. The two steps do not commute."""
-    ax, ay = _pos_angles(p, theta, scale_x, scale_y)
+    ax, ay = position_angles(p, theta, scale_x, scale_y)
     return spherical_apply(v, ax, ay)
 
 
@@ -326,7 +337,7 @@ def quatro_rotate(
 ) -> np.ndarray:
     """Two-rotor quaternion rotation of a 3-vector; the x rotor conjugates
     outermost, so the composite rotor is r_x * r_y."""
-    ax, ay = _pos_angles(p, theta, scale_x, scale_y)
+    ax, ay = position_angles(p, theta, scale_x, scale_y)
     return quatro_apply(v, ax, ay, axis_x, axis_y)
 
 
@@ -346,7 +357,7 @@ def mixed_rotate(
     Closed form (axis-angle); identical to quatro_rotate with both axes set
     to the shared axis, because same-plane rotors compose additively.
     """
-    ax, ay = _pos_angles(p, theta, scale_x, scale_y)
+    ax, ay = position_angles(p, theta, scale_x, scale_y)
     return mixed_apply(v, ax + ay, axis)
 
 
@@ -389,7 +400,7 @@ def care_rotate(
     """Conjugate an 8-slot multivector by the composite rotor R_y R_x (the
     y rotor outermost, unlike quatro). Scalar and e123 slots are invariant;
     every grade's norm is preserved."""
-    ax, ay = _pos_angles(p, theta, scale_x, scale_y)
+    ax, ay = position_angles(p, theta, scale_x, scale_y)
     return care_apply(m, ax, ay, axis_x, axis_y)
 
 
@@ -422,7 +433,7 @@ def rotation_gradient(
     """
     if coordinate not in ("angle_x", "angle_y"):
         raise ValueError("coordinate must be angle_x or angle_y")
-    ax, ay = _pos_angles(p, theta, scale_x, scale_y)
+    ax, ay = position_angles(p, theta, scale_x, scale_y)
     wrt_x = coordinate == "angle_x"
 
     if tag == "rope1d":
@@ -465,7 +476,9 @@ def rotation_gradient(
 # rotation-map core
 #
 # Every method is one orthogonal map per (token, band). rope1d's is a planar
-# turn, stored as (cos, sin); mixed, spherical and quatro have a 3x3 matrix.
+# turn, stored as the unit complex phase exp(i angle) = cos + i sin, which
+# multiplies each 2-slot carrier read as one complex number (RoFormer's
+# complex form of RoPE); mixed, spherical and quatro have a 3x3 matrix.
 # care's composite rotor turns the grade-1 slots (e1, e2, e3) by a 3x3
 # matrix M and, since the pseudoscalar is central, the bivector slots
 # (e23, e31, e12) = (e1, e2, e3) e123 by the same M, while the scalar and
@@ -475,8 +488,9 @@ def rotation_gradient(
 # half-angle cosines and sines and the axes' dot and cross products, and
 # the nine entries of q's rotation matrix go straight into one (3, 3, ...)
 # array, with no quaternion arrays in between. Maps are built once per
-# (token, band), components first, and applied to every batch row with
-# explicit multiply-adds; the inverse map is the transpose.
+# (token, band), components first, and applied to every batch row; the
+# inverse map set (the conjugate phase, or the transposed matrices) is
+# formed once per call, before the rows are rotated.
 
 CARE_VECTOR_SLOTS = (1, 2, 4)  # e1, e2, e3
 CARE_BIVECTOR_SLOTS = (6, 5, 3)  # e23, e31, e12: the duals of e1, e2, e3
@@ -484,10 +498,10 @@ CARE_INVARIANT_SLOTS = (0, 7)  # scalar, e123
 
 
 def _planar_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
-    maps = np.empty((2,) + angles_x.shape)  # p_y does not contribute
-    np.cos(angles_x, out=maps[0, ...])
-    np.sin(angles_x, out=maps[1, ...])
-    return maps
+    phase = np.empty(angles_x.shape, dtype=np.complex128)  # p_y does not contribute
+    np.cos(angles_x, out=phase.real)
+    np.sin(angles_x, out=phase.imag)
+    return phase
 
 
 def _mixed_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
@@ -558,36 +572,44 @@ def _care_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
     )
 
 
-def _apply_planar(maps, src, dst, inverse: bool) -> None:
-    c, s = maps
-    if inverse:
-        s = -s
-    x, y = src[..., 0], src[..., 1]
-    np.subtract(c * x, s * y, out=dst[..., 0])
-    np.add(s * x, c * y, out=dst[..., 1])
+def _as_complex(carriers: np.ndarray) -> np.ndarray:
+    """(..., 2) float64 carriers with a contiguous last axis, viewed as
+    (...) complex128 x + i y."""
+    return carriers.view(np.complex128)[..., 0]
 
 
-def _matvec3(mats, src, dst, slots_in, slots_out, inverse: bool) -> None:
-    """dst[slots_out] = M src[slots_in] (M^T when inverse), one row at a time."""
+def _apply_planar(phase, src, dst) -> None:
+    if src.strides[-1] != src.itemsize:  # the view needs each (x, y) adjacent
+        src = np.ascontiguousarray(src)
+    np.multiply(_as_complex(src), phase, out=_as_complex(dst))
+
+
+def _matvec3(mats, src, dst, slots_in, slots_out) -> None:
+    """dst[slots_out] = M src[slots_in], one row of M at a time."""
     x, y, z = (src[..., k] for k in slots_in)
     term = np.empty(np.broadcast_shapes(mats.shape[2:], x.shape))
     for i, k in enumerate(slots_out):
-        row = mats[:, i] if inverse else mats[i]
+        row = mats[i]
         out = dst[..., k]
         np.multiply(row[0], x, out=out)
         out += np.multiply(row[1], y, out=term)
         out += np.multiply(row[2], z, out=term)
 
 
-def _apply_3x3(maps, src, dst, inverse: bool) -> None:
-    _matvec3(maps, src, dst, (0, 1, 2), (0, 1, 2), inverse)
+def _apply_3x3(maps, src, dst) -> None:
+    _matvec3(maps, src, dst, (0, 1, 2), (0, 1, 2))
 
 
-def _apply_care(maps, src, dst, inverse: bool) -> None:
-    _matvec3(maps, src, dst, CARE_VECTOR_SLOTS, CARE_VECTOR_SLOTS, inverse)
-    _matvec3(maps, src, dst, CARE_BIVECTOR_SLOTS, CARE_BIVECTOR_SLOTS, inverse)
+def _apply_care(maps, src, dst) -> None:
+    _matvec3(maps, src, dst, CARE_VECTOR_SLOTS, CARE_VECTOR_SLOTS)
+    _matvec3(maps, src, dst, CARE_BIVECTOR_SLOTS, CARE_BIVECTOR_SLOTS)
     for k in CARE_INVARIANT_SLOTS:  # exactly invariant: copied, not recomputed
         dst[..., k] = src[..., k]
+
+
+def _transpose(maps) -> np.ndarray:
+    """The transposed (3, 3, ...) matrices, as a view: [i] is maps[:, i]."""
+    return maps.swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -596,27 +618,31 @@ class Rotation:
 
     ``build(angles_x, angles_y, unit_x, unit_y)`` takes resolved angles and
     unit axes that broadcast against them (axes carry a trailing 3) and
-    returns the maps components first: (2, ...) for (cos, sin), (3, 3, ...)
-    for a matrix. ``apply(maps, src, dst, inverse)`` writes the rotated
-    (..., width) carriers of src into dst.
+    returns the maps components first: a complex (...) phase
+    cos + i sin (rank 0), or (3, 3, ...) for a matrix (rank 2).
+    ``invert(maps)`` returns the inverse maps, and ``apply(maps, src, dst)``
+    writes the rotated (..., width) carriers of src into dst.
     """
 
     build: Callable[..., np.ndarray]
-    apply: Callable[[np.ndarray, np.ndarray, np.ndarray, bool], None]
+    invert: Callable[[np.ndarray], np.ndarray]
+    apply: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     map_rank: int  # leading component axes of the maps
 
 
 ROTATIONS = {
-    "rope1d": Rotation(_planar_maps, _apply_planar, 1),
-    "mixed": Rotation(_mixed_maps, _apply_3x3, 2),
-    "spherical": Rotation(_spherical_maps, _apply_3x3, 2),
-    "quatro": Rotation(_quatro_maps, _apply_3x3, 2),
-    "care": Rotation(_care_maps, _apply_care, 2),
+    "rope1d": Rotation(_planar_maps, np.conjugate, _apply_planar, 0),
+    "mixed": Rotation(_mixed_maps, _transpose, _apply_3x3, 2),
+    "spherical": Rotation(_spherical_maps, _transpose, _apply_3x3, 2),
+    "quatro": Rotation(_quatro_maps, _transpose, _apply_3x3, 2),
+    "care": Rotation(_care_maps, _transpose, _apply_care, 2),
 }
 
 
 def rotation_maps(tag: str, angles_x, angles_y, unit_x=None, unit_y=None) -> np.ndarray:
-    """Maps of method ``tag`` at resolved angles, components first.
+    """Maps of method ``tag`` at resolved angles, components first: a
+    complex phase of the angles' shape for rope1d, (3, 3, ...) matrices
+    for the others.
 
     ``unit_x``/``unit_y`` are unit axes (mixed, quatro, care; mixed reads
     only ``unit_x``) broadcasting like quat_rotor's; rope1d and spherical
@@ -627,19 +653,19 @@ def rotation_maps(tag: str, angles_x, angles_y, unit_x=None, unit_y=None) -> np.
     return ROTATIONS[tag].build(angles_x, angles_y, unit_x, unit_y)
 
 
-def apply_maps(tag: str, maps: np.ndarray, v, inverse: bool = False, out=None) -> np.ndarray:
+def apply_maps(tag: str, maps: np.ndarray, v, inverse: bool = False) -> np.ndarray:
     """Rotate (..., width) carriers by maps whose per-map shape broadcasts
-    against v's leading axes; ``inverse=True`` applies the transposes.
-    Writes into ``out`` when given (it must not overlap v)."""
+    against v's leading axes; ``inverse=True`` applies the inverse maps."""
     rotation = ROTATIONS[tag]
     v = np.asarray(v, dtype=np.float64)
     width = METHOD_WIDTHS[tag]
     if v.shape[-1:] != (width,):
         raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
-    if out is None:
-        lead = np.broadcast_shapes(maps.shape[rotation.map_rank :], v.shape[:-1])
-        out = np.empty(lead + (width,))
-    rotation.apply(maps, v, out, inverse)
+    if inverse:
+        maps = rotation.invert(maps)
+    lead = np.broadcast_shapes(maps.shape[rotation.map_rank :], v.shape[:-1])
+    out = np.empty(lead + (width,))
+    rotation.apply(maps, v, out)
     return out
 
 
@@ -657,11 +683,8 @@ def _band_split(head_dim: int, width: int) -> tuple[int, int]:
 def token_band_angles(method: EncodingMethod, positions) -> tuple[np.ndarray, np.ndarray]:
     """(angle_x, angle_y) of ``method`` for every (token, band) at
     (tokens, 2) positions, each of shape (tokens, bands)."""
-    theta = method.schedule.band_angles  # (bands,)
-    pos = np.asarray(positions, dtype=np.float64)
-    angles_x = theta[None, :] * (method.scale_x * pos[:, 0])[:, None]
-    angles_y = theta[None, :] * (method.scale_y * pos[:, 1])[:, None]
-    return angles_x, angles_y
+    pos = np.asarray(positions, dtype=np.float64)[:, None, :]  # (tokens, 1, 2)
+    return position_angles(pos, method.schedule.band_angles, method.scale_x, method.scale_y)
 
 
 def block_maps(method: EncodingMethod, positions) -> np.ndarray:
@@ -676,7 +699,7 @@ def rotate_rows(
     block: TokenBlock, method: EncodingMethod, maps: np.ndarray, inverse: bool = False
 ) -> np.ndarray:
     """The block's data with every sub-vector rotated by its (token, band)
-    map from ``block_maps``; ``inverse=True`` applies the transposes.
+    map from ``block_maps``; ``inverse=True`` applies the inverse maps.
 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
     leftover trailing dims pass through untouched.
@@ -686,10 +709,13 @@ def rotate_rows(
         raise ValueError(
             f"schedule has {method.schedule.num_bands} bands, block needs {bands}"
         )
-    if maps.shape[ROTATIONS[method.tag].map_rank :] != (block.tokens, bands):
+    rotation = ROTATIONS[method.tag]
+    if maps.shape[rotation.map_rank :] != (block.tokens, bands):
         raise ValueError(
             f"maps of shape {maps.shape} do not cover {block.tokens} tokens x {bands} bands"
         )
+    if inverse:
+        maps = rotation.invert(maps)
     body = bands * method.width
     src = block.data[:, :, :body].reshape(block.batch, block.tokens, bands, method.width)
     data = np.empty(block.data.shape)
@@ -704,9 +730,10 @@ def rotate_rows(
     for c in range(block.batch):
         row = np.ascontiguousarray(src[c])
         if scratch is None:
-            apply_maps(method.tag, maps, row, inverse=inverse, out=dst[c])
+            rotation.apply(maps, row, dst[c])
         else:
-            dst[c] = apply_maps(method.tag, maps, row, inverse=inverse, out=scratch)
+            rotation.apply(maps, row, scratch)
+            dst[c] = scratch
     return data
 
 
@@ -715,8 +742,8 @@ def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = Fa
 
     Builds the maps at the block's positions (``block_maps``) and applies
     them (``rotate_rows``). ``inverse=True`` applies the inverse rotations
-    (transposed maps), recovering the input of a forward pass up to
-    round-off.
+    (conjugate phases or transposed matrices), recovering the input of a
+    forward pass up to round-off.
     """
     maps = block_maps(method, block.positions)
     return TokenBlock(data=rotate_rows(block, method, maps, inverse), positions=block.positions)

@@ -37,6 +37,13 @@ class TestFrequencySchedule:
         with pytest.raises(ValueError):
             enc.FrequencySchedule.for_bands(4, base=1.0)
 
+    @pytest.mark.parametrize("base", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("num_bands", [1, 8])
+    def test_non_finite_base_rejected(self, base, num_bands):
+        # inf used to pass as the schedule [1, 0, 0, ...], and nan**0 == 1
+        with pytest.raises(ValueError, match="base must be finite"):
+            enc.FrequencySchedule.for_bands(num_bands, base=base)
+
 
 class TestMethodConfigure:
     def test_band_counts_at_head_dim_64(self):
@@ -78,6 +85,23 @@ class TestMethodConfigure:
             enc.AxisParams(np.array([[bad, 0.0, 1.0]]), np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(ValueError, match="not finite"):
             enc.unit_axis(np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("tag", ["rope1d", "quatro"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_base_rejected(self, tag, bad):
+        with pytest.raises(ValueError, match="base must be finite"):
+            enc.EncodingMethod.configure(tag, 8, base=bad)
+
+    @pytest.mark.parametrize("tag", ["rope1d", "quatro"])
+    @pytest.mark.parametrize("name", ["scale_x", "scale_y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, tag, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            enc.EncodingMethod.configure(tag, 8, **{name: bad})
+        schedule = enc.FrequencySchedule.for_bands(4)
+        axes = None if tag == "rope1d" else enc.AxisParams(np.eye(3)[[0] * 4], np.eye(3)[[2] * 4])
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            enc.EncodingMethod(tag=tag, schedule=schedule, axes=axes, **{name: bad})
 
     def test_default_axes_are_the_orthogonal_pair(self):
         m = enc.EncodingMethod.configure("quatro", 9)
@@ -481,6 +505,16 @@ class TestRotationMaps:
             want = enc.apply_encoding(enc.TokenBlock(data=arr.copy(), positions=self.POS), method)
             assert np.array_equal(enc.apply_encoding(block, method).data, want.data)
 
+    @pytest.mark.parametrize("tag", ["mixed", "spherical", "quatro", "care"])
+    def test_matrix_inverse_is_the_transposed_copy(self, tag):
+        # invert() returns a view; it must act exactly as the transposed array
+        method = self.configure(tag, 9 if tag != "care" else 16)
+        maps = enc.block_maps(method, self.POS)
+        v = rng.standard_normal(maps.shape[2:] + (method.width,))
+        got = enc.apply_maps(tag, maps, v, inverse=True)
+        want = enc.apply_maps(tag, np.ascontiguousarray(maps.swapaxes(0, 1)), v)
+        assert np.array_equal(got, want)
+
     def test_maps_are_orthogonal(self):
         for tag in ("mixed", "spherical", "quatro", "care"):
             method = self.configure(tag, 9 if tag != "care" else 16)
@@ -503,6 +537,124 @@ class TestRotationMaps:
         maps = enc.rotation_maps("quatro", 0.1, 0.2, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
         with pytest.raises(ValueError, match="trailing axis of 3"):
             enc.apply_maps("quatro", maps, np.zeros(4))
+
+
+class TestAngleFormula:
+    """The oracles, ``grad`` and the encoder form every angle as
+    theta (s p), so at non-unit scales they agree to the last bit."""
+
+    SCALES = (1.3, 0.7)
+    POS = enc.grid_positions(14, 14, origin=(0.5, -2.0))
+
+    def method(self):
+        return enc.EncodingMethod.configure(
+            "quatro", 64, scale_x=self.SCALES[0], scale_y=self.SCALES[1]
+        )
+
+    def test_oracle_angles_equal_the_encoder_angles(self):
+        method = self.method()
+        theta = method.schedule.band_angles
+        want_x, want_y = enc.token_band_angles(method, self.POS)
+        got_x, got_y = enc.position_angles(self.POS[:, None, :], theta[None, :], *self.SCALES)
+        assert np.array_equal(got_x, want_x)
+        assert np.array_equal(got_y, want_y)
+
+    def test_rotate_oracle_turns_by_the_encoder_angles(self):
+        method = self.method()
+        ux, uy = method.axes.unit_x()[0], method.axes.unit_y()[0]
+        ax, ay = enc.token_band_angles(method, self.POS)
+        v = rng.standard_normal((len(self.POS), 3))
+        got = enc.quatro_rotate(
+            v, self.POS, ux, uy, method.schedule.band_angles[5], *self.SCALES
+        )
+        assert np.array_equal(got, enc.quatro_apply(v, ax[:, 5], ay[:, 5], ux, uy))
+
+    def test_grad_differences_use_the_encoder_angles(self, monkeypatch):
+        from garope import cli
+
+        method = self.method()
+        n = len(self.POS)
+        theta = np.full(n, method.schedule.band_angles[3])
+        v = rng.standard_normal((n, 2))
+        cases = (v, self.POS, theta, np.zeros((n, 3)), np.zeros((n, 3)))
+        seen = []
+
+        def recorder(tag, ax, ay, ux, uy):
+            seen.append(np.asarray(ax))
+            return enc.rotation_maps(tag, ax, ay, ux, uy)
+
+        monkeypatch.setattr(cli, "rotation_maps", recorder)
+        with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 leaves the angles as formed
+            cli._grad_fd("rope1d", cases, "angle_x", self.SCALES, 0.0)
+        assert np.array_equal(seen[0], enc.token_band_angles(method, self.POS)[0][:, 3])
+
+
+class TestComplexPhase:
+    """rope1d's phase path: one complex multiply per carrier."""
+
+    POS = enc.grid_positions(6, 7, origin=(7.0, -3.0))
+
+    def method(self, head_dim):
+        return enc.EncodingMethod.configure("rope1d", head_dim, scale_x=1.3, scale_y=0.7)
+
+    def test_block_matches_the_rotate_oracle_on_every_sub_vector(self):
+        method = self.method(16)
+        block = enc.random_block(3, 16, self.POS, seed=41)
+        out = enc.apply_encoding(block, method).data.reshape(3, len(self.POS), 8, 2)
+        sub = block.data.reshape(out.shape)
+        p = 1.3 * self.POS[:, 0][:, None]  # (tokens, 1): s_x p_x
+        want = enc.rope1d_rotate(sub, p, method.schedule.band_angles)
+        assert np.max(np.abs(out - want)) <= 1e-13
+
+    def test_inverse_round_trip(self):
+        method = self.method(16)
+        block = enc.random_block(3, 16, self.POS, seed=42)
+        back = enc.apply_encoding(enc.apply_encoding(block, method), method, inverse=True).data
+        err = np.max(np.abs(back - block.data), axis=-1)
+        assert np.all(err <= 1e-15 * np.linalg.norm(block.data, axis=-1))
+
+    def test_odd_head_dim_body_equals_the_even_block(self):
+        data = rng.standard_normal((2, len(self.POS), 17))
+        odd = enc.TokenBlock(data=data, positions=self.POS)
+        even = enc.TokenBlock(data=data[:, :, :16].copy(), positions=self.POS)
+        for inverse in (False, True):
+            got = enc.apply_encoding(odd, self.method(17), inverse=inverse).data
+            want = enc.apply_encoding(even, self.method(16), inverse=inverse).data
+            assert np.array_equal(got[:, :, :16], want)
+            assert np.array_equal(got[:, :, 16], data[:, :, 16])
+
+    def test_strided_carriers_equal_their_contiguous_copy(self):
+        method = self.method(16)
+        maps = enc.block_maps(method, self.POS)
+        big = rng.standard_normal((len(self.POS), 8, 4))
+        view = big[..., ::2]
+        assert view.strides[-1] != view.itemsize
+        for inverse in (False, True):
+            got = enc.apply_maps("rope1d", maps, view, inverse=inverse)
+            want = enc.apply_maps("rope1d", maps, view.copy(), inverse=inverse)
+            assert np.array_equal(got, want)
+
+    def test_phase_is_unit(self):
+        method = self.method(64)
+        phase = enc.block_maps(method, enc.grid_positions(32, 32, origin=(7.0, -3.0)))
+        assert phase.dtype == np.complex128 and phase.shape == (1024, 32)
+        assert enc.ROTATIONS["rope1d"].map_rank == 0
+        assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
+
+    def test_phase_components_are_cos_and_sin(self):
+        angles = rng.uniform(-100.0, 100.0, (5, 4))
+        phase = enc.rotation_maps("rope1d", angles, np.zeros_like(angles))
+        assert np.array_equal(phase.real, np.cos(angles))
+        assert np.array_equal(phase.imag, np.sin(angles))
+
+    def test_commutator_norm_is_zero(self):
+        from garope import attention as att
+
+        method = self.method(16)
+        for band in range(method.schedule.num_bands):
+            p_a, p_b = rng.uniform(-50.0, 50.0, (2, 2))
+            assert att.commutator_norm(method, p_a, p_b, band=band) <= 1e-15
+            assert att.commutator_norm(method, p_a, p_a, band=band) == 0.0
 
 
 class TestTwoRotorMatrix:
