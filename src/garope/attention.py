@@ -67,8 +67,8 @@ def score_matrix(
     if not np.array_equal(q_block.positions, k_block.positions):
         raise ValueError("query and key blocks must share positions")
     maps = block_maps(method, q_block.positions)
-    q = rotate_rows(q_block, method, maps)
-    k = q if k_block is q_block else rotate_rows(k_block, method, maps)
+    q = rotate_rows(q_block.data, method, maps)
+    k = q if k_block is q_block else rotate_rows(k_block.data, method, maps)
     batch, tokens, head_dim = q.shape
     scores = np.empty((batch, tokens, tokens))
     k_t = k.transpose(0, 2, 1)

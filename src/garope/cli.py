@@ -22,10 +22,10 @@ from .encodings import (
     METHOD_WIDTHS,
     METHODS,
     EncodingMethod,
-    TokenBlock,
-    apply_encoding,
     apply_maps,
+    block_maps,
     position_angles,
+    rotate_rows,
     rotation_gradient,
     rotation_maps,
     unit_axis,
@@ -176,9 +176,11 @@ def cmd_encode(args) -> int:
         )
         return EXIT_CONFIG
     method = build_method(dataclasses.replace(config, head_dim=head_dim))
-    block = TokenBlock(data=arr.astype(np.float64, copy=False), positions=config_positions(config))
-    out = apply_encoding(block, method, inverse=config.invert)
-    write_tensor(args.output, out.data.astype(arr.dtype, copy=False))
+    maps = block_maps(method, config_positions(config))
+    # rows are rotated in float64 and cast into an output of the input's
+    # dtype one at a time; a non-finite row raises before the file is opened
+    out = rotate_rows(arr, method, maps, config.invert, out=np.empty(arr.shape, arr.dtype))
+    write_tensor(args.output, out)
     return EXIT_OK
 
 

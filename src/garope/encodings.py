@@ -21,9 +21,12 @@ each 2-slot carrier read as one complex number; the 3x3 maps (rank 2)
 are applied with explicit multiply-adds. spherical, quatro and care
 build the 3x3 matrix of a two-rotor quaternion product, written out in
 closed form. A block is encoded in two steps, ``block_maps`` (maps from
-positions) and ``rotate_rows`` (maps applied to every batch row);
-``apply_encoding`` runs both, and attention scores reuse one build for
-queries and keys.
+positions) and ``rotate_rows`` (maps applied to a raw float32 or float64
+array one batch row at a time: each row is converted, rotated, checked
+for non-finite values while still in float64, and cast into the output);
+``apply_encoding`` runs both, attention scores reuse one build for
+queries and keys, and ``garope encode`` rotates the file's array into an
+output of its own dtype.
 The single sub-vector ``*_rotate`` functions (grid positions) and
 ``*_apply`` variants (resolved angles) compute the same rotations
 independently, through rotors, and serve as its oracles; they and
@@ -696,45 +699,66 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
 
 
 def rotate_rows(
-    block: TokenBlock, method: EncodingMethod, maps: np.ndarray, inverse: bool = False
+    data, method: EncodingMethod, maps: np.ndarray, inverse: bool = False, out=None
 ) -> np.ndarray:
-    """The block's data with every sub-vector rotated by its (token, band)
-    map from ``block_maps``; ``inverse=True`` applies the inverse maps.
+    """Rotate every sub-vector of (batch, tokens, head_dim) ``data`` by
+    its (token, band) map from ``block_maps`` into ``out``, and return
+    ``out``; ``inverse=True`` applies the inverse maps.
 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
-    leftover trailing dims pass through untouched.
+    leftover trailing dims pass through untouched. ``data`` may be float32
+    or float64 and is rotated in float64 one batch row at a time; ``out``
+    (a new float64 array by default; it must not overlap ``data``) takes
+    each row cast to its dtype. Every rotated row is checked while it is
+    still in float64, before any cast: the maps are orthogonal, so a
+    non-finite input value, or an overflow near the float64 limit, leaves
+    a non-finite value in its row, and the check raises before anything
+    later is written.
     """
-    bands, remainder = _band_split(block.head_dim, method.width)
+    data = np.asarray(data)
+    if data.ndim != 3:
+        raise ValueError("block data must be batch x tokens x head_dim")
+    batch, tokens, head_dim = data.shape
+    bands, remainder = _band_split(head_dim, method.width)
     if method.schedule.num_bands != bands:
         raise ValueError(
             f"schedule has {method.schedule.num_bands} bands, block needs {bands}"
         )
     rotation = ROTATIONS[method.tag]
-    if maps.shape[rotation.map_rank :] != (block.tokens, bands):
+    if maps.shape[rotation.map_rank :] != (tokens, bands):
         raise ValueError(
-            f"maps of shape {maps.shape} do not cover {block.tokens} tokens x {bands} bands"
+            f"maps of shape {maps.shape} do not cover {tokens} tokens x {bands} bands"
         )
+    if out is None:
+        out = np.empty(data.shape)
+    elif out.shape != data.shape:
+        raise ValueError(f"out has shape {out.shape}, data {data.shape}")
+    elif np.may_share_memory(out, data):
+        raise ValueError("out must not overlap data")
     if inverse:
         maps = rotation.invert(maps)
     body = bands * method.width
-    src = block.data[:, :, :body].reshape(block.batch, block.tokens, bands, method.width)
-    data = np.empty(block.data.shape)
     if remainder:
-        data[:, :, body:] = block.data[:, :, body:]
-    dst = data[:, :, :body].reshape(src.shape)
+        rest = data[:, :, body:]
+        if not np.isfinite(rest).all():
+            raise ValueError("block contains non-finite values")
+        out[:, :, body:] = rest
     # One batch row at a time keeps the temporaries cache-sized. A
     # multiply-add runs as one long loop over (token, band) only on
-    # contiguous rows; pass-through dims break the output body up, so rows
-    # are then rotated into a contiguous scratch and copied over.
-    scratch = np.empty(src.shape[1:]) if remainder else None
-    for c in range(block.batch):
-        row = np.ascontiguousarray(src[c])
-        if scratch is None:
-            rotation.apply(maps, row, dst[c])
-        else:
-            rotation.apply(maps, row, scratch)
-            dst[c] = scratch
-    return data
+    # contiguous rows, so a row goes straight into a contiguous float64
+    # out and otherwise through a float64 scratch, cast on the copy.
+    carriers = (tokens, bands, method.width)
+    direct = out.dtype == np.float64 and not remainder and out.flags.c_contiguous
+    scratch = None if direct else np.empty(carriers)
+    for c in range(batch):
+        row = np.ascontiguousarray(data[c, :, :body], dtype=np.float64).reshape(carriers)
+        dst = out[c].reshape(carriers) if direct else scratch
+        rotation.apply(maps, row, dst)
+        if not np.isfinite(dst).all():
+            raise ValueError("block contains non-finite values")
+        if not direct:
+            out[c, :, :body] = scratch.reshape(tokens, body)
+    return out
 
 
 def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = False) -> TokenBlock:
@@ -746,4 +770,12 @@ def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = Fa
     forward pass up to round-off.
     """
     maps = block_maps(method, block.positions)
-    return TokenBlock(data=rotate_rows(block, method, maps, inverse), positions=block.positions)
+    data = rotate_rows(block.data, method, maps, inverse)
+    # rotate_rows has checked every value and the positions are the
+    # input block's checked ones, so the new block skips the constructor's
+    # second scan of the data
+    data.flags.writeable = False
+    result = object.__new__(TokenBlock)
+    object.__setattr__(result, "data", data)
+    object.__setattr__(result, "positions", block.positions)
+    return result

@@ -116,7 +116,7 @@ class TestScoreMatrixReference:
 
         def counted(calls, fn):
             def wrapper(*args, **kwargs):
-                calls.append(1)
+                calls.append(args[0])
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -129,6 +129,7 @@ class TestScoreMatrixReference:
         att.score_matrix(q, k, method)
         assert len(builds) == 1
         assert len(rotations) == (1 if same else 2)  # a self-score rotates its block once
+        assert rotations[0] is q.data and rotations[-1] is k.data  # the raw arrays, not blocks
 
 
 class TestShiftPositions:

@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,58 @@ class TestEncode:
         block = TokenBlock(data=arr.astype(np.float64), positions=grid_positions(3, 4))
         want = apply_encoding(block, EncodingMethod.configure("quatro", 9)).data
         assert np.array_equal(got, want.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_may_be_the_input_file(self, capsys, tmp_path, dtype):
+        # the whole input is read before the output is opened
+        src, arr = self.setup_tensor(tmp_path, dtype=dtype)
+        cfg = self.write_cfg(tmp_path, "method = care\ngrid_h = 3\ngrid_w = 4\n")
+        code, _, err = run(capsys, ["encode", str(src), "--config", cfg, "--output", str(src)])
+        assert code == cli.EXIT_OK, err
+        block = TokenBlock(data=arr.astype(np.float64), positions=grid_positions(3, 4))
+        want = apply_encoding(block, EncodingMethod.configure("care", 9)).data
+        assert np.array_equal(read_tensor(src), want.astype(dtype))
+
+    @pytest.mark.parametrize("tag", METHODS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_value_fails_before_writing(self, capsys, tmp_path, tag, value, dtype):
+        width = METHOD_WIDTHS[tag]
+        spoiled = [(16, width + 1)]  # (head_dim, slot): a carrier slot
+        if tag == "care":
+            spoiled += [(16, 8), (16, 15)]  # the scalar and e123 slots
+        spoiled += [(d, d - 1) for d in (65, 66) if d % width]  # a pass-through dim
+        cfg = self.write_cfg(tmp_path, f"method = {tag}\ngrid_h = 3\ngrid_w = 4\n")
+        out_path = tmp_path / "out.rten"
+        write_tensor(out_path, np.ones((1, 2, 3), dtype))
+        before = out_path.read_bytes()
+        for head_dim, slot in spoiled:
+            src, arr = self.setup_tensor(tmp_path, shape=(3, 12, head_dim), dtype=dtype)
+            arr[1, 5, slot] = value  # a middle batch row
+            write_tensor(src, arr)
+            with np.errstate(invalid="ignore"):  # inf times a zero map entry
+                code, _, err = run(
+                    capsys, ["encode", str(src), "--config", cfg, "--output", str(out_path)]
+                )
+            assert code == cli.EXIT_CONFIG
+            assert "error: block contains non-finite values" in err
+            assert out_path.read_bytes() == before
+
+    @pytest.mark.parametrize("tag", METHODS)
+    def test_peak_memory_is_input_plus_output_plus_rows(self, tmp_path, tag):
+        # rows are converted, rotated and cast one at a time: no whole-file
+        # float64 copy of the input or the output
+        src, arr = self.setup_tensor(tmp_path, shape=(32, 256, 128), dtype=np.float32)
+        cfg = self.write_cfg(tmp_path, f"method = {tag}\ngrid_h = 16\ngrid_w = 16\n")
+        argv = ["encode", str(src), "--config", cfg, "--output", str(tmp_path / "out.rten")]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        assert peak < 2.5 * arr.nbytes
 
     def test_missing_output_flag(self, capsys, tmp_path):
         src, _ = self.setup_tensor(tmp_path)

@@ -411,6 +411,98 @@ class TestApplyEncoding:
         assert not np.allclose(out.data[..., :63], block.data[..., :63])
 
 
+
+class TestRotateRows:
+    """The row loop on raw arrays: dtypes, out, and its per-row check."""
+
+    POS = enc.grid_positions(3, 4, origin=(7.0, -3.0))
+
+    def configure(self, tag, head_dim):
+        axes_x = rng.standard_normal(3) if tag in ("mixed", "quatro", "care") else None
+        axes_y = rng.standard_normal(3) if tag in ("quatro", "care") else None
+        return enc.EncodingMethod.configure(tag, head_dim, axes_x=axes_x, axes_y=axes_y)
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    @pytest.mark.parametrize("head_dim", [16, 17])
+    def test_raw_rows_equal_apply_encoding(self, tag, head_dim):
+        method = self.configure(tag, head_dim)
+        block = enc.random_block(3, head_dim, self.POS, seed=12)
+        maps = enc.block_maps(method, self.POS)
+        for inverse in (False, True):
+            want = enc.apply_encoding(block, method, inverse=inverse).data
+            got = enc.rotate_rows(block.data, method, maps, inverse)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            # float32 rows are rotated in float64 and cast once, on the copy
+            narrow = block.data.astype(np.float32)
+            wide = enc.rotate_rows(narrow.astype(np.float64), method, maps, inverse)
+            assert np.array_equal(enc.rotate_rows(narrow, method, maps, inverse), wide)
+            out = np.empty(narrow.shape, np.float32)
+            assert enc.rotate_rows(narrow, method, maps, inverse, out=out) is out
+            assert np.array_equal(out, wide.astype(np.float32))
+
+    def test_out_must_match_and_not_overlap(self):
+        method = self.configure("quatro", 9)
+        data = rng.standard_normal((2, 12, 9))
+        maps = enc.block_maps(method, self.POS)
+        with pytest.raises(ValueError, match="out has shape"):
+            enc.rotate_rows(data, method, maps, out=np.empty((2, 12, 10)))
+        with pytest.raises(ValueError, match="overlap"):
+            enc.rotate_rows(data, method, maps, out=data)
+
+    @staticmethod
+    def bad_slots(tag, head_dim):
+        """(head_dim, slot) pairs to spoil: a carrier slot, care's
+        invariant slots, and a pass-through dim."""
+        width = enc.METHOD_WIDTHS[tag]
+        slots = [(head_dim, width + 1)]
+        if tag == "care":
+            slots += [(head_dim, 8 + k) for k in enc.CARE_INVARIANT_SLOTS]
+        for padded in (65, 66):
+            if padded % width:
+                slots.append((padded, padded - 1))
+        return slots
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_row_raises(self, tag, value, dtype):
+        for head_dim, slot in self.bad_slots(tag, 16):
+            method = self.configure(tag, head_dim)
+            data = rng.standard_normal((3, 12, head_dim)).astype(dtype)
+            data[1, 5, slot] = value  # a middle batch row
+            maps = enc.block_maps(method, self.POS)
+            for inverse in (False, True):
+                with np.errstate(invalid="ignore"), pytest.raises(
+                    ValueError, match="block contains non-finite values"
+                ):
+                    enc.rotate_rows(data, method, maps, inverse)
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_overflowing_rotation_raises(self, tag):
+        # finite input, accepted by the block, but turned past the float64 limit
+        method = self.configure(tag, 16)
+        block = enc.TokenBlock(data=np.full((2, 12, 16), 1.6e308), positions=self.POS)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="block contains non-finite values"
+        ):
+            enc.apply_encoding(block, method)
+
+    def test_output_block_is_built_without_a_second_scan(self, monkeypatch):
+        block = enc.random_block(2, 17, self.POS, seed=13)
+        scans = []
+        post_init = enc.TokenBlock.__post_init__
+
+        def counted(self):
+            scans.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(enc.TokenBlock, "__post_init__", counted)
+        out = enc.apply_encoding(block, self.configure("care", 17))
+        assert scans == []
+        assert out.positions is block.positions
+        assert not out.data.flags.writeable
+
+
 def _rotate_one(method, v, p, band):
     """One sub-vector through the single-sub-vector ``*_rotate`` oracle."""
     theta = float(method.schedule.band_angles[band])
