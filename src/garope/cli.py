@@ -179,7 +179,7 @@ def cmd_encode(args) -> int:
     maps = block_maps(method, config_positions(config))
     # rows are rotated in float64 and cast into an output of the input's
     # dtype one at a time; a non-finite row raises before the file is opened
-    out = rotate_rows(arr, method, maps, config.invert, out=np.empty(arr.shape, arr.dtype))
+    out = rotate_rows(arr, method, maps, config.invert)
     write_tensor(args.output, out)
     return EXIT_OK
 

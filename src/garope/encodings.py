@@ -248,6 +248,17 @@ class TokenBlock:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "positions", pos)
 
+    @classmethod
+    def _trusted(cls, data: np.ndarray, positions: np.ndarray) -> "TokenBlock":
+        """Block around already checked values, without the constructor's
+        scan: ``data`` is a fresh float64 array whose every value is known
+        finite, ``positions`` a checked block's read-only positions."""
+        data.flags.writeable = False
+        block = object.__new__(cls)
+        object.__setattr__(block, "data", data)
+        object.__setattr__(block, "positions", positions)
+        return block
+
     @property
     def batch(self) -> int:
         return self.data.shape[0]
@@ -698,18 +709,15 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     return rotation_maps(method.tag, *token_band_angles(method, positions), *axes)
 
 
-def rotate_rows(
-    data, method: EncodingMethod, maps: np.ndarray, inverse: bool = False, out=None
-) -> np.ndarray:
+def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Rotate every sub-vector of (batch, tokens, head_dim) ``data`` by
-    its (token, band) map from ``block_maps`` into ``out``, and return
-    ``out``; ``inverse=True`` applies the inverse maps.
+    its (token, band) map from ``block_maps`` into a new array of
+    ``data``'s dtype; ``inverse=True`` applies the inverse maps.
 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
     leftover trailing dims pass through untouched. ``data`` may be float32
-    or float64 and is rotated in float64 one batch row at a time; ``out``
-    (a new float64 array by default; it must not overlap ``data``) takes
-    each row cast to its dtype. Every rotated row is checked while it is
+    or float64 and is rotated in float64 one batch row at a time, each row
+    cast back to ``data``'s dtype. Every rotated row is checked while it is
     still in float64, before any cast: the maps are orthogonal, so a
     non-finite input value, or an overflow near the float64 limit, leaves
     a non-finite value in its row, and the check raises before anything
@@ -718,6 +726,8 @@ def rotate_rows(
     data = np.asarray(data)
     if data.ndim != 3:
         raise ValueError("block data must be batch x tokens x head_dim")
+    if data.dtype not in (np.float32, np.float64):
+        raise ValueError(f"block data must be float32 or float64, not {data.dtype}")
     batch, tokens, head_dim = data.shape
     bands, remainder = _band_split(head_dim, method.width)
     if method.schedule.num_bands != bands:
@@ -729,12 +739,7 @@ def rotate_rows(
         raise ValueError(
             f"maps of shape {maps.shape} do not cover {tokens} tokens x {bands} bands"
         )
-    if out is None:
-        out = np.empty(data.shape)
-    elif out.shape != data.shape:
-        raise ValueError(f"out has shape {out.shape}, data {data.shape}")
-    elif np.may_share_memory(out, data):
-        raise ValueError("out must not overlap data")
+    out = np.empty(data.shape, data.dtype)
     if inverse:
         maps = rotation.invert(maps)
     body = bands * method.width
@@ -745,10 +750,11 @@ def rotate_rows(
         out[:, :, body:] = rest
     # One batch row at a time keeps the temporaries cache-sized. A
     # multiply-add runs as one long loop over (token, band) only on
-    # contiguous rows, so a row goes straight into a contiguous float64
-    # out and otherwise through a float64 scratch, cast on the copy.
+    # contiguous rows, so a row goes straight into a float64 out without
+    # pass-through dims and otherwise through a float64 scratch, cast on
+    # the copy.
     carriers = (tokens, bands, method.width)
-    direct = out.dtype == np.float64 and not remainder and out.flags.c_contiguous
+    direct = data.dtype == np.float64 and not remainder
     scratch = None if direct else np.empty(carriers)
     for c in range(batch):
         row = np.ascontiguousarray(data[c, :, :body], dtype=np.float64).reshape(carriers)
@@ -774,8 +780,4 @@ def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = Fa
     # rotate_rows has checked every value and the positions are the
     # input block's checked ones, so the new block skips the constructor's
     # second scan of the data
-    data.flags.writeable = False
-    result = object.__new__(TokenBlock)
-    object.__setattr__(result, "data", data)
-    object.__setattr__(result, "positions", block.positions)
-    return result
+    return TokenBlock._trusted(data, block.positions)

@@ -413,7 +413,7 @@ class TestApplyEncoding:
 
 
 class TestRotateRows:
-    """The row loop on raw arrays: dtypes, out, and its per-row check."""
+    """The row loop on raw arrays: dtypes and its per-row check."""
 
     POS = enc.grid_positions(3, 4, origin=(7.0, -3.0))
 
@@ -435,19 +435,11 @@ class TestRotateRows:
             # float32 rows are rotated in float64 and cast once, on the copy
             narrow = block.data.astype(np.float32)
             wide = enc.rotate_rows(narrow.astype(np.float64), method, maps, inverse)
-            assert np.array_equal(enc.rotate_rows(narrow, method, maps, inverse), wide)
-            out = np.empty(narrow.shape, np.float32)
-            assert enc.rotate_rows(narrow, method, maps, inverse, out=out) is out
-            assert np.array_equal(out, wide.astype(np.float32))
-
-    def test_out_must_match_and_not_overlap(self):
-        method = self.configure("quatro", 9)
-        data = rng.standard_normal((2, 12, 9))
-        maps = enc.block_maps(method, self.POS)
-        with pytest.raises(ValueError, match="out has shape"):
-            enc.rotate_rows(data, method, maps, out=np.empty((2, 12, 10)))
-        with pytest.raises(ValueError, match="overlap"):
-            enc.rotate_rows(data, method, maps, out=data)
+            got = enc.rotate_rows(narrow, method, maps, inverse)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, wide.astype(np.float32))
+        with pytest.raises(ValueError, match="float32 or float64, not int64"):
+            enc.rotate_rows(block.data.astype(np.int64), method, maps)
 
     @staticmethod
     def bad_slots(tag, head_dim):
