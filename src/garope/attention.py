@@ -19,7 +19,6 @@ from .encodings import (
     EncodingMethod,
     TokenBlock,
     _read_only,
-    apply_encoding,
     apply_maps,
     block_maps,
     rotate_rows,
@@ -145,18 +144,3 @@ def commutator_norm(
     ba = rotate(p_b, rotate(p_a, dirs))
     return float(np.max(np.abs(ab - ba)))
 
-
-def axial_rope(block: TokenBlock, base: float = 10000.0) -> TokenBlock:
-    """Axial 1D-RoPE baseline: first half of head_dim rotated by p_x,
-    second half by p_y, each through the plain rope1d method. A trivial
-    composition for comparison runs, not a first-class method."""
-    half = block.head_dim // 2
-    if half < 2:
-        raise ValueError("axial baseline needs head_dim >= 4")
-    swapped = block.positions[:, ::-1]
-    front = TokenBlock(data=block.data[:, :, :half], positions=block.positions)
-    back = TokenBlock(data=block.data[:, :, half:], positions=swapped)
-    out_front = apply_encoding(front, EncodingMethod.configure("rope1d", half, base))
-    out_back = apply_encoding(back, EncodingMethod.configure("rope1d", block.head_dim - half, base))
-    data = np.concatenate([out_front.data, out_back.data], axis=-1)
-    return TokenBlock(data=data, positions=block.positions)

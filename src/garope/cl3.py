@@ -3,7 +3,8 @@
 An 8-slot element ("mv8") stores coefficients in the order
 (1, e1, e2, e12, e3, e31, e23, e123). This matches the generic engine's
 ascending-mask order except that slot 5 carries the e31 = -e13
-orientation, so converting to/from a ga.Multivector is a single sign flip.
+orientation, so the generic engine's coefficients and mv8 slots differ by
+one sign flip (``_SLOT_ORIENTATION``).
 
 The one row kernel, the product ``gp_batch``, lives in ``_cl3_numpy``;
 the rotor sandwich is two of its products. The encodings' block path does
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _cl3_numpy
-from .ga import Algebra, Multivector, UNIT_TOL
+from .ga import Algebra, UNIT_TOL
 
 REVERSE_SIGNS = _cl3_numpy.REVERSE_SIGNS
 _SLOT_ORIENTATION = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
@@ -117,20 +118,6 @@ def generic_rotor_sandwich(rotor, a) -> np.ndarray:
     """R a ~R through the generic engine; shapes broadcast like
     ``generic_product``, so one rotor row can serve a whole batch."""
     return generic_product(generic_product(rotor, a), mv8_reverse(rotor))
-
-
-def mv8_from_multivector(mv: Multivector) -> np.ndarray:
-    """Repack a Cl(3,0) multivector into mv8 slot order."""
-    if mv.dim != 3:
-        raise ValueError("mv8 conversion needs a Cl(3,0) multivector")
-    return mv.coeffs * _SLOT_ORIENTATION
-
-
-def multivector_from_mv8(slots) -> Multivector:
-    slots = np.asarray(slots, dtype=np.float64)
-    if slots.shape != (8,):
-        raise ValueError("expected a single mv8 element of shape (8,)")
-    return Multivector(3, slots * _SLOT_ORIENTATION)
 
 
 def derive_product_terms() -> tuple[tuple[int, int, int, int], ...]:

@@ -155,15 +155,18 @@ class EncodingMethod:
         for name, scale in (("scale_x", self.scale_x), ("scale_y", self.scale_y)):
             if not math.isfinite(scale):
                 raise ValueError(f"{name} must be finite, got {scale!r}")
-        if self.tag in ("mixed", "quatro", "care"):
-            if self.axes is None:
-                raise ValueError(f"{self.tag} needs axis parameters")
-            if self.axes.num_bands != self.schedule.num_bands:
-                raise ValueError("axis bands do not match schedule bands")
-            if self.tag == "mixed":
-                ux, uy = self.axes.unit_x(), self.axes.unit_y()
-                if np.max(np.abs(ux - uy)) > 1e-9:
-                    raise ValueError("mixed encoding needs one shared axis")
+        if self.tag in ("rope1d", "spherical"):
+            if self.axes is not None:
+                raise ValueError(f"{self.tag} has fixed axes; remove the axis parameters")
+            return
+        if self.axes is None:
+            raise ValueError(f"{self.tag} needs axis parameters")
+        if self.axes.num_bands != self.schedule.num_bands:
+            raise ValueError("axis bands do not match schedule bands")
+        if self.tag == "mixed":
+            ux, uy = self.axes.unit_x(), self.axes.unit_y()
+            if np.max(np.abs(ux - uy)) > 1e-9:
+                raise ValueError("mixed encoding needs one shared axis")
 
     @property
     def width(self) -> int:
@@ -182,9 +185,11 @@ class EncodingMethod:
     ) -> "EncodingMethod":
         """Build a method for a given head_dim, filling in default axes.
 
-        Defaults: quatro/care use the spherical-equivalent fixed pair,
-        mixed shares the xy-plane axis (0, 0, 1) for both coordinates.
-        rope1d and spherical have no free axes and reject explicit ones.
+        Each axis is one 3-vector shared by every band or a (num_bands, 3)
+        list. Defaults: quatro/care use the spherical-equivalent fixed
+        pair, mixed shares the xy-plane axis (0, 0, 1) for both
+        coordinates. rope1d and spherical have no free axes, and the
+        constructor rejects explicit ones.
         """
         width = METHOD_WIDTHS[tag] if tag in METHODS else None
         if width is None:
@@ -194,26 +199,23 @@ class EncodingMethod:
             raise ValueError(f"head_dim {head_dim} is below the {tag} sub-vector width {width}")
         schedule = FrequencySchedule.for_bands(num_bands, base)
         axes = None
-        if tag in ("mixed", "quatro", "care"):
+        if tag in ("mixed", "quatro", "care") or axes_x is not None or axes_y is not None:
             if axes_x is None:
-                axes_x = np.tile(
-                    SPHERICAL_AXIS_Y if tag == "mixed" else SPHERICAL_AXIS_X,
-                    (num_bands, 1),
-                )
-            if axes_y is None:
-                axes_y = axes_x if tag == "mixed" else np.tile(SPHERICAL_AXIS_Y, (num_bands, 1))
+                axes_x = SPHERICAL_AXIS_Y if tag == "mixed" else SPHERICAL_AXIS_X
             axes_x = _per_band(axes_x, num_bands, "axes_x")
-            axes_y = _per_band(axes_y, num_bands, "axes_y")
-            axes = AxisParams(axes_x, axes_y)
-        elif axes_x is not None or axes_y is not None:
-            raise ValueError(f"{tag} has fixed axes; remove the axis parameters")
+            if axes_y is None:
+                axes_y = axes_x if tag == "mixed" else SPHERICAL_AXIS_Y
+            axes = AxisParams(axes_x, _per_band(axes_y, num_bands, "axes_y"))
         return cls(tag=tag, schedule=schedule, axes=axes, scale_x=float(scale_x), scale_y=float(scale_y))
 
 
 def _per_band(axes, num_bands: int, name: str) -> np.ndarray:
+    """(num_bands, 3) axes from one shared 3-vector or a per-band list."""
     arr = np.asarray(axes, dtype=np.float64)
     if arr.shape == (3,):
         arr = np.tile(arr, (num_bands, 1))
+    if arr.ndim == 2 and arr.shape[1] == 3 and arr.shape[0] != num_bands:
+        raise ValueError(f"{name} lists {arr.shape[0]} bands, method needs {num_bands}")
     if arr.shape != (num_bands, 3):
         raise ValueError(f"{name} must be one 3-vector or shape ({num_bands}, 3)")
     return arr
@@ -667,16 +669,15 @@ def rotation_maps(tag: str, angles_x, angles_y, unit_x=None, unit_y=None) -> np.
     return ROTATIONS[tag].build(angles_x, angles_y, unit_x, unit_y)
 
 
-def apply_maps(tag: str, maps: np.ndarray, v, inverse: bool = False) -> np.ndarray:
+def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
     """Rotate (..., width) carriers by maps whose per-map shape broadcasts
-    against v's leading axes; ``inverse=True`` applies the inverse maps."""
+    against v's leading axes; for the inverse rotation pass
+    ``ROTATIONS[tag].invert(maps)``."""
     rotation = ROTATIONS[tag]
     v = np.asarray(v, dtype=np.float64)
     width = METHOD_WIDTHS[tag]
     if v.shape[-1:] != (width,):
         raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
-    if inverse:
-        maps = rotation.invert(maps)
     lead = np.broadcast_shapes(maps.shape[rotation.map_rank :], v.shape[:-1])
     out = np.empty(lead + (width,))
     rotation.apply(maps, v, out)
@@ -721,7 +722,8 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     still in float64, before any cast: the maps are orthogonal, so a
     non-finite input value, or an overflow near the float64 limit, leaves
     a non-finite value in its row, and the check raises before anything
-    later is written.
+    later is written. A float32 row is checked again after its cast, since
+    a rotated value near the float32 limit can overflow to inf there.
     """
     data = np.asarray(data)
     if data.ndim != 3:
@@ -754,7 +756,8 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     # pass-through dims and otherwise through a float64 scratch, cast on
     # the copy.
     carriers = (tokens, bands, method.width)
-    direct = data.dtype == np.float64 and not remainder
+    narrow = data.dtype == np.float32
+    direct = not narrow and not remainder
     scratch = None if direct else np.empty(carriers)
     for c in range(batch):
         row = np.ascontiguousarray(data[c, :, :body], dtype=np.float64).reshape(carriers)
@@ -762,8 +765,15 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
         rotation.apply(maps, row, dst)
         if not np.isfinite(dst).all():
             raise ValueError("block contains non-finite values")
-        if not direct:
+        if direct:
+            continue
+        if not narrow:
             out[c, :, :body] = scratch.reshape(tokens, body)
+            continue
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            out[c, :, :body] = scratch.reshape(tokens, body)
+        if not np.isfinite(out[c, :, :body]).all():
+            raise ValueError(f"rotated values in batch row {c} overflow float32")
     return out
 
 

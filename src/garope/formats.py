@@ -88,23 +88,6 @@ _ALL_KEYS = ("method",) + _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _AXIS_KEYS
 
 
 @dataclass(frozen=True)
-class AxisSpec:
-    """Parsed axes value: one shared 3-vector or an explicit per-band list."""
-
-    vectors: np.ndarray  # (k, 3)
-    shared: bool
-
-    def resolve(self, num_bands: int, key: str) -> np.ndarray:
-        if self.shared:
-            return np.tile(self.vectors, (num_bands, 1))
-        if self.vectors.shape[0] != num_bands:
-            raise ConfigError(
-                f"{key} lists {self.vectors.shape[0]} bands, method needs {num_bands}"
-            )
-        return self.vectors
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Run parameters; defaults mirror the 14x14/head_dim-64 test setup."""
 
@@ -120,13 +103,15 @@ class RunConfig:
     invert: bool = False
     origin_x: float = 0.0
     origin_y: float = 0.0
-    axes_x: AxisSpec | None = None
-    axes_y: AxisSpec | None = None
+    axes_x: np.ndarray | None = None  # (3,) shared by every band, or (k, 3) per band
+    axes_y: np.ndarray | None = None
     source: str = field(default="<defaults>", compare=False)
     explicit_keys: frozenset = field(default=frozenset(), compare=False)
 
 
-def _parse_axes(value: str, line: int) -> AxisSpec:
+def _parse_axes(value: str, line: int) -> np.ndarray:
+    """``shared:x,y,z`` as one (3,) axis for every band, or ``x,y,z; ...``
+    as a (k, 3) per-band list."""
     shared = value.startswith("shared:")
     if shared:
         value = value[len("shared:") :]
@@ -147,7 +132,8 @@ def _parse_axes(value: str, line: int) -> AxisSpec:
         if not all(math.isfinite(c) for c in components):
             raise ConfigError(f"axis {g.strip()!r} has a non-finite component", line)
         vectors.append(components)
-    return AxisSpec(vectors=np.array(vectors, dtype=np.float64), shared=shared)
+    vectors = np.array(vectors, dtype=np.float64)
+    return vectors[0] if shared else vectors
 
 
 def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
@@ -217,23 +203,15 @@ def config_positions(config: RunConfig) -> np.ndarray:
 
 
 def build_method(config: RunConfig) -> EncodingMethod:
-    """EncodingMethod from a config, resolving shared/per-band axes."""
-    from .encodings import METHOD_WIDTHS
-
-    num_bands = config.head_dim // METHOD_WIDTHS[config.method]
-    if num_bands < 1:
-        raise ConfigError(
-            f"head_dim {config.head_dim} is below the {config.method} sub-vector width"
-        )
-    axes_x = config.axes_x.resolve(num_bands, "axes_x") if config.axes_x else None
-    axes_y = config.axes_y.resolve(num_bands, "axes_y") if config.axes_y else None
+    """EncodingMethod from a config; the method's own checks fail as
+    ConfigError."""
     try:
         return EncodingMethod.configure(
             config.method,
             config.head_dim,
             base=config.base,
-            axes_x=axes_x,
-            axes_y=axes_y,
+            axes_x=config.axes_x,
+            axes_y=config.axes_y,
             scale_x=config.coord_scale_x,
             scale_y=config.coord_scale_y,
         )

@@ -7,13 +7,15 @@ as 3D vectors and are passed around as plain (..., 3) arrays.
 The basis correspondence with Cl(3,0) is 1 -> 1, i -> e12, j -> e23,
 k -> e13, which matches both multiplication tables cell for cell and
 therefore turns the Hamilton product into the geometric product.
+``even_cl3_coeffs`` places quaternion rows on those blades, so the
+generic engine's ``Algebra(3).gp`` serves as the product's oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ga import Algebra, Multivector, UNIT_TOL
+from .ga import UNIT_TOL
 
 PURE_RESIDUE_TOL = 1e-12  # scalar residue allowed after a sandwich, then truncated
 
@@ -113,28 +115,9 @@ def even_cl3_coeffs(q) -> np.ndarray:
     subalgebra.
 
     Exact coefficient placement (1, i, j, k) -> (1, e12, e23, e13); a
-    product homomorphism, inverted by even_cl3_to_quat.
+    product homomorphism onto ``Algebra(3).gp``.
     """
     q = np.asarray(q, dtype=np.float64)
     coeffs = np.zeros(q.shape[:-1] + (8,))
     coeffs[..., _EVEN_MASKS] = q
     return coeffs
-
-
-def quat_to_even_cl3(q) -> Multivector:
-    """Embed a single quaternion into the even subalgebra of Cl(3,0)."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (4,):
-        raise ValueError("expected a single quaternion of shape (4,)")
-    return Multivector(3, even_cl3_coeffs(q))
-
-
-def even_cl3_to_quat(mv: Multivector, odd_tol: float = 1e-12) -> np.ndarray:
-    """Inverse embedding; rejects multivectors with odd-grade content."""
-    if mv.dim != 3:
-        raise ValueError("expected a Cl(3,0) multivector")
-    odd = Algebra(3).grades % 2 == 1
-    worst = float(np.max(np.abs(mv.coeffs[odd]), initial=0.0))
-    if worst > odd_tol:
-        raise ValueError(f"multivector has odd-grade coefficients up to {worst!r}")
-    return mv.coeffs[..., _EVEN_MASKS]

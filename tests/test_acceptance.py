@@ -28,7 +28,7 @@ from garope.encodings import (
 )
 from garope.formats import read_tensor, write_tensor
 from garope.ga import Algebra, Multivector, rotor_exp, sandwich
-from garope.quaternion import hamilton_product, quat_sandwich, quat_to_even_cl3, quat_to_rotation_matrix
+from garope.quaternion import even_cl3_coeffs, hamilton_product, quat_sandwich, quat_to_rotation_matrix
 
 _ORIENT = np.array(cl3._SLOT_ORIENTATION, dtype=np.float64)
 
@@ -45,21 +45,22 @@ def _oracle_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def test_quaternion_cl3_product_homomorphism():
     t0 = time.perf_counter()
+    alg = Algebra(3)
     basis_exact = True
     for i in range(4):
         for j in range(4):
             p, q = np.zeros(4), np.zeros(4)
             p[i] = q[j] = 1.0
-            lhs = quat_to_even_cl3(hamilton_product(p, q))
-            rhs = quat_to_even_cl3(p) * quat_to_even_cl3(q)
-            basis_exact &= bool(np.array_equal(lhs.coeffs, rhs.coeffs))
+            lhs = even_cl3_coeffs(hamilton_product(p, q))
+            rhs = alg.gp(even_cl3_coeffs(p), even_cl3_coeffs(q))
+            basis_exact &= bool(np.array_equal(lhs, rhs))
     rng = np.random.default_rng(100)
     random_dev = 0.0
     for _ in range(1000):
         p, q = rng.standard_normal(4), rng.standard_normal(4)
-        lhs = quat_to_even_cl3(hamilton_product(p, q))
-        rhs = quat_to_even_cl3(p) * quat_to_even_cl3(q)
-        random_dev = max(random_dev, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+        lhs = even_cl3_coeffs(hamilton_product(p, q))
+        rhs = alg.gp(even_cl3_coeffs(p), even_cl3_coeffs(q))
+        random_dev = max(random_dev, float(np.max(np.abs(lhs - rhs))))
     elapsed = time.perf_counter() - t0
     ok = basis_exact and random_dev <= 1e-12 and elapsed < 1.0
     _verdict(

@@ -171,18 +171,6 @@ class TestShiftInvariance:
         )
         assert worst <= 1e-12
 
-    def test_axial_baseline_is_shift_invariant(self):
-        block = small_block(head_dim=8)
-        base = att.axial_rope(block)
-        moved = att.axial_rope(att.shift_positions(block, (4.0, -2.0)))
-        raw = np.einsum("btd,bsd->bts", base.data, base.data)
-        got = np.einsum("btd,bsd->bts", moved.data, moved.data)
-        assert np.max(np.abs(raw - got)) <= 1e-8
-
-    def test_axial_needs_head_dim_four(self):
-        with pytest.raises(ValueError):
-            att.axial_rope(small_block(head_dim=3))
-
 
 class TestWitnesses:
     def test_frozen_witnesses_clear_the_floor(self):

@@ -5,7 +5,8 @@ import pytest
 
 from garope import cl3
 from garope.ga import Algebra, Multivector
-from garope.quaternion import quat_to_even_cl3
+from garope.encodings import mv8_rotor
+from garope.quaternion import even_cl3_coeffs
 
 rng = np.random.default_rng(5150)
 
@@ -145,30 +146,24 @@ class TestBackends:
 
 class TestConversions:
     def test_slot_five_sign_flip(self):
-        mv = Algebra(3).blade("e13", 2.0)
-        slots = cl3.mv8_from_multivector(mv)
-        assert slots[5] == -2.0  # slot 5 stores the e31 orientation
-        back = cl3.multivector_from_mv8(slots)
-        assert np.array_equal(back.coeffs, mv.coeffs)
-
-    def test_round_trip_random(self):
-        mv = Multivector(3, rng.standard_normal(8))
-        assert np.array_equal(
-            cl3.multivector_from_mv8(cl3.mv8_from_multivector(mv)).coeffs, mv.coeffs
-        )
+        # e1 e3 = e13 = -e31, and slot 5 stores the e31 orientation
+        e1, e3 = np.eye(8)[1], np.eye(8)[4]
+        slots = cl3.mv8_product(e1, e3)
+        assert slots[5] == -1.0 and np.count_nonzero(slots) == 1
+        assert np.array_equal(cl3.generic_product(e1, e3), slots)
+        assert Algebra(3).blade("e13").coeffs[5] == 1.0
 
     def test_product_matches_multivector_product(self):
         a = Multivector(3, rng.standard_normal(8))
         b = Multivector(3, rng.standard_normal(8))
-        via_slots = cl3.multivector_from_mv8(
-            cl3.mv8_product(cl3.mv8_from_multivector(a), cl3.mv8_from_multivector(b))
-        )
-        assert np.max(np.abs(via_slots.coeffs - (a * b).coeffs)) < 1e-14
+        via_slots = cl3.mv8_product(a.coeffs * ORIENT, b.coeffs * ORIENT) * ORIENT
+        assert np.max(np.abs(via_slots - (a * b).coeffs)) < 1e-14
 
     def test_quaternion_rotor_between_layouts(self):
         # a quaternion rotor embedded in even Cl(3,0) lands on the same mv8
         # slots the encodings build directly
         q = np.array([np.cos(0.4), np.sin(0.4), 0.0, 0.0])  # rotor about i
-        slots = cl3.mv8_from_multivector(quat_to_even_cl3(q))
+        slots = even_cl3_coeffs(q) * ORIENT
         assert slots[0] == q[0] and slots[3] == q[1]
         assert np.all(slots[[1, 2, 4, 7]] == 0.0)
+        assert np.array_equal(slots, mv8_rotor([1.0, 0.0, 0.0], 0.4))

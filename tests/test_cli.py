@@ -228,6 +228,28 @@ class TestEncode:
             assert "error: block contains non-finite values" in err
             assert out_path.read_bytes() == before
 
+    def test_float32_overflow_fails_before_writing(self, capsys, tmp_path):
+        src = tmp_path / "in.rten"
+        write_tensor(src, np.full((1, 12, 4), 3.0e38, dtype=np.float32))
+        cfg = self.write_cfg(tmp_path, "method = rope1d\ngrid_h = 3\ngrid_w = 4\norigin_x = 7\n")
+        out_path = tmp_path / "out.rten"
+        write_tensor(out_path, np.ones((1, 2, 3), np.float32))
+        before = out_path.read_bytes()
+        code, out, err = run(capsys, ["encode", str(src), "--config", cfg, "--output", str(out_path)])
+        assert code == cli.EXIT_CONFIG
+        assert err == "error: rotated values in batch row 0 overflow float32\n"
+        assert out == ""
+        assert out_path.read_bytes() == before
+
+    def test_per_band_axis_count_error_text(self, capsys, tmp_path):
+        src, _ = self.setup_tensor(tmp_path)
+        cfg = self.write_cfg(tmp_path, "method = quatro\ngrid_h = 3\ngrid_w = 4\naxes_x = 1,0,0;0,1,0\n")
+        code, _, err = run(
+            capsys, ["encode", str(src), "--config", cfg, "--output", str(tmp_path / "o.rten")]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert err == "config error: axes_x lists 2 bands, method needs 3\n"
+
     @pytest.mark.parametrize("tag", METHODS)
     def test_peak_memory_is_input_plus_output_plus_rows(self, tmp_path, tag):
         # rows are converted, rotated and cast one at a time: no whole-file

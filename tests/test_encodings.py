@@ -1,5 +1,7 @@
 """Encoding methods: schedules, rotations, reductions, block application."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,16 @@ class TestMethodConfigure:
     def test_fixed_axis_methods_reject_axes(self):
         with pytest.raises(ValueError):
             enc.EncodingMethod.configure("spherical", 6, axes_x=np.array([1.0, 0, 0]))
+
+    @pytest.mark.parametrize("tag,head_dim", [("rope1d", 8), ("spherical", 6)])
+    def test_direct_construction_rejects_axes_for_fixed_methods(self, tag, head_dim):
+        schedule = enc.FrequencySchedule.for_bands(2)
+        axes = enc.AxisParams(np.eye(3)[[0, 0]], np.eye(3)[[2, 2]])
+        fixed = f"^{tag} has fixed axes; remove the axis parameters$"
+        with pytest.raises(ValueError, match=fixed):
+            enc.EncodingMethod(tag=tag, schedule=schedule, axes=axes)
+        with pytest.raises(ValueError, match=fixed):
+            enc.EncodingMethod.configure(tag, head_dim, axes_y=np.array([0.0, 0.0, 1.0]))
 
     def test_mixed_requires_shared_axis(self):
         with pytest.raises(ValueError):
@@ -479,6 +491,21 @@ class TestRotateRows:
         ):
             enc.apply_encoding(block, method)
 
+    @pytest.mark.parametrize("head_dim", [4, 5])
+    def test_float32_overflow_raises(self, head_dim):
+        # finite float32 input whose rotation exceeds the float32 limit: it
+        # passes the float64 row check and overflows only in the cast
+        method = self.configure("rope1d", head_dim)
+        data = np.full((2, 12, head_dim), 3.0e38, dtype=np.float32)
+        maps = enc.block_maps(method, self.POS)
+        wide = enc.rotate_rows(data.astype(np.float64), method, maps)
+        assert np.isfinite(wide).all() and np.max(np.abs(wide)) > np.finfo(np.float32).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cast's own warning stays silent
+            for inverse in (False, True):
+                with pytest.raises(ValueError, match="^rotated values in batch row 0 overflow float32$"):
+                    enc.rotate_rows(data, method, maps, inverse)
+
     def test_output_block_is_built_without_a_second_scan(self, monkeypatch):
         block = enc.random_block(2, 17, self.POS, seed=13)
         scans = []
@@ -552,7 +579,8 @@ class TestRotationMaps:
         got = enc.apply_maps(tag, maps, v)
         assert got.shape == v.shape
         assert np.max(np.abs(got - want)) <= 1e-13
-        assert np.max(np.abs(enc.apply_maps(tag, maps, got, inverse=True) - v)) <= 1e-13
+        back = enc.apply_maps(tag, enc.ROTATIONS[tag].invert(maps), got)
+        assert np.max(np.abs(back - v)) <= 1e-13
 
     @pytest.mark.parametrize("inverse", [False, True])
     def test_care_invariant_slots_are_copied(self, inverse):
@@ -560,7 +588,8 @@ class TestRotationMaps:
         ux, uy = enc.unit_axis(rng.standard_normal((2, n, 3)))
         ax, ay = rng.uniform(-4.0, 4.0, (2, n))
         m = rng.standard_normal((n, 8))
-        out = enc.apply_maps("care", enc.rotation_maps("care", ax, ay, ux, uy), m, inverse=inverse)
+        maps = enc.rotation_maps("care", ax, ay, ux, uy)
+        out = enc.apply_maps("care", enc.ROTATIONS["care"].invert(maps) if inverse else maps, m)
         assert np.array_equal(out[:, enc.CARE_INVARIANT_SLOTS], m[:, enc.CARE_INVARIANT_SLOTS])
 
     @pytest.mark.parametrize(
@@ -595,7 +624,7 @@ class TestRotationMaps:
         method = self.configure(tag, 9 if tag != "care" else 16)
         maps = enc.block_maps(method, self.POS)
         v = rng.standard_normal(maps.shape[2:] + (method.width,))
-        got = enc.apply_maps(tag, maps, v, inverse=True)
+        got = enc.apply_maps(tag, enc.ROTATIONS[tag].invert(maps), v)
         want = enc.apply_maps(tag, np.ascontiguousarray(maps.swapaxes(0, 1)), v)
         assert np.array_equal(got, want)
 
@@ -713,9 +742,9 @@ class TestComplexPhase:
         big = rng.standard_normal((len(self.POS), 8, 4))
         view = big[..., ::2]
         assert view.strides[-1] != view.itemsize
-        for inverse in (False, True):
-            got = enc.apply_maps("rope1d", maps, view, inverse=inverse)
-            want = enc.apply_maps("rope1d", maps, view.copy(), inverse=inverse)
+        for phase in (maps, enc.ROTATIONS["rope1d"].invert(maps)):
+            got = enc.apply_maps("rope1d", phase, view)
+            want = enc.apply_maps("rope1d", phase, view.copy())
             assert np.array_equal(got, want)
 
     def test_phase_is_unit(self):

@@ -7,7 +7,6 @@ import pytest
 
 from garope import formats
 from garope.formats import (
-    AxisSpec,
     ConfigError,
     RunConfig,
     TensorFileError,
@@ -174,9 +173,10 @@ class TestConfigParsing:
         assert config.tolerance == 1e-9
         assert config.invert is True
         assert (config.origin_x, config.origin_y) == (-2.0, 0.5)
-        assert config.axes_x.shared and config.axes_x.vectors.shape == (1, 3)
-        assert not config.axes_y.shared
-        assert np.array_equal(config.axes_y.vectors, [[0, 1, 0], [0, 0, 1]])
+        assert config.axes_x.shape == (3,)  # shared: one axis for every band
+        assert np.array_equal(config.axes_x, [1, 0, 0])
+        assert config.axes_y.shape == (2, 3)  # a per-band list
+        assert np.array_equal(config.axes_y, [[0, 1, 0], [0, 0, 1]])
         assert "tolerance" in config.explicit_keys and "method" in config.explicit_keys
 
     def test_comment_only_lines_ignored(self):
@@ -258,17 +258,28 @@ class TestConfigParsing:
 
 
 class TestAxisSpec:
+    """How a parsed axes value reaches the method's per-band axes."""
+
     def test_shared_resolve_tiles(self):
-        spec = AxisSpec(vectors=np.array([[0.0, 0.0, 1.0]]), shared=True)
-        out = spec.resolve(4, "axes_x")
+        config = parse_run_config("method = quatro\nhead_dim = 12\naxes_x = shared:0,0,1\n")
+        assert config.axes_x.shape == (3,)
+        out = build_method(config).axes.axes_x
         assert out.shape == (4, 3)
         assert np.array_equal(out, np.tile([0.0, 0.0, 1.0], (4, 1)))
 
     def test_per_band_resolve_checks_count(self):
-        spec = AxisSpec(vectors=np.array([[1.0, 0, 0], [0, 1.0, 0]]), shared=False)
-        assert spec.resolve(2, "axes_x").shape == (2, 3)
-        with pytest.raises(ConfigError, match="axes_x lists 2 bands"):
-            spec.resolve(3, "axes_x")
+        text = "method = quatro\nhead_dim = {}\naxes_x = 1,0,0;0,1,0\n"
+        config = parse_run_config(text.format(6))
+        assert config.axes_x.shape == (2, 3)
+        assert build_method(config).axes.axes_x.shape == (2, 3)
+        with pytest.raises(ConfigError, match="^axes_x lists 2 bands, method needs 3$"):
+            build_method(parse_run_config(text.format(9)))
+
+    def test_single_per_band_axis_is_not_shared(self):
+        config = parse_run_config("method = care\nhead_dim = 16\naxes_y = 0,0,1\n")
+        assert config.axes_y.shape == (1, 3)
+        with pytest.raises(ConfigError, match="^axes_y lists 1 bands, method needs 2$"):
+            build_method(config)
 
 
 class TestBuildMethod:
