@@ -23,7 +23,8 @@ build the 3x3 matrix of a two-rotor quaternion product, written out in
 closed form. A block is encoded in two steps, ``block_maps`` (maps from
 positions) and ``rotate_rows`` (maps applied to a raw float32 or float64
 array one batch row at a time: each row is converted, rotated, checked
-for non-finite values while still in float64, and cast into the output);
+for non-finite values while still in float64, and cast into the output,
+where a float32 row is checked again for overflow);
 ``apply_encoding`` runs both, attention scores reuse one build for
 queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype.
