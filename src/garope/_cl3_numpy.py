@@ -11,6 +11,7 @@ these lines.
 import numpy as np
 
 REVERSE_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+REVERSE_SIGNS.flags.writeable = False
 
 
 def gp_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -126,6 +126,13 @@ def _band_rotation(method: EncodingMethod, band: int):
     return rotate
 
 
+def _finite_position(p, name: str) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (2,) or not np.all(np.isfinite(p)):
+        raise ValueError(f"{name} must be a finite 2-vector")
+    return p
+
+
 def commutator_norm(
     method: EncodingMethod, p_a, p_b, band: int = 0, directions: int = 128
 ) -> float:
@@ -138,6 +145,7 @@ def commutator_norm(
     """
     if not 0 <= band < method.schedule.num_bands:
         raise ValueError("band index out of range")
+    p_a, p_b = _finite_position(p_a, "p_a"), _finite_position(p_b, "p_b")
     rotate = _band_rotation(method, band)
     dirs = _unit_directions(METHOD_WIDTHS[method.tag], directions)
     ab = rotate(p_a, rotate(p_b, dirs))

@@ -129,6 +129,8 @@ def run_bench(
         raise ValueError("workload sizes must be positive")
     table = _kernel_table(head_dim)
     names = tuple(kernels) if kernels is not None else default_kernels()
+    if not names:
+        raise ValueError(f"no kernels to run; known: {', '.join(sorted(table))}")
     for name in names:
         if name not in table:
             raise ValueError(f"unknown kernel {name!r}; known: {', '.join(sorted(table))}")

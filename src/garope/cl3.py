@@ -24,6 +24,7 @@ from .ga import Algebra, UNIT_TOL
 
 REVERSE_SIGNS = _cl3_numpy.REVERSE_SIGNS
 _SLOT_ORIENTATION = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
+_SLOT_ORIENTATION.flags.writeable = False
 _ODD_SLOTS = (1, 2, 4, 7)
 
 # Frozen 64-entry term table of the mv8 product: (out_slot, a_slot, b_slot,

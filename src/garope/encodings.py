@@ -61,6 +61,8 @@ AXIS_MIN_NORM = 1e-8  # raw learnable axes below this are degenerate
 # yz-plane rotation, the p_y rotor about k the xy-plane rotation.
 SPHERICAL_AXIS_X = np.array([1.0, 0.0, 0.0])
 SPHERICAL_AXIS_Y = np.array([0.0, 0.0, 1.0])
+SPHERICAL_AXIS_X.flags.writeable = False
+SPHERICAL_AXIS_Y.flags.writeable = False
 
 
 def unit_axis(axis) -> np.ndarray:

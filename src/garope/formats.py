@@ -103,15 +103,16 @@ class RunConfig:
     invert: bool = False
     origin_x: float = 0.0
     origin_y: float = 0.0
-    axes_x: np.ndarray | None = None  # (3,) shared by every band, or (k, 3) per band
-    axes_y: np.ndarray | None = None
+    axes_x: tuple | None = None  # one 3-tuple shared by every band, or k per band
+    axes_y: tuple | None = None
     source: str = field(default="<defaults>", compare=False)
     explicit_keys: frozenset = field(default=frozenset(), compare=False)
 
 
-def _parse_axes(value: str, line: int) -> np.ndarray:
-    """``shared:x,y,z`` as one (3,) axis for every band, or ``x,y,z; ...``
-    as a (k, 3) per-band list."""
+def _parse_axes(value: str, line: int) -> tuple:
+    """``shared:x,y,z`` as one 3-tuple axis for every band, or ``x,y,z; ...``
+    as a per-band tuple of k 3-tuples. Tuples keep ``RunConfig``
+    comparable and hashable."""
     shared = value.startswith("shared:")
     if shared:
         value = value[len("shared:") :]
@@ -126,14 +127,13 @@ def _parse_axes(value: str, line: int) -> np.ndarray:
         if len(parts) != 3:
             raise ConfigError(f"axis {g.strip()!r} is not a 3-vector", line)
         try:
-            components = [float(s) for s in parts]
+            components = tuple(float(s) for s in parts)
         except ValueError:
             raise ConfigError(f"axis {g.strip()!r} has a non-numeric component", line) from None
         if not all(math.isfinite(c) for c in components):
             raise ConfigError(f"axis {g.strip()!r} has a non-finite component", line)
         vectors.append(components)
-    vectors = np.array(vectors, dtype=np.float64)
-    return vectors[0] if shared else vectors
+    return vectors[0] if shared else tuple(vectors)
 
 
 def parse_run_config(text: str, source: str = "<config>") -> RunConfig:

@@ -196,6 +196,15 @@ class TestWitnesses:
 
 
 class TestCommutatorNorm:
+    @pytest.mark.parametrize("tag", ["rope1d", "mixed", "quatro"])
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (0.0, 1.0, 2.0)])
+    def test_positions_must_be_finite_2_vectors(self, tag, bad):
+        method = EncodingMethod.configure(tag, 6)
+        with pytest.raises(ValueError, match="^p_a must be a finite 2-vector$"):
+            att.commutator_norm(method, bad, PB)
+        with pytest.raises(ValueError, match="^p_b must be a finite 2-vector$"):
+            att.commutator_norm(method, PA, bad)
+
     def test_spherical_quarter_turn_pair_does_not_commute(self):
         method = EncodingMethod.configure("spherical", 6)
         assert att.commutator_norm(method, PA, PB) > 0.1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from garope import cl3
-from garope.ga import Algebra, Multivector
+from garope.ga import Algebra
 from garope.encodings import mv8_rotor
 from garope.quaternion import even_cl3_coeffs
 
@@ -143,6 +143,11 @@ class TestBackends:
     def test_backend_name_is_known(self):
         assert cl3.backend_name() == "numpy"
 
+    @pytest.mark.parametrize("name", ["REVERSE_SIGNS", "_SLOT_ORIENTATION"])
+    def test_sign_tables_are_frozen(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cl3, name)[3] = 0.0
+
 
 class TestConversions:
     def test_slot_five_sign_flip(self):
@@ -151,13 +156,13 @@ class TestConversions:
         slots = cl3.mv8_product(e1, e3)
         assert slots[5] == -1.0 and np.count_nonzero(slots) == 1
         assert np.array_equal(cl3.generic_product(e1, e3), slots)
-        assert Algebra(3).blade("e13").coeffs[5] == 1.0
+        assert np.array_equal(Algebra(3).gp(e1, e3), slots * ORIENT)  # +e13 on mask 5
 
     def test_product_matches_multivector_product(self):
-        a = Multivector(3, rng.standard_normal(8))
-        b = Multivector(3, rng.standard_normal(8))
-        via_slots = cl3.mv8_product(a.coeffs * ORIENT, b.coeffs * ORIENT) * ORIENT
-        assert np.max(np.abs(via_slots - (a * b).coeffs)) < 1e-14
+        a = rng.standard_normal(8)
+        b = rng.standard_normal(8)
+        via_slots = cl3.mv8_product(a * ORIENT, b * ORIENT) * ORIENT
+        assert np.max(np.abs(via_slots - Algebra(3).gp(a, b))) < 1e-14
 
     def test_quaternion_rotor_between_layouts(self):
         # a quaternion rotor embedded in even Cl(3,0) lands on the same mv8

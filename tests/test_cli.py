@@ -478,6 +478,14 @@ class TestBench:
         assert code == cli.EXIT_CONFIG
         assert "unknown kernel" in err
 
+    def test_empty_kernel_list_rejected(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            ["bench", "--config", self.small_cfg(tmp_path), "--reps", "30", "--kernels", ","],
+        )
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err == "error: no kernels to run; known: care_fast, care_generic, quatro, rope1d\n"
+
 
 class TestParser:
     def test_missing_command_exits_with_usage(self, capsys):

@@ -120,6 +120,11 @@ class TestMethodConfigure:
         assert np.all(m.axes.axes_x == enc.SPHERICAL_AXIS_X)
         assert np.all(m.axes.axes_y == enc.SPHERICAL_AXIS_Y)
 
+    @pytest.mark.parametrize("name", ["SPHERICAL_AXIS_X", "SPHERICAL_AXIS_Y"])
+    def test_default_axes_are_frozen(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(enc, name)[0] = 0.5
+
     def test_per_band_axes_shape_enforced(self):
         with pytest.raises(ValueError):
             enc.EncodingMethod.configure("quatro", 9, axes_x=rng.standard_normal((2, 3)))

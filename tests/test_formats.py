@@ -173,9 +173,9 @@ class TestConfigParsing:
         assert config.tolerance == 1e-9
         assert config.invert is True
         assert (config.origin_x, config.origin_y) == (-2.0, 0.5)
-        assert config.axes_x.shape == (3,)  # shared: one axis for every band
+        assert np.shape(config.axes_x) == (3,)  # shared: one axis for every band
         assert np.array_equal(config.axes_x, [1, 0, 0])
-        assert config.axes_y.shape == (2, 3)  # a per-band list
+        assert np.shape(config.axes_y) == (2, 3)  # a per-band list
         assert np.array_equal(config.axes_y, [[0, 1, 0], [0, 0, 1]])
         assert "tolerance" in config.explicit_keys and "method" in config.explicit_keys
 
@@ -262,7 +262,7 @@ class TestAxisSpec:
 
     def test_shared_resolve_tiles(self):
         config = parse_run_config("method = quatro\nhead_dim = 12\naxes_x = shared:0,0,1\n")
-        assert config.axes_x.shape == (3,)
+        assert np.shape(config.axes_x) == (3,)
         out = build_method(config).axes.axes_x
         assert out.shape == (4, 3)
         assert np.array_equal(out, np.tile([0.0, 0.0, 1.0], (4, 1)))
@@ -270,16 +270,24 @@ class TestAxisSpec:
     def test_per_band_resolve_checks_count(self):
         text = "method = quatro\nhead_dim = {}\naxes_x = 1,0,0;0,1,0\n"
         config = parse_run_config(text.format(6))
-        assert config.axes_x.shape == (2, 3)
+        assert np.shape(config.axes_x) == (2, 3)
         assert build_method(config).axes.axes_x.shape == (2, 3)
         with pytest.raises(ConfigError, match="^axes_x lists 2 bands, method needs 3$"):
             build_method(parse_run_config(text.format(9)))
 
     def test_single_per_band_axis_is_not_shared(self):
         config = parse_run_config("method = care\nhead_dim = 16\naxes_y = 0,0,1\n")
-        assert config.axes_y.shape == (1, 3)
+        assert np.shape(config.axes_y) == (1, 3)
         with pytest.raises(ConfigError, match="^axes_y lists 1 bands, method needs 2$"):
             build_method(config)
+
+    def test_configs_with_axes_compare_and_hash(self):
+        text = "method = care\nhead_dim = 16\naxes_x = 1,0,0;0,1,0\naxes_y = shared:0,0,1\n"
+        a, b = parse_run_config(text), parse_run_config(text)
+        assert a == b and hash(a) == hash(b)
+        other = parse_run_config(text.replace("0,1,0", "0,0,1", 1))
+        assert a != other
+        assert len({a, b, other}) == 2
 
 
 class TestBuildMethod:
