@@ -2,8 +2,9 @@
 
 Each suite re-derives its expected values from an independent oracle (the
 generic blade-table engine, rotation matrices, closed-form identities) so
-a sign or table error in the fast paths cannot hide. Suites are seeded
-and pure: same seed, same printed detail, byte for byte.
+a sign or table error in the fast paths cannot hide; the encoder meets
+the rotor oracles, as a wrong orthogonal map keeps norms and round trips.
+Suites are seeded and pure: same seed, same printed detail, byte for byte.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import numpy as np
 from . import cl3
 from .attention import commutator_norm, shift_invariance_gap
 from .encodings import (
+    METHOD_WIDTHS,
     SPHERICAL_AXIS_X,
     SPHERICAL_AXIS_Y,
     EncodingMethod,
     apply_encoding,
+    block_maps,
     care_rotate,
     grade1_rotation_axis,
     grid_positions,
@@ -29,6 +32,8 @@ from .encodings import (
     mv8_rotor,
     quatro_rotate,
     random_block,
+    rope1d_rotate,
+    rotate_rows,
     spherical_rotate,
     unit_axis,
 )
@@ -323,6 +328,54 @@ def _suite_harness_equivariance(seed: int) -> str:
     )
 
 
+def _suite_encoder_oracles(seed: int) -> str:
+    # the path garope encode runs (block_maps + rotate_rows) against the *_rotate
+    # oracles; per-band random axes, unequal scales, an off-origin grid and
+    # pass-through dims make a transposed map or swapped coordinates or axes show
+    rng = np.random.default_rng([seed, 9])
+    head_dim, sx, sy = 67, 1.3, 0.7  # 1, 1, 1, 1 and 3 pass-through dims
+    pos = grid_positions(6, 7, origin=(0.5, -2.0))
+    oracles = {
+        "rope1d": lambda v, p, theta, axis_x, axis_y: rope1d_rotate(v, sx * p[..., 0], theta),
+        "mixed": lambda v, p, theta, axis_x, axis_y: mixed_rotate(v, p, axis_x, theta, sx, sy),
+        "spherical": lambda v, p, theta, axis_x, axis_y: spherical_rotate(v, p, theta, sx, sy),
+        "quatro": lambda v, p, theta, axis_x, axis_y: quatro_rotate(v, p, axis_x, axis_y, theta, sx, sy),
+        "care": lambda v, p, theta, axis_x, axis_y: care_rotate(v, p, axis_x, axis_y, theta, sx, sy),
+    }
+    devs, worst_round, copied = {}, 0.0, True
+    for tag, oracle in oracles.items():
+        width = METHOD_WIDTHS[tag]
+        bands = head_dim // width
+        body = bands * width
+        axes_x = axes_y = None
+        if tag in ("mixed", "quatro", "care"):
+            axes_x = rng.standard_normal((bands, 3))
+            axes_y = axes_x if tag == "mixed" else rng.standard_normal((bands, 3))
+        method = EncodingMethod.configure(
+            tag, head_dim, axes_x=axes_x, axes_y=axes_y, scale_x=sx, scale_y=sy
+        )
+        data = rng.standard_normal((2, pos.shape[0], head_dim))
+        maps = block_maps(method, pos)
+        out = rotate_rows(data, method, maps)
+        back = rotate_rows(out, method, maps, inverse=True)
+        sub_in, sub_out = (a[:, :, :body].reshape(2, -1, bands, width) for a in (data, out))
+        expected = oracle(sub_in, pos[:, None, :], method.schedule.band_angles, axes_x, axes_y)
+        devs[tag] = float(np.max(np.abs(sub_out - expected)))
+        worst_round = max(worst_round, float(np.max(np.abs(back - data))))
+        copied &= bool(np.array_equal(out[:, :, body:], data[:, :, body:]))
+        if tag == "care":
+            copied &= bool(np.array_equal(sub_out[..., [0, 7]], sub_in[..., [0, 7]]))
+    worst = max(devs.values())
+    _require(worst <= 1e-13, f"encoder vs rotor oracle deviation {worst:.3e} > 1e-13")
+    _require(worst_round <= 1e-13, f"encoder round-trip deviation {worst_round:.3e} > 1e-13")
+    _require(copied, "pass-through dims or care scalar/e123 slots not copied exactly")
+    parts = ", ".join(f"{tag} {dev:.2e}" for tag, dev in devs.items())
+    return (
+        f"2x{pos.shape[0]} tokens, head_dim {head_dim}: {parts}; "
+        f"round-trip {worst_round:.2e}; copied slots exact"
+    )
+
+
 SUITES: tuple[tuple[str, Callable[[int], str]], ...] = (
     ("ga-product-laws", _suite_ga_product_laws),
     ("ga-rotor-sandwich", _suite_ga_rotor_sandwich),
@@ -333,6 +386,7 @@ SUITES: tuple[tuple[str, Callable[[int], str]], ...] = (
     ("rotary-reductions", _suite_rotary_reductions),
     ("rotary-norm-preservation", _suite_rotary_norms),
     ("harness-equivariance", _suite_harness_equivariance),
+    ("encoder-oracle-agreement", _suite_encoder_oracles),
 )
 
 

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=50, help="timing repetitions (min 30)")
     p_bench.add_argument("--batch", type=int, default=2, help="batch size of the workload")
     p_bench.add_argument(
-        "--kernels", default=None, help="comma-separated kernel subset (default: all)"
+        "--kernels", default=None, help="comma-separated subset of the methods (default: all)"
     )
     return parser
 
@@ -92,6 +92,8 @@ def _load_config(args) -> RunConfig:
 
 def _seed(args, config: RunConfig) -> int:
     if args.seed is not None:
+        if args.seed < 0:  # the config key's rule
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.seed
     return config.seed
 
@@ -283,8 +285,6 @@ def cmd_bench(args) -> int:
         kernels=kernels,
     )
     _emit(report.to_csv(), args)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -66,6 +66,11 @@ class Algebra:
         """Geometric product on raw coefficient arrays of shape (..., 2^n)."""
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
+        if a.shape[-1:] != (self.size,) or b.shape[-1:] != (self.size,):
+            raise ValueError(
+                f"Cl({self.dim},0) operands need a trailing axis of {self.size}, "
+                f"got shapes {a.shape} and {b.shape}"
+            )
         shape = np.broadcast_shapes(a.shape, b.shape)
         out = np.zeros(shape, dtype=np.float64)
         for i in range(self.size):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from garope import bench, cl3
-from garope.encodings import EncodingMethod, apply_encoding, random_block
+from garope.encodings import METHODS, EncodingMethod, apply_encoding, random_block
 
 
 def tiny_report(**overrides):
@@ -15,12 +15,11 @@ def tiny_report(**overrides):
 
 class TestRunBench:
     def test_default_kernel_set(self):
-        names = bench.default_kernels()
-        assert {"rope1d", "quatro", "care_fast", "care_generic"} <= set(names)
+        assert tuple(r.kernel for r in tiny_report().rows) == METHODS
 
     def test_rows_cover_requested_kernels(self):
-        report = tiny_report(kernels=("rope1d", "care_fast"))
-        assert [r.kernel for r in report.rows] == ["rope1d", "care_fast"]
+        report = tiny_report(kernels=("rope1d", "care"))
+        assert [r.kernel for r in report.rows] == ["rope1d", "care"]
         for row in report.rows:
             assert (row.batch, row.tokens, row.head_dim, row.reps) == (1, 12, 16, 30)
             assert row.min_ns > 0
@@ -29,14 +28,9 @@ class TestRunBench:
             assert row.rot_per_sec == pytest.approx(1e9 / row.median_ns)
 
     def test_band_counts_per_kernel(self):
-        report = tiny_report(kernels=("rope1d", "quatro", "care_fast"))
+        report = tiny_report(kernels=("rope1d", "quatro", "care"))
         bands = {r.kernel: r.bands for r in report.rows}
-        assert bands == {"rope1d": 8, "quatro": 5, "care_fast": 2}
-
-    def test_care_variants_share_checksum(self):
-        report = tiny_report(kernels=("care_fast", "care_generic"))
-        sums = [r.checksum for r in report.rows]
-        assert max(sums) - min(sums) <= 1e-10 * max(1.0, abs(sums[0]))
+        assert bands == {"rope1d": 8, "quatro": 5, "care": 2}
 
     def test_checksum_is_reproducible(self):
         a = tiny_report(kernels=("quatro",)).rows[0].checksum
@@ -44,7 +38,7 @@ class TestRunBench:
         assert a == b
 
     def test_checksum_matches_direct_encoding(self):
-        report = tiny_report(kernels=("care_fast",))
+        report = tiny_report(kernels=("care",))
         block = random_block(1, 16, bench._bench_positions(12), seed=3)
         # run_bench seeds its block identically
         rng = np.random.default_rng(3)
@@ -67,6 +61,8 @@ class TestRunBench:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             tiny_report(kernels=("rope1d", "warp_drive"))
+        with pytest.raises(ValueError, match="unknown kernel 'care_generic'"):
+            tiny_report(kernels=("care_generic",))
 
     def test_prime_token_count_still_works(self):
         report = tiny_report(tokens=13, kernels=("rope1d",))
@@ -75,7 +71,7 @@ class TestRunBench:
 
 class TestCsv:
     def test_header_and_shape(self):
-        report = tiny_report(kernels=("rope1d", "care_fast"))
+        report = tiny_report(kernels=("rope1d", "care"))
         text = report.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "kernel,batch,tokens,head_dim,reps,min_ns,median_ns,mean_ns,rot_per_sec,checksum"
@@ -94,14 +90,6 @@ class TestCsv:
 
 
 class TestGenericEngineAgreement:
-    def test_generic_path_matches_fast_kernel(self):
-        block = random_block(2, 24, bench._bench_positions(15), seed=8)
-        method = EncodingMethod.configure("care", 24)
-        fast = apply_encoding(block, method)
-        generic = bench._encode_care_generic(block, method)
-        assert np.max(np.abs(fast.data - generic.data)) <= 1e-12
-        assert np.array_equal(fast.positions, generic.positions)
-
     def test_generic_rotor_sandwich_is_the_oracle(self):
         rng = np.random.default_rng(14)
         half = rng.standard_normal(5)

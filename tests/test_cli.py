@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, determinism, file I/O."""
 
+import dataclasses
 import struct
 import tempfile
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garope import cl3, cli
+from garope import cl3, cli, encodings
 from garope.encodings import (
     METHOD_WIDTHS,
     METHODS,
@@ -34,9 +35,9 @@ class TestCheck:
         assert code == cli.EXIT_OK
         assert err == ""
         lines = out.strip().split("\n")
-        assert len(lines) == 10
+        assert len(lines) == 11
         assert all(line.startswith("ok  ") for line in lines[:-1])
-        assert lines[-1] == "9/9 suites passed (seed 0)"
+        assert lines[-1] == "10/10 suites passed (seed 0)"
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, ["check", "--seed", "7"])
@@ -54,7 +55,7 @@ class TestCheck:
         code, out, _ = run(capsys, ["check", "--seed", "0", "--output", str(path)])
         assert code == cli.EXIT_OK
         assert out == ""
-        assert path.read_text().endswith("9/9 suites passed (seed 0)\n")
+        assert path.read_text().endswith("10/10 suites passed (seed 0)\n")
 
     def test_kernel_mutation_is_caught_by_oracle_suite(self, capsys, monkeypatch):
         # sabotage the specialized product; the generic-engine comparison
@@ -65,6 +66,52 @@ class TestCheck:
         assert code == cli.EXIT_PROPERTY
         assert "FAIL cl3-oracle-equivalence" in out
         assert "cl3-oracle-equivalence" in err
+
+    # Each mutation keeps every map orthogonal, so norms and round trips
+    # hold and only the comparison with the rotor oracles fails. The norm
+    # and equivariance suites run the mutated encoder too and still pass;
+    # under the quatro and coordinate mutations their printed maxima and
+    # witness gaps move, so only their verdicts are compared.
+    MAP_MUTATIONS = {
+        "quatro_transposed": ("quatro", lambda b: lambda *a: b(*a).swapaxes(0, 1)),
+        "quatro_axes_swapped": ("quatro", lambda b: lambda ax, ay, ux, uy: b(ax, ay, uy, ux)),
+        "care_in_quatro_order": (
+            "care",
+            lambda b: lambda ax, ay, ux, uy: encodings._two_rotor_matrix(
+                encodings.grade1_rotation_axis(ux), ax, encodings.grade1_rotation_axis(uy), ay
+            ),
+        ),
+        "rope1d_reads_p_y": ("rope1d", lambda b: lambda ax, ay, ux, uy: b(ay, ax, ux, uy)),
+    }
+    DETAILS_MOVE = ("quatro_transposed", "quatro_axes_swapped", "coordinates_swapped")
+
+    @pytest.mark.parametrize("mutation", [*MAP_MUTATIONS, "coordinates_swapped"])
+    def test_encoder_mutation_is_caught_by_encoder_suite(self, capsys, monkeypatch, mutation):
+        _, clean, _ = run(capsys, ["check", "--seed", "0"])
+        if mutation == "coordinates_swapped":
+            angles = encodings.token_band_angles
+            monkeypatch.setattr(
+                encodings, "token_band_angles", lambda m, p: angles(m, np.asarray(p)[:, ::-1])
+            )
+        else:
+            tag, wrap = self.MAP_MUTATIONS[mutation]
+            rotation = encodings.ROTATIONS[tag]
+            monkeypatch.setitem(
+                encodings.ROTATIONS, tag, dataclasses.replace(rotation, build=wrap(rotation.build))
+            )
+        code, out, err = run(capsys, ["check", "--seed", "0"])
+        assert code == cli.EXIT_PROPERTY
+        assert err == "failing suites: encoder-oracle-agreement\n"
+        lines, clean_lines = out.split("\n"), clean.split("\n")
+        assert lines[9].startswith("FAIL encoder-oracle-agreement: encoder vs rotor oracle")
+        assert lines[10] == "9/10 suites passed (seed 0)"
+        moved = ("rotary-norm-preservation", "harness-equivariance")
+        for line, clean_line in zip(lines[:9], clean_lines[:9]):
+            if mutation in self.DETAILS_MOVE and clean_line.split(":")[0][5:] in moved:
+                assert line.startswith("ok  ")
+            else:
+                assert line == clean_line
+
 
 class TestEquiv:
     NAMES = [
@@ -425,7 +472,7 @@ class TestBench:
                 "--batch",
                 "1",
                 "--kernels",
-                "rope1d,care_fast",
+                "rope1d,care",
             ],
         )
         assert code == cli.EXIT_OK
@@ -484,7 +531,7 @@ class TestBench:
             ["bench", "--config", self.small_cfg(tmp_path), "--reps", "30", "--kernels", ","],
         )
         assert code == cli.EXIT_CONFIG and out == ""
-        assert err == "error: no kernels to run; known: care_fast, care_generic, quatro, rope1d\n"
+        assert err == "error: no kernels to run; known: care, mixed, quatro, rope1d, spherical\n"
 
 
 class TestParser:
@@ -502,6 +549,14 @@ class TestParser:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "equiv", "grad", "bench"])
+    def test_seed_flag_must_be_non_negative(self, capsys, command):
+        # the flag follows the config key's rule and names itself
+        code, out, err = run(capsys, [command, "--seed", "-1"])
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
 
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["check", "--config", str(tmp_path / "none.cfg")])

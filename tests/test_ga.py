@@ -133,6 +133,17 @@ class TestMultivector:
         with pytest.raises(ValueError):
             ALG.gp(np.zeros(4), np.zeros(8))
 
+    @pytest.mark.parametrize(
+        "dim, length, message",
+        [
+            (3, 4, r"Cl\(3,0\) operands need a trailing axis of 8, got shapes \(4,\) and \(4,\)"),
+            (2, 8, r"Cl\(2,0\) operands need a trailing axis of 4, got shapes \(8,\) and \(8,\)"),
+        ],
+    )
+    def test_wrong_coefficient_count_is_named(self, dim, length, message):
+        with pytest.raises(ValueError, match=message):
+            Algebra(dim).gp(np.zeros(length), np.zeros(length))
+
 
 class TestRotor:
     def test_rotor_product_stays_rotor(self):
