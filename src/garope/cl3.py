@@ -1,25 +1,23 @@
-"""Fixed-size Cl(3,0) kernels in numpy.
+"""Fixed-size Cl(3,0) elements ("mv8") on the generic engine.
 
-An 8-slot element ("mv8") stores coefficients in the order
+An 8-slot element stores coefficients in the order
 (1, e1, e2, e12, e3, e31, e23, e123). This matches the generic engine's
 ascending-mask order except that slot 5 carries the e31 = -e13
 orientation, so the generic engine's coefficients and mv8 slots differ by
 one sign flip (``_SLOT_ORIENTATION``).
 
-The one row kernel, the product ``gp_batch``, lives in ``_cl3_numpy``;
-the rotor sandwich is two of its products. The encodings' block path does
-not use it; it serves the single sub-vector oracles, the analytic
-gradients and the checks. ``generic_product`` and ``generic_rotor_sandwich``
-run the same products through the generic engine instead: the
-independent oracle that the kernel and the care benchmark are checked
-against.
+``mv8_product`` is ``Algebra(3).gp`` with that flip on its operands and
+its result: the one Cl(3,0) product, and the rotor sandwich is two of its
+products. The encodings' block path does not use it; it serves the single
+sub-vector oracles, the analytic gradients and the checks, while
+``quaternion.hamilton_product`` stays the independent quaternion oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _cl3_numpy
+from . import _cl3_numpy  # loaded for perfbench's Tracer.install; ROADMAP item 1 removes it
 from .ga import Algebra, UNIT_TOL
 
 REVERSE_SIGNS = _cl3_numpy.REVERSE_SIGNS
@@ -27,9 +25,9 @@ _SLOT_ORIENTATION = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
 _SLOT_ORIENTATION.flags.writeable = False
 _ODD_SLOTS = (1, 2, 4, 7)
 
-# Frozen 64-entry term table of the mv8 product: (out_slot, a_slot, b_slot,
-# sign). Generated once from the generic blade products (see
-# derive_product_terms); a test re-derives it on every run.
+# The 64 terms of the mv8 product: (out_slot, a_slot, b_slot, sign), as
+# derive_product_terms recomputes them. Read by perfbench/spans.py (flop
+# counts) and perfbench/test_perfbench.py; ROADMAP item 1 removes it.
 PRODUCT_TERMS = (
     (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, -1),
     (0, 4, 4, 1), (0, 5, 5, -1), (0, 6, 6, -1), (0, 7, 7, -1),
@@ -50,89 +48,57 @@ PRODUCT_TERMS = (
 )
 
 
+# Read by perfbench/run.py (environment); ROADMAP item 1 removes it.
 def backend_name() -> str:
-    """Name of the kernel implementation; there is only numpy."""
+    """Name of the product implementation; there is only numpy."""
     return "numpy"
 
 
-def _as_rows(a) -> np.ndarray:
+def _as_mv8(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.shape[-1:] != (8,):
         raise ValueError(f"mv8 values need a trailing axis of 8, got shape {arr.shape}")
-    return np.ascontiguousarray(arr.reshape(-1, 8))
+    return arr
 
 
 def mv8_product(a, b) -> np.ndarray:
-    """Geometric product of mv8 arrays with shape (..., 8), broadcasting."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    if shape[-1:] != (8,):
-        raise ValueError("mv8 values need a trailing axis of 8")
-    rows_a = _as_rows(np.broadcast_to(a, shape))
-    rows_b = _as_rows(np.broadcast_to(b, shape))
-    return _cl3_numpy.gp_batch(rows_a, rows_b).reshape(shape)
+    """Geometric product of mv8 arrays with shape (..., 8), broadcasting:
+    the generic engine's product with slot 5 flipped in and out."""
+    a = _as_mv8(a) * _SLOT_ORIENTATION
+    b = _as_mv8(b) * _SLOT_ORIENTATION
+    return Algebra(3).gp(a, b) * _SLOT_ORIENTATION
 
 
 def mv8_reverse(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64) * REVERSE_SIGNS
 
 
-def _validate_rotor(rows: np.ndarray) -> None:
+def _validate_rotor(rotor: np.ndarray) -> None:
     for slot in _ODD_SLOTS:
-        if np.any(rows[:, slot] != 0.0):
+        if np.any(rotor[..., slot] != 0.0):
             raise ValueError("mv8 rotor has nonzero odd-grade slots")
-    mag = np.einsum("ij,ij->i", rows, rows)
+    mag = np.einsum("...i,...i->...", rotor, rotor)
     if not np.all(np.abs(mag - 1.0) <= UNIT_TOL):  # written so NaN fails too
         raise ValueError("mv8 rotor is not unit norm")
 
 
 def mv8_rotor_sandwich(rotor, a) -> np.ndarray:
-    """R a ~R for even unit rotor(s), as two products of the one kernel;
-    shapes broadcast like mv8_product.
+    """R a ~R for even unit rotor(s), as two mv8 products; shapes broadcast
+    like mv8_product, so one rotor row can serve a whole batch.
 
     Scalar and e123 slots of a pass through unchanged (the pseudoscalar is
     central in Cl(3,0)); the products recompute them anyway and tests pin
     the pass-through to round-off.
     """
-    rotor = np.asarray(rotor, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    shape = np.broadcast_shapes(rotor.shape, a.shape)
-    if shape[-1:] != (8,):
-        raise ValueError("mv8 values need a trailing axis of 8")
-    rows_r = _as_rows(np.broadcast_to(rotor, shape))
-    rows_a = _as_rows(np.broadcast_to(a, shape))
-    _validate_rotor(rows_r)
-    gp = _cl3_numpy.gp_batch
-    return gp(gp(rows_r, rows_a), rows_r * REVERSE_SIGNS).reshape(shape)
-
-
-def generic_product(a, b) -> np.ndarray:
-    """Geometric product of mv8 arrays through the generic Cl(3,0) engine;
-    shapes broadcast like ``Algebra.gp``."""
-    a = np.asarray(a, dtype=np.float64) * _SLOT_ORIENTATION
-    b = np.asarray(b, dtype=np.float64) * _SLOT_ORIENTATION
-    return Algebra(3).gp(a, b) * _SLOT_ORIENTATION
-
-
-def generic_rotor_sandwich(rotor, a) -> np.ndarray:
-    """R a ~R through the generic engine; shapes broadcast like
-    ``generic_product``, so one rotor row can serve a whole batch."""
-    return generic_product(generic_product(rotor, a), mv8_reverse(rotor))
+    rotor = _as_mv8(rotor)
+    _validate_rotor(rotor)
+    return mv8_product(mv8_product(rotor, a), mv8_reverse(rotor))
 
 
 def derive_product_terms() -> tuple[tuple[int, int, int, int], ...]:
-    """Recompute PRODUCT_TERMS by multiplying basis elements in the
-    generic engine and repacking into the mv8 layout."""
-    alg = Algebra(3)
-    terms = []
-    for i in range(8):
-        a = np.zeros(8)
-        a[i] = _SLOT_ORIENTATION[i]
-        for j in range(8):
-            b = np.zeros(8)
-            b[j] = _SLOT_ORIENTATION[j]
-            prod = alg.gp(a, b) * _SLOT_ORIENTATION  # back to slot orientation
-            for k in np.nonzero(prod)[0]:
-                terms.append((int(k), i, j, int(prod[k])))
-    return tuple(sorted(terms))
+    """Recompute PRODUCT_TERMS from the products of the mv8 basis elements."""
+    basis = np.eye(8)
+    prods = mv8_product(basis[:, None], basis[None, :])  # [i, j] = e_i e_j
+    return tuple(
+        sorted((int(k), int(i), int(j), int(prods[i, j, k])) for i, j, k in zip(*np.nonzero(prods)))
+    )

@@ -65,14 +65,26 @@ SPHERICAL_AXIS_X.flags.writeable = False
 SPHERICAL_AXIS_Y.flags.writeable = False
 
 
+def _axis_norms(axis: np.ndarray, what: str, degenerate: str) -> np.ndarray:
+    """Norms of (..., 3) axes, keeping the last axis. A norm below
+    AXIS_MIN_NORM or not finite raises ``degenerate``, unless the axis is
+    finite and only its square overflows float64: that raises, named."""
+    with np.errstate(over="ignore"):  # an overflow is named just below
+        norm = np.sqrt(np.sum(axis * axis, axis=-1, keepdims=True))
+    if not np.all((norm >= AXIS_MIN_NORM) & np.isfinite(norm)):  # so NaN fails too
+        if np.any(np.isinf(norm) & np.all(np.isfinite(axis), axis=-1, keepdims=True)):
+            raise ValueError(f"{what}: the squared norm of a finite axis overflows float64")
+        raise ValueError(degenerate)
+    return norm
+
+
 def unit_axis(axis) -> np.ndarray:
     """Normalize (..., 3) axes, rejecting raw norms below AXIS_MIN_NORM or
     non-finite ones."""
     axis = np.asarray(axis, dtype=np.float64)
-    norm = np.sqrt(np.sum(axis * axis, axis=-1, keepdims=True))
-    if not np.all((norm >= AXIS_MIN_NORM) & np.isfinite(norm)):  # so NaN fails too
-        raise ValueError("degenerate rotation axis (norm below 1e-8 or not finite)")
-    return axis / norm
+    return axis / _axis_norms(
+        axis, "rotation axis", "degenerate rotation axis (norm below 1e-8 or not finite)"
+    )
 
 
 def grade1_rotation_axis(axis) -> np.ndarray:
@@ -122,9 +134,7 @@ class AxisParams:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{name} must have shape (num_bands, 3)")
-            norm = np.linalg.norm(arr, axis=1)
-            if not np.all((norm >= AXIS_MIN_NORM) & np.isfinite(norm)):
-                raise ValueError(f"{name} contains a degenerate or non-finite axis")
+            _axis_norms(arr, name, f"{name} contains a degenerate or non-finite axis")
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -311,9 +321,9 @@ def rope1d_apply(v, angle) -> np.ndarray:
     return np.stack([c * v[..., 0] - s * v[..., 1], s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
-def rope1d_rotate(v, p, theta) -> np.ndarray:
-    """Planar rotation of a 2-vector by theta * p."""
-    return rope1d_apply(v, theta * np.asarray(p, dtype=np.float64))
+def rope1d_rotate(v, p, theta, scale_x: float = 1.0) -> np.ndarray:
+    """Planar rotation of a 2-vector by theta (s_x p), p being p_x alone."""
+    return rope1d_apply(v, theta * (scale_x * np.asarray(p, dtype=np.float64)))
 
 
 def _rot_xy(angle) -> np.ndarray:
@@ -407,7 +417,7 @@ def care_apply(m, angle_x, angle_y, axis_x, axis_y) -> np.ndarray:
     out = cl3.mv8_rotor_sandwich(cl3.mv8_product(ry, rx), m)
     # scalar and e123 commute with every rotor, so these channels are
     # exactly invariant; copy them through instead of keeping the
-    # kernel's re-accumulated (round-off-bearing) values
+    # products' re-accumulated (round-off-bearing) values
     out[..., 0] = m[..., 0]
     out[..., 7] = m[..., 7]
     return out
@@ -708,9 +718,17 @@ def token_band_angles(method: EncodingMethod, positions) -> tuple[np.ndarray, np
 def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     """Maps of ``method`` for every (token, band) at (tokens, 2) positions,
     components first; ``rotate_rows`` applies them to any block at those
-    positions."""
+    positions. Angles that overflow float64 (a coordinate scale times a
+    position beyond its range) raise, naming the overflow."""
     axes = () if method.axes is None else (method.axes.unit_x(), method.axes.unit_y())
-    return rotation_maps(method.tag, *token_band_angles(method, positions), *axes)
+    with np.errstate(over="ignore"):  # an overflow is named just below
+        angles = token_band_angles(method, positions)
+    if not (np.isfinite(angles[0]).all() and np.isfinite(angles[1]).all()):
+        raise ValueError(
+            "position angle overflows float64: coordinate scale times position "
+            f"(scale_x {method.scale_x!r}, scale_y {method.scale_y!r}) is not finite"
+        )
+    return rotation_maps(method.tag, *angles, *axes)
 
 
 def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = False) -> np.ndarray:

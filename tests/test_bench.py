@@ -5,6 +5,7 @@ import pytest
 
 from garope import bench, cl3
 from garope.encodings import METHODS, EncodingMethod, apply_encoding, random_block
+from garope.ga import Algebra
 
 
 def tiny_report(**overrides):
@@ -100,5 +101,7 @@ class TestGenericEngineAgreement:
         rotors = mv8_rotor(axis, half)
         rows = rng.standard_normal((5, 8))
         fast = cl3.mv8_rotor_sandwich(rotors, rows)
-        generic = cl3.generic_rotor_sandwich(rotors, rows)
+        alg, orient = Algebra(3), cl3._SLOT_ORIENTATION
+        r, m = rotors * orient, rows * orient
+        generic = alg.gp(alg.gp(r, m), alg.reverse(r)) * orient
         assert np.max(np.abs(fast - generic)) <= 1e-13

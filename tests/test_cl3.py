@@ -1,8 +1,16 @@
-"""Specialized 8-slot Cl(3,0) kernels against the generic-engine oracle."""
+"""The 8-slot Cl(3,0) product and rotor sandwich against the engine oracle."""
+
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import garope
 from garope import cl3
 from garope.ga import Algebra
 from garope.encodings import mv8_rotor
@@ -33,8 +41,8 @@ def random_rotors(n):
 
 class TestProductTable:
     def test_frozen_terms_match_rederivation(self):
-        # the inlined kernel expressions come from this table; re-derive it
-        # from the generic engine and require exact agreement
+        # perfbench counts product flops from this table; re-derive it
+        # from the product and require exact agreement
         assert cl3.derive_product_terms() == cl3.PRODUCT_TERMS
 
     def test_product_vs_oracle_large_batch(self):
@@ -61,24 +69,28 @@ class TestProductTable:
                 assert np.array_equal(out[i, j], cl3.mv8_product(a[i, 0], b[j]))
 
     def test_trailing_axis_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trailing axis of 8"):
             cl3.mv8_product(np.zeros(7), np.zeros(7))
+        with pytest.raises(ValueError, match="trailing axis of 8"):  # would broadcast to 8
+            cl3.mv8_product(np.zeros(1), np.zeros(8))
+        with pytest.raises(ValueError, match="trailing axis of 8"):
+            cl3.mv8_rotor_sandwich(np.zeros(4), np.zeros(8))
 
 
 class TestGenericOracle:
     def test_product_is_the_oriented_engine_product(self):
         a = rng.standard_normal((50, 8))
         b = rng.standard_normal((50, 8))
-        assert np.array_equal(cl3.generic_product(a, b), oracle_product(a, b))
+        assert np.array_equal(cl3.mv8_product(a, b), oracle_product(a, b))
         e1, e3 = np.eye(8)[1], np.eye(8)[4]
-        assert np.array_equal(cl3.generic_product(e3, e1), np.eye(8)[5])  # e3 e1 = e31
+        assert np.array_equal(cl3.mv8_product(e3, e1), np.eye(8)[5])  # e3 e1 = e31
 
     def test_sandwich_broadcasts_one_rotor_over_a_batch(self):
         r = random_rotors(6)
         a = rng.standard_normal((3, 6, 8))
         tiled = np.broadcast_to(r, a.shape).reshape(-1, 8)
-        want = cl3.generic_rotor_sandwich(tiled, a.reshape(-1, 8)).reshape(a.shape)
-        assert np.array_equal(cl3.generic_rotor_sandwich(r, a), want)
+        want = cl3.mv8_rotor_sandwich(tiled, a.reshape(-1, 8)).reshape(a.shape)
+        assert np.array_equal(cl3.mv8_rotor_sandwich(r, a), want)
 
 
 class TestRotorSandwich:
@@ -139,9 +151,44 @@ class TestRotorSandwich:
         assert np.max(np.abs(back - a)) < 1e-13
 
 
+# What the benchmark harness reads, in a fresh interpreter, after it has
+# run ``import garope.cli`` and ``from garope import cl3`` (see
+# perfbench/spans.py, Tracer.install), with the line that reads it.
+PERFBENCH_READS = {
+    "cl3.backend_name()": "perfbench/run.py:83 (environment)",
+    "cl3.PRODUCT_TERMS": "perfbench/spans.py:137 and perfbench/test_perfbench.py:205",
+    "sys.modules['garope._cl3_numpy']": "perfbench/spans.py:138 (Tracer.install)",
+}
+
+
+@functools.cache
+def _perfbench_reads() -> dict:
+    script = (
+        "import json, sys\n"
+        "import garope.cli\n"
+        "from garope import cl3\n"
+        "def found(expr):\n"
+        "    try:\n"
+        "        return eval(expr) is not None\n"
+        "    except (AttributeError, KeyError):\n"
+        "        return False\n"
+        f"print(json.dumps({{expr: found(expr) for expr in {list(PERFBENCH_READS)!r}}}))\n"
+    )
+    src = str(Path(garope.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return json.loads(done.stdout)
+
+
 class TestBackends:
     def test_backend_name_is_known(self):
         assert cl3.backend_name() == "numpy"
+
+    @pytest.mark.parametrize("expr", list(PERFBENCH_READS))
+    def test_names_the_benchmark_reads_stay_loaded(self, expr):
+        assert _perfbench_reads()[expr], f"{expr} is gone, but {PERFBENCH_READS[expr]} reads it"
 
     @pytest.mark.parametrize("name", ["REVERSE_SIGNS", "_SLOT_ORIENTATION"])
     def test_sign_tables_are_frozen(self, name):
@@ -155,7 +202,6 @@ class TestConversions:
         e1, e3 = np.eye(8)[1], np.eye(8)[4]
         slots = cl3.mv8_product(e1, e3)
         assert slots[5] == -1.0 and np.count_nonzero(slots) == 1
-        assert np.array_equal(cl3.generic_product(e1, e3), slots)
         assert np.array_equal(Algebra(3).gp(e1, e3), slots * ORIENT)  # +e13 on mask 5
 
     def test_product_matches_multivector_product(self):

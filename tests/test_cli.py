@@ -21,6 +21,7 @@ from garope.encodings import (
     grid_positions,
 )
 from garope.formats import read_tensor, write_tensor
+from garope.ga import Algebra
 
 
 def run(capsys, argv):
@@ -35,9 +36,9 @@ class TestCheck:
         assert code == cli.EXIT_OK
         assert err == ""
         lines = out.strip().split("\n")
-        assert len(lines) == 11
+        assert len(lines) == 10
         assert all(line.startswith("ok  ") for line in lines[:-1])
-        assert lines[-1] == "10/10 suites passed (seed 0)"
+        assert lines[-1] == "9/9 suites passed (seed 0)"
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, ["check", "--seed", "7"])
@@ -55,17 +56,22 @@ class TestCheck:
         code, out, _ = run(capsys, ["check", "--seed", "0", "--output", str(path)])
         assert code == cli.EXIT_OK
         assert out == ""
-        assert path.read_text().endswith("10/10 suites passed (seed 0)\n")
+        assert path.read_text().endswith("9/9 suites passed (seed 0)\n")
 
     def test_kernel_mutation_is_caught_by_oracle_suite(self, capsys, monkeypatch):
-        # sabotage the specialized product; the generic-engine comparison
-        # suite must notice and name itself
+        # Negating the product would hide: R and -R rotate alike. Swapping
+        # the factors, or reading slot 5 as e13 (the e31 flip left out),
+        # turns care's rotors wrong, and the suites that hold care to the
+        # quaternion and rotor oracles must notice and name themselves.
         orig = cl3.mv8_product
-        monkeypatch.setattr(cl3, "mv8_product", lambda a, b: -orig(a, b))
-        code, out, err = run(capsys, ["check", "--seed", "0"])
-        assert code == cli.EXIT_PROPERTY
-        assert "FAIL cl3-oracle-equivalence" in out
-        assert "cl3-oracle-equivalence" in err
+        mutations = (lambda a, b: orig(b, a), lambda a, b: Algebra(3).gp(a, b))
+        for mutation in mutations:
+            monkeypatch.setattr(cl3, "mv8_product", mutation)
+            code, out, err = run(capsys, ["check", "--seed", "0"])
+            assert code == cli.EXIT_PROPERTY
+            assert "FAIL rotary-reductions" in out
+            assert "FAIL encoder-oracle-agreement" in out
+            assert err == "failing suites: rotary-reductions, encoder-oracle-agreement\n"
 
     # Each mutation keeps every map orthogonal, so norms and round trips
     # hold and only the comparison with the rotor oracles fails. The norm
@@ -103,10 +109,10 @@ class TestCheck:
         assert code == cli.EXIT_PROPERTY
         assert err == "failing suites: encoder-oracle-agreement\n"
         lines, clean_lines = out.split("\n"), clean.split("\n")
-        assert lines[9].startswith("FAIL encoder-oracle-agreement: encoder vs rotor oracle")
-        assert lines[10] == "9/10 suites passed (seed 0)"
+        assert lines[8].startswith("FAIL encoder-oracle-agreement: encoder vs rotor oracle")
+        assert lines[9] == "8/9 suites passed (seed 0)"
         moved = ("rotary-norm-preservation", "harness-equivariance")
-        for line, clean_line in zip(lines[:9], clean_lines[:9]):
+        for line, clean_line in zip(lines[:8], clean_lines[:8]):
             if mutation in self.DETAILS_MOVE and clean_line.split(":")[0][5:] in moved:
                 assert line.startswith("ok  ")
             else:
@@ -287,6 +293,35 @@ class TestEncode:
         assert err == "error: rotated values in batch row 0 overflow float32\n"
         assert out == ""
         assert out_path.read_bytes() == before
+
+    @pytest.mark.parametrize("tag", METHODS)
+    def test_angle_overflow_fails_before_writing(self, capsys, tmp_path, tag):
+        # an all-ones block: only coord_scale_x * p_x (1e300 * 1e10) overflows
+        src = tmp_path / "in.rten"
+        write_tensor(src, np.ones((1, 12, 24)))
+        cfg = self.write_cfg(
+            tmp_path,
+            f"method = {tag}\ngrid_h = 3\ngrid_w = 4\ncoord_scale_x = 1e300\norigin_x = 1e10\n",
+        )
+        out_path = tmp_path / "out.rten"
+        code, out, err = run(capsys, ["encode", str(src), "--config", cfg, "--output", str(out_path)])
+        assert code == cli.EXIT_CONFIG
+        assert err == (
+            "error: position angle overflows float64: coordinate scale times position "
+            "(scale_x 1e+300, scale_y 1.0) is not finite\n"
+        )
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_axis_overflow_is_named(self, capsys, tmp_path):
+        src, _ = self.setup_tensor(tmp_path)
+        cfg = self.write_cfg(tmp_path, "method = quatro\ngrid_h = 3\ngrid_w = 4\naxes_x = shared:1e200,0,0\n")
+        out_path = tmp_path / "out.rten"
+        code, out, err = run(capsys, ["encode", str(src), "--config", cfg, "--output", str(out_path)])
+        assert code == cli.EXIT_CONFIG
+        assert err == "config error: axes_x: the squared norm of a finite axis overflows float64\n"
+        assert out == ""
+        assert not out_path.exists()
 
     def test_per_band_axis_count_error_text(self, capsys, tmp_path):
         src, _ = self.setup_tensor(tmp_path)

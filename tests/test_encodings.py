@@ -98,6 +98,35 @@ class TestMethodConfigure:
         with pytest.raises(ValueError, match="not finite"):
             enc.unit_axis(np.array([0.0, bad, 1.0]))
 
+    @pytest.mark.parametrize("big", [1e155, -1e200, 1e308])
+    def test_axis_whose_square_overflows_is_named(self, big):
+        # finite components, but the squared norm overflows float64; a
+        # leaked numpy warning would fail this test (RuntimeWarning is an error)
+        with pytest.raises(ValueError, match="axes_x: the squared norm of a finite axis overflows"):
+            enc.AxisParams(np.array([[0.0, 0.0, 1.0], [big, 0.0, 0.0]]), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="rotation axis: the squared norm of a finite axis overflows"):
+            enc.unit_axis(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, big]]))
+        with pytest.raises(ValueError, match="axes_y: the squared norm"):
+            enc.EncodingMethod.configure("care", 16, axes_y=np.array([big, big, 0.0]))
+
+    def test_large_and_random_axes_keep_their_bits(self):
+        axes = np.concatenate([rng.standard_normal((50, 3)), [[1e154, 0.0, 0.0], [3e-8, 0.0, 0.0]]])
+        norm = np.sqrt(np.sum(axes * axes, axis=-1, keepdims=True))
+        assert enc.unit_axis(axes).tobytes() == (axes / norm).tobytes()
+        assert enc.AxisParams(axes, axes).unit_x().tobytes() == (axes / norm).tobytes()
+
+    @pytest.mark.parametrize("tag", ["rope1d", "mixed", "spherical", "quatro", "care"])
+    def test_position_angle_overflow_is_named(self, tag):
+        method = enc.EncodingMethod.configure(tag, 24, scale_x=1e300)
+        pos = enc.grid_positions(2, 2, origin=(1e10, 0.0))
+        with pytest.raises(ValueError, match="position angle overflows float64"):
+            enc.block_maps(method, pos)
+        with pytest.raises(ValueError, match="position angle overflows float64"):
+            enc.apply_encoding(enc.random_block(1, 24, pos, seed=0), method)
+        # the largest products that stay finite still build finite maps
+        fine = enc.EncodingMethod.configure(tag, 24, scale_x=1e298)
+        assert np.all(np.isfinite(enc.block_maps(fine, pos)))
+
     @pytest.mark.parametrize("tag", ["rope1d", "quatro"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_base_rejected(self, tag, bad):
@@ -165,6 +194,15 @@ class TestScalarOps:
     def test_rope1d_quarter_turn(self):
         out = enc.rope1d_rotate(np.array([1.0, 0.0]), 1.0, np.pi / 2)
         assert np.max(np.abs(out - [0.0, 1.0])) < 1e-15
+
+    def test_rope1d_scale_equals_prescaled_position(self):
+        v, p, theta = rng.standard_normal((5, 7, 2)), rng.uniform(-40, 40, (5, 7)), rng.uniform(0, 1, 7)
+        for sx in (1.3, 0.7, -2.5, 1e-3):
+            got = enc.rope1d_rotate(v, p, theta, sx)
+            assert got.tobytes() == enc.rope1d_rotate(v, sx * p, theta).tobytes()
+            assert got.tobytes() == enc.rope1d_apply(v, enc.position_angles(
+                np.stack([p, p], axis=-1), theta, sx, 1.0)[0]).tobytes()
+        assert enc.rope1d_rotate(v, p, theta).tobytes() == enc.rope1d_rotate(v, p, theta, 1.0).tobytes()
 
     def test_rope1d_zero_position_identity(self):
         v = rng.standard_normal(2)
