@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import (
-    METHOD_WIDTHS,
     EncodingMethod,
     TokenBlock,
     _read_only,
@@ -147,7 +146,7 @@ def commutator_norm(
         raise ValueError("band index out of range")
     p_a, p_b = _finite_position(p_a, "p_a"), _finite_position(p_b, "p_b")
     rotate = _band_rotation(method, band)
-    dirs = _unit_directions(METHOD_WIDTHS[method.tag], directions)
+    dirs = _unit_directions(method.width, directions)
     ab = rotate(p_a, rotate(p_b, dirs))
     ba = rotate(p_b, rotate(p_a, dirs))
     return float(np.max(np.abs(ab - ba)))

@@ -19,7 +19,7 @@ import numpy as np
 from . import cl3
 from .attention import commutator_norm, shift_invariance_gap
 from .encodings import (
-    METHOD_WIDTHS,
+    ROTATIONS,
     SPHERICAL_AXIS_X,
     SPHERICAL_AXIS_Y,
     EncodingMethod,
@@ -245,8 +245,9 @@ def _suite_rotary_norms(seed: int) -> str:
     worst_channel = 0.0
     worst_round = 0.0
     for tag, head_dim in (("rope1d", 10), ("mixed", 9), ("spherical", 10), ("quatro", 10), ("care", 17)):
-        axes_x = rng.standard_normal(3) if tag in ("mixed", "quatro", "care") else None
-        axes_y = rng.standard_normal(3) if tag in ("quatro", "care") else None
+        free_axes = ROTATIONS[tag].free_axes  # a shared axis_y defaults to axis_x
+        axes_x = rng.standard_normal(3) if free_axes else None
+        axes_y = rng.standard_normal(3) if free_axes == 2 else None
         method = EncodingMethod.configure(
             tag, head_dim, axes_x=axes_x, axes_y=axes_y, scale_x=1.2, scale_y=0.7
         )
@@ -330,13 +331,13 @@ def _suite_encoder_oracles(seed: int) -> str:
     }
     devs, worst_round, copied = {}, 0.0, True
     for tag, oracle in oracles.items():
-        width = METHOD_WIDTHS[tag]
+        width, free_axes = ROTATIONS[tag].width, ROTATIONS[tag].free_axes
         bands = head_dim // width
         body = bands * width
         axes_x = axes_y = None
-        if tag in ("mixed", "quatro", "care"):
+        if free_axes:
             axes_x = rng.standard_normal((bands, 3))
-            axes_y = axes_x if tag == "mixed" else rng.standard_normal((bands, 3))
+            axes_y = axes_x if free_axes == 1 else rng.standard_normal((bands, 3))
         method = EncodingMethod.configure(
             tag, head_dim, axes_x=axes_x, axes_y=axes_y, scale_x=sx, scale_y=sy
         )

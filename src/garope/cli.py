@@ -19,8 +19,8 @@ import numpy as np
 from . import bench as bench_mod
 from . import checks
 from .encodings import (
-    METHOD_WIDTHS,
     METHODS,
+    ROTATIONS,
     EncodingMethod,
     apply_maps,
     block_maps,
@@ -188,14 +188,15 @@ def cmd_encode(args) -> int:
 
 def _grad_cases(tag: str, rng: np.random.Generator, positions: np.ndarray, schedule, count: int):
     """``count`` random gradient samples, stacked: carriers, positions,
-    band angles and unit axes."""
+    band angles and unit axes (a shared-axis method's axis_y is its axis_x)."""
+    rotation = ROTATIONS[tag]
     cases = []
     for _ in range(count):
-        v = rng.standard_normal(METHOD_WIDTHS[tag])
+        v = rng.standard_normal(rotation.width)
         p = positions[rng.integers(0, positions.shape[0])]
         theta = float(schedule.band_angles[rng.integers(0, schedule.num_bands)])
         axis_x = unit_axis(rng.standard_normal(3))
-        axis_y = axis_x if tag == "mixed" else unit_axis(rng.standard_normal(3))
+        axis_y = axis_x if rotation.free_axes == 1 else unit_axis(rng.standard_normal(3))
         cases.append((v, p, theta, axis_x, axis_y))
     return tuple(np.array(column) for column in zip(*cases))
 

@@ -1,21 +1,25 @@
 """Positional encoding methods over 2D position grids.
 
-Five methods act on query/key sub-vectors, distinguished by carrier width:
+Five methods act on query/key sub-vectors, distinguished by carrier width
+and by how many free rotation axes they take:
 
-* ``rope1d``   - width 2, planar rotation by theta_i * p_x.
-* ``mixed``    - width 3, one shared rotation axis, angle
+* ``rope1d``   - width 2, no free axis: planar rotation by theta_i * p_x.
+* ``mixed``    - width 3, one axis shared by x and y, angle
   theta_i * (s_x p_x + s_y p_y); the two position coordinates commute.
-* ``spherical``- width 3, fixed-axis pair: an xy-plane rotation by the
+* ``spherical``- width 3, no free axis: an xy-plane rotation by the
   p_y angle applied first, then a yz-plane rotation by the p_x angle.
-* ``quatro``   - width 3, two learnable-axis quaternion rotors; the p_x
-  rotor is the outer one in the conjugation.
-* ``care``     - width 8, full Cl(3,0) multivector sub-vectors conjugated
-  by a composite rotor; here the p_y rotor is the outer one.
+* ``quatro``   - width 3, an x and a y axis: two quaternion rotors; the
+  p_x rotor is the outer one in the conjugation.
+* ``care``     - width 8, an x and a y axis: Cl(3,0) multivector
+  sub-vectors conjugated by a composite rotor, the p_y rotor outermost.
 
-Angles come from a per-band frequency schedule theta_i scaled by
-per-coordinate speed factors. The block path and the sampling tools go
-through one method table, ``ROTATIONS``: each method builds one
-orthogonal map per (token, band) and applies it to every batch row.
+Mixed and spherical are thus QuatRo with its axes tied or fixed. Angles
+come from a per-band frequency schedule theta_i scaled by per-coordinate
+speed factors; ``position_angles`` forms them and refuses any that
+overflow float64. One method table, ``ROTATIONS``, holds each method's
+width and axis rule (``METHODS`` and ``METHOD_WIDTHS`` are read off it)
+and how it builds one orthogonal map per (token, band), applied to
+every batch row.
 rope1d's map is a complex phase exp(i angle) (rank 0) that multiplies
 each 2-slot carrier read as one complex number; the 3x3 maps (rank 2)
 are applied with explicit multiply-adds. spherical, quatro and care
@@ -50,9 +54,6 @@ from .quaternion import (
     require_unit_axis,
     require_unit_norm,
 )
-
-METHODS = ("rope1d", "mixed", "spherical", "quatro", "care")
-METHOD_WIDTHS = {"rope1d": 2, "mixed": 3, "spherical": 3, "quatro": 3, "care": 8}
 
 AXIS_MIN_NORM = 1e-8  # raw learnable axes below this are degenerate
 
@@ -124,32 +125,31 @@ class FrequencySchedule:
 
 @dataclass(frozen=True)
 class AxisParams:
-    """Raw per-band rotation axes for the x and y position coordinates."""
+    """Raw per-band rotation axes for the x and y position coordinates,
+    and their unit axes ``unit_x``/``unit_y``, normalized once."""
 
     axes_x: np.ndarray  # (num_bands, 3)
     axes_y: np.ndarray
+    unit_x: np.ndarray = field(init=False, repr=False, compare=False)
+    unit_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("axes_x", "axes_y"):
+        for name, unit_name in (("axes_x", "unit_x"), ("axes_y", "unit_y")):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{name} must have shape (num_bands, 3)")
-            _axis_norms(arr, name, f"{name} contains a degenerate or non-finite axis")
+            norm = _axis_norms(arr, name, f"{name} contains a degenerate or non-finite axis")
             arr = arr.copy()
-            arr.flags.writeable = False
+            unit = arr / norm
+            arr.flags.writeable = unit.flags.writeable = False
             object.__setattr__(self, name, arr)
+            object.__setattr__(self, unit_name, unit)
         if self.axes_x.shape != self.axes_y.shape:
             raise ValueError("axes_x and axes_y must cover the same bands")
 
     @property
     def num_bands(self) -> int:
         return self.axes_x.shape[0]
-
-    def unit_x(self) -> np.ndarray:
-        return unit_axis(self.axes_x)
-
-    def unit_y(self) -> np.ndarray:
-        return unit_axis(self.axes_y)
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,8 @@ class EncodingMethod:
         for name, scale in (("scale_x", self.scale_x), ("scale_y", self.scale_y)):
             if not math.isfinite(scale):
                 raise ValueError(f"{name} must be finite, got {scale!r}")
-        if self.tag in ("rope1d", "spherical"):
+        free_axes = ROTATIONS[self.tag].free_axes
+        if not free_axes:
             if self.axes is not None:
                 raise ValueError(f"{self.tag} has fixed axes; remove the axis parameters")
             return
@@ -176,14 +177,12 @@ class EncodingMethod:
             raise ValueError(f"{self.tag} needs axis parameters")
         if self.axes.num_bands != self.schedule.num_bands:
             raise ValueError("axis bands do not match schedule bands")
-        if self.tag == "mixed":
-            ux, uy = self.axes.unit_x(), self.axes.unit_y()
-            if np.max(np.abs(ux - uy)) > 1e-9:
-                raise ValueError("mixed encoding needs one shared axis")
+        if free_axes == 1 and np.max(np.abs(self.axes.unit_x - self.axes.unit_y)) > 1e-9:
+            raise ValueError(f"{self.tag} encoding needs one shared axis")
 
     @property
     def width(self) -> int:
-        return METHOD_WIDTHS[self.tag]
+        return ROTATIONS[self.tag].width
 
     @classmethod
     def configure(
@@ -199,25 +198,26 @@ class EncodingMethod:
         """Build a method for a given head_dim, filling in default axes.
 
         Each axis is one 3-vector shared by every band or a (num_bands, 3)
-        list. Defaults: quatro/care use the spherical-equivalent fixed
-        pair, mixed shares the xy-plane axis (0, 0, 1) for both
-        coordinates. rope1d and spherical have no free axes, and the
-        constructor rejects explicit ones.
+        list. Defaults follow the method's axis rule in ``ROTATIONS``: a
+        two-axis method (quatro, care) gets the spherical-equivalent fixed
+        pair, a shared-axis method (mixed) the xy-plane axis (0, 0, 1) for
+        both coordinates. A fixed method (rope1d, spherical) has no free
+        axes, and the constructor rejects explicit ones.
         """
-        width = METHOD_WIDTHS[tag] if tag in METHODS else None
-        if width is None:
+        if tag not in METHODS:
             raise ValueError(f"unknown encoding method {tag!r}")
+        width, free_axes = ROTATIONS[tag].width, ROTATIONS[tag].free_axes
         num_bands = head_dim // width
         if num_bands < 1:
             raise ValueError(f"head_dim {head_dim} is below the {tag} sub-vector width {width}")
         schedule = FrequencySchedule.for_bands(num_bands, base)
         axes = None
-        if tag in ("mixed", "quatro", "care") or axes_x is not None or axes_y is not None:
+        if free_axes or axes_x is not None or axes_y is not None:
             if axes_x is None:
-                axes_x = SPHERICAL_AXIS_Y if tag == "mixed" else SPHERICAL_AXIS_X
+                axes_x = SPHERICAL_AXIS_Y if free_axes == 1 else SPHERICAL_AXIS_X
             axes_x = _per_band(axes_x, num_bands, "axes_x")
             if axes_y is None:
-                axes_y = axes_x if tag == "mixed" else SPHERICAL_AXIS_Y
+                axes_y = axes_x if free_axes == 1 else SPHERICAL_AXIS_Y
             axes = AxisParams(axes_x, _per_band(axes_y, num_bands, "axes_y"))
         return cls(tag=tag, schedule=schedule, axes=axes, scale_x=float(scale_x), scale_y=float(scale_y))
 
@@ -310,9 +310,18 @@ def position_angles(p, theta, scale_x: float, scale_y: float) -> tuple[np.ndarra
     """Resolved (angle_x, angle_y) = (theta (s_x p_x), theta (s_y p_y)) of
     (..., 2) positions at band angle(s) theta broadcasting against them.
     Each position is scaled first: the encoder, its oracles and ``grad``
-    all form angles here, so they agree to the last bit."""
+    all form angles here, so they agree to the last bit. Angles that
+    overflow float64 (a coordinate scale times a position beyond its
+    range) raise, naming the overflow."""
     p = np.asarray(p, dtype=np.float64)
-    return theta * (scale_x * p[..., 0]), theta * (scale_y * p[..., 1])
+    with np.errstate(over="ignore"):  # an overflow is named just below
+        angle_x, angle_y = theta * (scale_x * p[..., 0]), theta * (scale_y * p[..., 1])
+    if not (np.isfinite(angle_x).all() and np.isfinite(angle_y).all()):
+        raise ValueError(
+            "position angle overflows float64: coordinate scale times position "
+            f"(scale_x {scale_x!r}, scale_y {scale_y!r}) is not finite"
+        )
+    return angle_x, angle_y
 
 
 def rope1d_apply(v, angle) -> np.ndarray:
@@ -643,7 +652,8 @@ def _transpose(maps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Rotation:
-    """How one method builds its per-(token, band) maps and applies them.
+    """One method's width and axis rule, and how it builds its
+    per-(token, band) maps and applies them.
 
     ``build(angles_x, angles_y, unit_x, unit_y)`` takes resolved angles and
     unit axes that broadcast against them (axes carry a trailing 3) and
@@ -653,19 +663,23 @@ class Rotation:
     writes the rotated (..., width) carriers of src into dst.
     """
 
+    width: int  # carrier width
+    free_axes: int  # axis rule: 0 fixed, 1 one axis shared by x and y, 2 an x and a y axis
     build: Callable[..., np.ndarray]
     invert: Callable[[np.ndarray], np.ndarray]
     apply: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     map_rank: int  # leading component axes of the maps
 
 
-ROTATIONS = {
-    "rope1d": Rotation(_planar_maps, np.conjugate, _apply_planar, 0),
-    "mixed": Rotation(_mixed_maps, _transpose, _apply_3x3, 2),
-    "spherical": Rotation(_spherical_maps, _transpose, _apply_3x3, 2),
-    "quatro": Rotation(_quatro_maps, _transpose, _apply_3x3, 2),
-    "care": Rotation(_care_maps, _transpose, _apply_care, 2),
+ROTATIONS = {  # in the order METHODS lists and reports them
+    "rope1d": Rotation(2, 0, _planar_maps, np.conjugate, _apply_planar, 0),
+    "mixed": Rotation(3, 1, _mixed_maps, _transpose, _apply_3x3, 2),
+    "spherical": Rotation(3, 0, _spherical_maps, _transpose, _apply_3x3, 2),
+    "quatro": Rotation(3, 2, _quatro_maps, _transpose, _apply_3x3, 2),
+    "care": Rotation(8, 2, _care_maps, _transpose, _apply_care, 2),
 }
+METHODS = tuple(ROTATIONS)
+METHOD_WIDTHS = {tag: rotation.width for tag, rotation in ROTATIONS.items()}  # perfbench reads it
 
 
 def rotation_maps(tag: str, angles_x, angles_y, unit_x=None, unit_y=None) -> np.ndarray:
@@ -688,7 +702,7 @@ def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
     ``ROTATIONS[tag].invert(maps)``."""
     rotation = ROTATIONS[tag]
     v = np.asarray(v, dtype=np.float64)
-    width = METHOD_WIDTHS[tag]
+    width = rotation.width
     if v.shape[-1:] != (width,):
         raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
     lead = np.broadcast_shapes(maps.shape[rotation.map_rank :], v.shape[:-1])
@@ -701,13 +715,6 @@ def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
 # block application
 
 
-def _band_split(head_dim: int, width: int) -> tuple[int, int]:
-    bands = head_dim // width
-    if bands < 1:
-        raise ValueError(f"head_dim {head_dim} is below the sub-vector width {width}")
-    return bands, head_dim - bands * width
-
-
 def token_band_angles(method: EncodingMethod, positions) -> tuple[np.ndarray, np.ndarray]:
     """(angle_x, angle_y) of ``method`` for every (token, band) at
     (tokens, 2) positions, each of shape (tokens, bands)."""
@@ -718,17 +725,9 @@ def token_band_angles(method: EncodingMethod, positions) -> tuple[np.ndarray, np
 def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     """Maps of ``method`` for every (token, band) at (tokens, 2) positions,
     components first; ``rotate_rows`` applies them to any block at those
-    positions. Angles that overflow float64 (a coordinate scale times a
-    position beyond its range) raise, naming the overflow."""
-    axes = () if method.axes is None else (method.axes.unit_x(), method.axes.unit_y())
-    with np.errstate(over="ignore"):  # an overflow is named just below
-        angles = token_band_angles(method, positions)
-    if not (np.isfinite(angles[0]).all() and np.isfinite(angles[1]).all()):
-        raise ValueError(
-            "position angle overflows float64: coordinate scale times position "
-            f"(scale_x {method.scale_x!r}, scale_y {method.scale_y!r}) is not finite"
-        )
-    return rotation_maps(method.tag, *angles, *axes)
+    positions. Angles that overflow float64 raise (``position_angles``)."""
+    axes = () if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
+    return rotation_maps(method.tag, *token_band_angles(method, positions), *axes)
 
 
 def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -752,7 +751,9 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     if data.dtype not in (np.float32, np.float64):
         raise ValueError(f"block data must be float32 or float64, not {data.dtype}")
     batch, tokens, head_dim = data.shape
-    bands, remainder = _band_split(head_dim, method.width)
+    bands, remainder = divmod(head_dim, method.width)
+    if bands < 1:
+        raise ValueError(f"head_dim {head_dim} is below the sub-vector width {method.width}")
     if method.schedule.num_bands != bands:
         raise ValueError(
             f"schedule has {method.schedule.num_bands} bands, block needs {bands}"

@@ -105,7 +105,6 @@ class RunConfig:
     origin_y: float = 0.0
     axes_x: tuple | None = None  # one 3-tuple shared by every band, or k per band
     axes_y: tuple | None = None
-    source: str = field(default="<defaults>", compare=False)
     explicit_keys: frozenset = field(default=frozenset(), compare=False)
 
 
@@ -136,7 +135,7 @@ def _parse_axes(value: str, line: int) -> tuple:
     return vectors[0] if shared else tuple(vectors)
 
 
-def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
+def parse_run_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines; every error names its line number."""
     values: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -175,7 +174,7 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
             raise
         except ValueError:
             raise ConfigError(f"bad value {value!r} for {key!r}", lineno) from None
-    config = RunConfig(source=source, explicit_keys=frozenset(values), **values)
+    config = RunConfig(explicit_keys=frozenset(values), **values)
     _validate_config(config)
     return config
 
@@ -195,7 +194,7 @@ def _validate_config(config: RunConfig) -> None:
 
 def load_run_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_run_config(fh.read(), source=str(path))
+        return parse_run_config(fh.read())
 
 
 def config_positions(config: RunConfig) -> np.ndarray:

@@ -23,10 +23,6 @@ PURE_RESIDUE_TOL = 1e-12  # scalar residue allowed after a sandwich, then trunca
 _EVEN_MASKS = (0, 0b011, 0b110, 0b101)
 
 
-def quat(w: float, x: float, y: float, z: float) -> np.ndarray:
-    return np.array([w, x, y, z], dtype=np.float64)
-
-
 def hamilton_product(p, q) -> np.ndarray:
     """Hamilton product on (..., 4) arrays, broadcasting like numpy."""
     p = np.asarray(p, dtype=np.float64)

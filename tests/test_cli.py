@@ -192,6 +192,19 @@ class TestGrad:
         assert code == cli.EXIT_PROPERTY
         assert "gradient check failed" in err
 
+    def test_angle_overflow_is_named(self, capsys, tmp_path):
+        # encode's message, from the one angle formula; a leaked numpy
+        # warning would fail this test (RuntimeWarning is an error)
+        cfg = tmp_path / "g.conf"
+        cfg.write_text("coord_scale_x = 1e300\norigin_x = 1e10\n")
+        code, out, err = run(capsys, ["grad", "--config", str(cfg), "--seed", "0"])
+        assert code == cli.EXIT_CONFIG
+        assert err == (
+            "error: position angle overflows float64: coordinate scale times position "
+            "(scale_x 1e+300, scale_y 1.0) is not finite\n"
+        )
+        assert out == ""
+
 
 class TestEncode:
     def setup_tensor(self, tmp_path, shape=(2, 12, 9), dtype=np.float64, seed=0):

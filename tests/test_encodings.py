@@ -113,7 +113,10 @@ class TestMethodConfigure:
         axes = np.concatenate([rng.standard_normal((50, 3)), [[1e154, 0.0, 0.0], [3e-8, 0.0, 0.0]]])
         norm = np.sqrt(np.sum(axes * axes, axis=-1, keepdims=True))
         assert enc.unit_axis(axes).tobytes() == (axes / norm).tobytes()
-        assert enc.AxisParams(axes, axes).unit_x().tobytes() == (axes / norm).tobytes()
+        params = enc.AxisParams(axes, axes[::-1])
+        assert params.unit_x.tobytes() == enc.unit_axis(axes).tobytes()
+        assert params.unit_y.tobytes() == enc.unit_axis(axes[::-1]).tobytes()
+        assert not (params.unit_x.flags.writeable or params.unit_y.flags.writeable)
 
     @pytest.mark.parametrize("tag", ["rope1d", "mixed", "spherical", "quatro", "care"])
     def test_position_angle_overflow_is_named(self, tag):
@@ -126,6 +129,24 @@ class TestMethodConfigure:
         # the largest products that stay finite still build finite maps
         fine = enc.EncodingMethod.configure(tag, 24, scale_x=1e298)
         assert np.all(np.isfinite(enc.block_maps(fine, pos)))
+
+    def test_oracles_and_gradient_share_the_angle_overflow_check(self):
+        # position_angles is the one angle formula: the rotor oracles and
+        # rotation_gradient refuse the overflow with block_maps' message
+        # (a leaked numpy warning would fail this test)
+        p, theta, axis = np.array([1e10, 0.0]), 1.0, np.array([0.0, 0.0, 1.0])
+        message = r"^position angle overflows float64: .*\(scale_x 1e\+300, scale_y 1.0\) is not finite$"
+        calls = [
+            lambda: enc.position_angles(p, theta, 1e300, 1.0),
+            lambda: enc.mixed_rotate(np.ones(3), p, axis, theta, 1e300),
+            lambda: enc.spherical_rotate(np.ones(3), p, theta, 1e300),
+            lambda: enc.quatro_rotate(np.ones(3), p, axis, axis, theta, 1e300),
+            lambda: enc.care_rotate(np.ones(8), p, axis, axis, theta, 1e300),
+            lambda: enc.rotation_gradient("care", np.ones(8), p, theta, "angle_y", axis, axis, 1e300),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
     @pytest.mark.parametrize("tag", ["rope1d", "quatro"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -157,6 +178,38 @@ class TestMethodConfigure:
     def test_per_band_axes_shape_enforced(self):
         with pytest.raises(ValueError):
             enc.EncodingMethod.configure("quatro", 9, axes_x=rng.standard_normal((2, 3)))
+
+
+class TestMethodTable:
+    """ROTATIONS holds each method's width and axis rule; the rest reads them."""
+
+    def test_methods_and_axis_rules_follow_the_table(self):
+        assert enc.METHODS == ("rope1d", "mixed", "spherical", "quatro", "care")
+        rules = {tag: rotation.free_axes for tag, rotation in enc.ROTATIONS.items()}
+        assert rules == {"rope1d": 0, "mixed": 1, "spherical": 0, "quatro": 2, "care": 2}
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_width_is_the_tables(self, tag):
+        assert enc.METHOD_WIDTHS[tag] == enc.ROTATIONS[tag].width
+        assert enc.EncodingMethod.configure(tag, 24).width == enc.ROTATIONS[tag].width
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_configure_follows_the_axis_rule(self, tag):
+        x, y = np.array([1.0, 2.0, 0.5]), np.array([-0.3, 0.9, 1.1])
+        free_axes = enc.ROTATIONS[tag].free_axes
+        if free_axes == 0:
+            assert enc.EncodingMethod.configure(tag, 24).axes is None
+            with pytest.raises(ValueError, match=f"^{tag} has fixed axes"):
+                enc.EncodingMethod.configure(tag, 24, axes_x=x)
+        elif free_axes == 1:
+            axes = enc.EncodingMethod.configure(tag, 24, axes_x=x).axes
+            assert np.array_equal(axes.axes_y, axes.axes_x)
+            with pytest.raises(ValueError, match=f"^{tag} encoding needs one shared axis$"):
+                enc.EncodingMethod.configure(tag, 24, axes_x=x, axes_y=y)
+        else:
+            axes = enc.EncodingMethod.configure(tag, 24, axes_x=x, axes_y=y).axes
+            assert np.array_equal(axes.unit_x[0], enc.unit_axis(x))
+            assert np.array_equal(axes.unit_y[0], enc.unit_axis(y))
 
 
 class TestTokenBlock:
@@ -717,7 +770,7 @@ class TestAngleFormula:
 
     def test_rotate_oracle_turns_by_the_encoder_angles(self):
         method = self.method()
-        ux, uy = method.axes.unit_x()[0], method.axes.unit_y()[0]
+        ux, uy = method.axes.unit_x[0], method.axes.unit_y[0]
         ax, ay = enc.token_band_angles(method, self.POS)
         v = rng.standard_normal((len(self.POS), 3))
         got = enc.quatro_rotate(

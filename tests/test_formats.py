@@ -250,7 +250,6 @@ class TestConfigParsing:
         path.write_text("method = mixed\nhead_dim = 9\naxes_x = shared:0,1,0\n")
         config = load_run_config(path)
         assert config.method == "mixed"
-        assert config.source == str(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -8,7 +8,6 @@ from garope.quaternion import (
     conjugate,
     even_cl3_coeffs,
     hamilton_product,
-    quat,
     quat_rotor,
     quat_sandwich,
     quat_to_rotation_matrix,
@@ -16,8 +15,8 @@ from garope.quaternion import (
 
 rng = np.random.default_rng(77)
 
-I, J, K = quat(0, 1, 0, 0), quat(0, 0, 1, 0), quat(0, 0, 0, 1)
-ONE = quat(1, 0, 0, 0)
+I, J, K = np.array([0.0, 1, 0, 0]), np.array([0.0, 0, 1, 0]), np.array([0.0, 0, 0, 1])
+ONE = np.array([1.0, 0, 0, 0])
 
 
 class TestHamiltonProduct:
@@ -129,7 +128,7 @@ class TestSandwich:
 
     def test_rejects_non_unit_rotor(self):
         with pytest.raises(ValueError):
-            quat_sandwich(quat(1.0, 1.0, 0.0, 0.0), np.array([1.0, 0.0, 0.0]))
+            quat_sandwich(np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 class TestRotationMatrix:
@@ -151,7 +150,7 @@ ALG = Algebra(3)
 
 class TestIsomorphism:
     def test_embedding_places_coefficients(self):
-        coeffs = even_cl3_coeffs(quat(2.0, 3.0, 5.0, 7.0))
+        coeffs = even_cl3_coeffs(np.array([2.0, 3.0, 5.0, 7.0]))
         assert coeffs[0] == 2.0
         assert coeffs[0b011] == 3.0  # e12
         assert coeffs[0b110] == 5.0  # e23
