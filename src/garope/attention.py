@@ -23,7 +23,7 @@ from .encodings import (
     rotate_rows,
 )
 
-MIN_DIRECTIONS = 100
+DIRECTIONS = 128  # unit directions commutator_norm probes on a band
 # Q K^T is formed in query-row chunks of at most this many multiply-adds
 # per matrix product. OpenBLAS runs products this small on the calling
 # thread; larger ones wake its worker threads, and on a 2-vCPU VM such
@@ -98,20 +98,18 @@ def shift_invariance_gap(method: EncodingMethod, block: TokenBlock, shift) -> fl
     return float(np.max(np.abs(base - moved)))
 
 
-def _unit_directions(width: int, count: int) -> np.ndarray:
-    """Deterministic unit-sphere sample: circle / Fibonacci sphere / seeded."""
-    if count < MIN_DIRECTIONS:
-        raise ValueError(f"need at least {MIN_DIRECTIONS} directions")
+def _unit_directions(width: int) -> np.ndarray:
+    """DIRECTIONS deterministic unit vectors: circle / Fibonacci sphere / seeded."""
     if width == 2:
-        ang = 2.0 * np.pi * np.arange(count) / count
+        ang = 2.0 * np.pi * np.arange(DIRECTIONS) / DIRECTIONS
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     if width == 3:
-        i = np.arange(count, dtype=np.float64)
-        z = 1.0 - 2.0 * (i + 0.5) / count
+        i = np.arange(DIRECTIONS, dtype=np.float64)
+        z = 1.0 - 2.0 * (i + 0.5) / DIRECTIONS
         r = np.sqrt(1.0 - z * z)
         phi = i * np.pi * (3.0 - np.sqrt(5.0))  # golden angle
         return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-    pts = np.random.default_rng(_DIRECTION_SEED).standard_normal((count, width))
+    pts = np.random.default_rng(_DIRECTION_SEED).standard_normal((DIRECTIONS, width))
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
 
@@ -132,21 +130,19 @@ def _finite_position(p, name: str) -> np.ndarray:
     return p
 
 
-def commutator_norm(
-    method: EncodingMethod, p_a, p_b, band: int = 0, directions: int = 128
-) -> float:
+def commutator_norm(method: EncodingMethod, p_a, p_b, band: int = 0) -> float:
     """Operator gap ||R(p_a) R(p_b) - R(p_b) R(p_a)|| on one band.
 
     Measured as the max output difference between the two application
-    orders over >= 100 deterministic unit directions of the carrier space.
-    Zero iff the band's rotations at the two positions commute (always
-    true for rope1d/mixed, generically false otherwise).
+    orders over DIRECTIONS (128) deterministic unit directions of the
+    carrier space. Zero iff the band's rotations at the two positions
+    commute (always true for rope1d/mixed, generically false otherwise).
     """
     if not 0 <= band < method.schedule.num_bands:
         raise ValueError("band index out of range")
     p_a, p_b = _finite_position(p_a, "p_a"), _finite_position(p_b, "p_b")
     rotate = _band_rotation(method, band)
-    dirs = _unit_directions(method.width, directions)
+    dirs = _unit_directions(method.width)
     ab = rotate(p_a, rotate(p_b, dirs))
     ba = rotate(p_b, rotate(p_a, dirs))
     return float(np.max(np.abs(ab - ba)))

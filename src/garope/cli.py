@@ -19,6 +19,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import checks
 from .encodings import (
+    CARE_INVARIANT_SLOTS,
     METHODS,
     ROTATIONS,
     EncodingMethod,
@@ -257,8 +258,8 @@ def cmd_grad(args) -> int:
     for coordinate in ("angle_x", "angle_y"):
         g = _grad_analytic("care", cases, coordinate, scales)
         fd = _grad_fd("care", cases, coordinate, scales, 1e-5)
-        chan_worst = max(chan_worst, float(np.max(np.abs(g[:, [0, 7]]))))
-        chan_worst = max(chan_worst, float(np.max(np.abs(fd[:, [0, 7]]))))
+        chan_worst = max(chan_worst, float(np.max(np.abs(g[:, CARE_INVARIANT_SLOTS]))))
+        chan_worst = max(chan_worst, float(np.max(np.abs(fd[:, CARE_INVARIANT_SLOTS]))))
     chan_ok = chan_worst <= GRAD_CHANNEL_TOL
     all_ok &= chan_ok
     lines.append(

@@ -34,7 +34,8 @@ queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype.
 The single sub-vector ``*_rotate`` functions (grid positions) and
 ``*_apply`` variants (resolved angles) compute the same rotations
-independently, through rotors, and serve as its oracles; they and
+independently, through rotors, and serve as its oracles; ``ORACLES``
+lists them at resolved angles, called like the map builders. They and
 ``rotation_gradient`` broadcast over leading sample axes.
 """
 
@@ -310,17 +311,20 @@ def position_angles(p, theta, scale_x: float, scale_y: float) -> tuple[np.ndarra
     """Resolved (angle_x, angle_y) = (theta (s_x p_x), theta (s_y p_y)) of
     (..., 2) positions at band angle(s) theta broadcasting against them.
     Each position is scaled first: the encoder, its oracles and ``grad``
-    all form angles here, so they agree to the last bit. Angles that
-    overflow float64 (a coordinate scale times a position beyond its
-    range) raise, naming the overflow."""
+    all form angles here, so they agree to the last bit. A non-finite
+    angle raises: named as not finite when a position, band angle or
+    scale is, and otherwise as an overflow (a coordinate scale times a
+    position beyond float64's range)."""
     p = np.asarray(p, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflow is named just below
+    with np.errstate(over="ignore", invalid="ignore"):  # named just below
         angle_x, angle_y = theta * (scale_x * p[..., 0]), theta * (scale_y * p[..., 1])
     if not (np.isfinite(angle_x).all() and np.isfinite(angle_y).all()):
-        raise ValueError(
-            "position angle overflows float64: coordinate scale times position "
-            f"(scale_x {scale_x!r}, scale_y {scale_y!r}) is not finite"
+        what = (
+            "overflows float64: coordinate scale times position"
+            if all(np.isfinite(x).all() for x in (p, theta, scale_x, scale_y))
+            else "is not finite: a position, band angle or coordinate scale"
         )
+        raise ValueError(f"position angle {what} (scale_x {scale_x!r}, scale_y {scale_y!r}) is not finite")
     return angle_x, angle_y
 
 
@@ -332,7 +336,9 @@ def rope1d_apply(v, angle) -> np.ndarray:
 
 def rope1d_rotate(v, p, theta, scale_x: float = 1.0) -> np.ndarray:
     """Planar rotation of a 2-vector by theta (s_x p), p being p_x alone."""
-    return rope1d_apply(v, theta * (scale_x * np.asarray(p, dtype=np.float64)))
+    p = np.asarray(p, dtype=np.float64)
+    angle, _ = position_angles(np.stack([p, np.zeros_like(p)], axis=-1), theta, scale_x, 1.0)
+    return rope1d_apply(v, angle)
 
 
 def _rot_xy(angle) -> np.ndarray:
@@ -440,6 +446,19 @@ def care_rotate(
     every grade's norm is preserved."""
     ax, ay = position_angles(p, theta, scale_x, scale_y)
     return care_apply(m, ax, ay, axis_x, axis_y)
+
+
+# Each method's rotor oracle at resolved angles, in METHODS order, called
+# like the map builders: (v, angle_x, angle_y, axis_x, axis_y), raw axes
+# (fixed methods ignore them, mixed reads axis_x). Apart from ROTATIONS, so
+# the oracles stay independent of the maps.
+ORACLES: dict[str, Callable[..., np.ndarray]] = {
+    "rope1d": lambda v, angle_x, angle_y, axis_x, axis_y: rope1d_apply(v, angle_x),
+    "mixed": lambda v, angle_x, angle_y, axis_x, axis_y: mixed_apply(v, angle_x + angle_y, axis_x),
+    "spherical": lambda v, angle_x, angle_y, axis_x, axis_y: spherical_apply(v, angle_x, angle_y),
+    "quatro": quatro_apply,
+    "care": care_apply,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,20 @@ import time
 
 import numpy as np
 
-from garope import bench, checks, cl3, cli, fixtures
+from garope import bench, checks, cl3, cli
 from garope.attention import shift_invariance_gap
 from garope.encodings import (
     METHOD_WIDTHS,
     METHODS,
+    ORACLES,
+    ROTATIONS,
     EncodingMethod,
     TokenBlock,
     apply_encoding,
-    care_apply,
     grid_positions,
-    mixed_apply,
     mv8_rotor,
-    quatro_apply,
     random_block,
-    rope1d_apply,
     rotation_gradient,
-    spherical_apply,
     unit_axis,
 )
 from garope.formats import read_tensor, write_tensor
@@ -42,19 +39,6 @@ def _verdict(label: str, ok: bool, detail: str) -> None:
 def _oracle_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     alg = Algebra(3)
     return _ORIENT * alg.gp(a * _ORIENT, b * _ORIENT)
-
-
-def _rotor_oracle(tag, v, ax, ay, ux, uy):
-    """The single-sub-vector ``*_apply`` rotation of ``tag`` at resolved angles."""
-    if tag == "rope1d":
-        return rope1d_apply(v, ax)
-    if tag == "mixed":
-        return mixed_apply(v, ax + ay, ux)
-    if tag == "spherical":
-        return spherical_apply(v, ax, ay)
-    if tag == "quatro":
-        return quatro_apply(v, ax, ay, ux, uy)
-    return care_apply(v, ax, ay, ux, uy)
 
 
 def test_quaternion_cl3_product_homomorphism():
@@ -165,7 +149,7 @@ def test_shift_equivariance_dichotomy():
     mixed_gap = max(
         shift_invariance_gap(method, block, shift) for shift in rng.uniform(-10, 10, (100, 2))
     )
-    witness_gaps = [fixtures.evaluate_witness(w) for w in fixtures.WITNESSES]
+    witness_gaps = checks.witness_gaps()
     ok = mixed_gap <= 1e-8 and all(g > 1e-3 for g in witness_gaps)
     _verdict(
         "mixed scores are shift-invariant; spherical/quatro witnesses are not",
@@ -210,7 +194,7 @@ def test_analytic_gradients_match_finite_differences():
 
     def fd(tag, v, ax, ay, ux, uy, coordinate):
         def f(dx, dy):
-            return _rotor_oracle(tag, v, ax + dx, ay + dy, ux, uy)
+            return ORACLES[tag](v, ax + dx, ay + dy, ux, uy)
 
         if coordinate == "angle_x":
             return (f(h, 0.0) - f(-h, 0.0)) / (2.0 * h)
@@ -225,7 +209,7 @@ def test_analytic_gradients_match_finite_differences():
                 p = positions[rng.integers(0, positions.shape[0])]
                 theta = float(schedule.band_angles[rng.integers(0, schedule.num_bands)])
                 ux = unit_axis(rng.standard_normal(3))
-                uy = ux if tag == "mixed" else unit_axis(rng.standard_normal(3))
+                uy = ux if ROTATIONS[tag].free_axes == 1 else unit_axis(rng.standard_normal(3))
                 g = rotation_gradient(tag, v, p, theta, coordinate, axis_x=ux, axis_y=uy)
                 ref = fd(tag, v, theta * p[0], theta * p[1], ux, uy, coordinate)
                 rel = float(np.max(np.abs(g - ref))) / max(1.0, float(np.max(np.abs(ref))))
@@ -246,7 +230,7 @@ def test_shipped_encoder_matches_rotor_oracles():
         for seed in (0, 1, 7, 12345)
     )
     # one more configuration, independent of the suite's: other scales,
-    # origin and head_dims, and the *_apply oracles at resolved angles
+    # origin and head_dims, and the rotor oracles at resolved angles
     rng = np.random.default_rng(106)
     positions = grid_positions(5, 6, origin=(-1.5, 2.25))
     scale_x, scale_y = 0.6, 1.9
@@ -256,10 +240,11 @@ def test_shipped_encoder_matches_rotor_oracles():
         width = METHOD_WIDTHS[tag]
         bands = 4
         head_dim = bands * width + width - 1  # the most pass-through dims
+        free_axes = ROTATIONS[tag].free_axes
         axes_x = axes_y = None
-        if tag in ("mixed", "quatro", "care"):
+        if free_axes:
             axes_x = rng.standard_normal((bands, 3))
-            axes_y = axes_x if tag == "mixed" else rng.standard_normal((bands, 3))
+            axes_y = axes_x if free_axes == 1 else rng.standard_normal((bands, 3))
         method = EncodingMethod.configure(
             tag, head_dim, axes_x=axes_x, axes_y=axes_y, scale_x=scale_x, scale_y=scale_y
         )
@@ -273,7 +258,7 @@ def test_shipped_encoder_matches_rotor_oracles():
         uy = None if axes_y is None else unit_axis(axes_y)
         sub_in = block.data[:, :, : bands * width].reshape(3, -1, bands, width)
         sub_out = out.data[:, :, : bands * width].reshape(3, -1, bands, width)
-        expected = _rotor_oracle(tag, sub_in, ax, ay, ux, uy)
+        expected = ORACLES[tag](sub_in, ax, ay, ux, uy)
         worst = max(worst, float(np.max(np.abs(sub_out - expected))))
         worst_round = max(worst_round, float(np.max(np.abs(back.data - block.data))))
         copied &= bool(np.array_equal(out.data[..., bands * width :], block.data[..., bands * width :]))

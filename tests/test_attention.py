@@ -5,7 +5,7 @@ import pytest
 
 from garope import attention as att
 from garope import encodings as enc
-from garope import fixtures
+from garope import checks
 from garope.encodings import EncodingMethod, TokenBlock, apply_encoding, grid_positions, random_block
 
 rng = np.random.default_rng(8128)
@@ -80,8 +80,9 @@ class TestScoreMatrixReference:
     def method(self, tag, head_dim, seed):
         axes_rng = np.random.default_rng(seed)
         bands = head_dim // enc.METHOD_WIDTHS[tag]
-        axes_x = axes_rng.standard_normal((bands, 3)) if tag in ("mixed", "quatro", "care") else None
-        axes_y = axes_rng.standard_normal((bands, 3)) if tag in ("quatro", "care") else None
+        free_axes = enc.ROTATIONS[tag].free_axes
+        axes_x = axes_rng.standard_normal((bands, 3)) if free_axes else None
+        axes_y = axes_rng.standard_normal((bands, 3)) if free_axes == 2 else None
         return EncodingMethod.configure(tag, head_dim, axes_x=axes_x, axes_y=axes_y, scale_x=1.2)
 
     @pytest.mark.parametrize("tag", enc.METHODS)
@@ -174,25 +175,19 @@ class TestShiftInvariance:
 
 class TestWitnesses:
     def test_frozen_witnesses_clear_the_floor(self):
-        for fixture in fixtures.WITNESSES:
-            gap = fixtures.evaluate_witness(fixture)
-            assert gap > fixtures.WITNESS_GAP_FLOOR
-            assert gap >= fixture.expected_gap
+        spherical, quatro = checks.witness_gaps()
+        for gap, lower in ((spherical, 1.68), (quatro, 2.50)):
+            assert gap > checks.WITNESS_GAP_FLOOR
+            assert gap >= lower
 
     def test_spherical_witness_value_pinned(self):
-        assert fixtures.evaluate_witness(fixtures.SPHERICAL_WITNESS) == pytest.approx(
-            1.684, abs=5e-3
-        )
+        assert checks.witness_gaps()[0] == pytest.approx(1.684, abs=5e-3)
 
     def test_quatro_witness_value_pinned(self):
-        assert fixtures.evaluate_witness(fixtures.QUATRO_WITNESS) == pytest.approx(
-            2.509, abs=5e-3
-        )
+        assert checks.witness_gaps()[1] == pytest.approx(2.509, abs=5e-3)
 
     def test_witness_is_deterministic(self):
-        a = fixtures.evaluate_witness(fixtures.SPHERICAL_WITNESS)
-        b = fixtures.evaluate_witness(fixtures.SPHERICAL_WITNESS)
-        assert a == b
+        assert checks.witness_gaps() == checks.witness_gaps()
 
 
 class TestCommutatorNorm:
@@ -247,11 +242,6 @@ class TestCommutatorNorm:
         g0 = att.commutator_norm(method, PA, PB, band=0)
         g1 = att.commutator_norm(method, PA, PB, band=1)
         assert g1 < g0
-
-    def test_direction_count_floor(self):
-        method = EncodingMethod.configure("spherical", 6)
-        with pytest.raises(ValueError):
-            att.commutator_norm(method, PA, PB, directions=99)
 
     def test_band_range_checked(self):
         method = EncodingMethod.configure("spherical", 6)

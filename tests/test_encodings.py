@@ -18,6 +18,15 @@ def unit3():
     return v / np.linalg.norm(v)
 
 
+def draw_axes(tag):
+    """Raw (axes_x, axes_y) by the method's axis rule; None where the
+    method takes no axis, or where mixed's axis_y defaults to axis_x."""
+    free_axes = enc.ROTATIONS[tag].free_axes
+    axes_x = rng.standard_normal(3) if free_axes else None
+    axes_y = rng.standard_normal(3) if free_axes == 2 else None
+    return axes_x, axes_y
+
+
 class TestFrequencySchedule:
     def test_first_band_is_one(self):
         s = enc.FrequencySchedule.for_bands(21)
@@ -138,6 +147,7 @@ class TestMethodConfigure:
         message = r"^position angle overflows float64: .*\(scale_x 1e\+300, scale_y 1.0\) is not finite$"
         calls = [
             lambda: enc.position_angles(p, theta, 1e300, 1.0),
+            lambda: enc.rope1d_rotate(np.ones(2), p[0], theta, 1e300),
             lambda: enc.mixed_rotate(np.ones(3), p, axis, theta, 1e300),
             lambda: enc.spherical_rotate(np.ones(3), p, theta, 1e300),
             lambda: enc.quatro_rotate(np.ones(3), p, axis, axis, theta, 1e300),
@@ -146,6 +156,25 @@ class TestMethodConfigure:
         ]
         for call in calls:
             with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_non_finite_input_angle_is_named_not_finite(self):
+        # a NaN or infinite position, band angle or scale is not an overflow
+        # (a leaked numpy warning, as from 0 * inf, would fail this test)
+        message = (
+            r"^position angle is not finite: a position, band angle or coordinate scale "
+            r"\(scale_x {}, scale_y 1.0\) is not finite$"
+        )
+        nan_p, axis = np.array([np.nan, 0.0]), np.array([0.0, 0.0, 1.0])
+        calls = [
+            (lambda: enc.block_maps(enc.EncodingMethod.configure("rope1d", 4), [nan_p]), "1.0"),
+            (lambda: enc.quatro_rotate(np.ones(3), nan_p, axis, axis, 1.0), "1.0"),
+            (lambda: enc.position_angles(np.array([0.0, 1.0]), np.inf, 1.0, 1.0), "1.0"),
+            (lambda: enc.position_angles(np.array([np.inf, 1.0]), 1.0, 0.0, 1.0), "0.0"),
+            (lambda: enc.rope1d_rotate(np.ones(2), 1.0, 1.0, np.nan), "nan"),
+        ]
+        for call, scale_x in calls:
+            with pytest.raises(ValueError, match=message.format(scale_x)):
                 call()
 
     @pytest.mark.parametrize("tag", ["rope1d", "quatro"])
@@ -212,6 +241,32 @@ class TestMethodTable:
             assert np.array_equal(axes.unit_y[0], enc.unit_axis(y))
 
 
+class TestOracleTable:
+    """ORACLES: each method's rotor oracle at resolved angles, in METHODS
+    order, equal to its ``*_rotate`` oracle at ``position_angles``' angles."""
+
+    def test_lists_the_methods_in_order(self):
+        assert tuple(enc.ORACLES) == enc.METHODS
+
+    @pytest.mark.parametrize(
+        "tag,rotate",
+        [
+            ("rope1d", lambda v, p, theta, ux, uy: enc.rope1d_rotate(v, p[..., 0], theta, 1.3)),
+            ("mixed", lambda v, p, theta, ux, uy: enc.mixed_rotate(v, p, ux, theta, 1.3, 0.7)),
+            ("spherical", lambda v, p, theta, ux, uy: enc.spherical_rotate(v, p, theta, 1.3, 0.7)),
+            ("quatro", lambda v, p, theta, ux, uy: enc.quatro_rotate(v, p, ux, uy, theta, 1.3, 0.7)),
+            ("care", lambda v, p, theta, ux, uy: enc.care_rotate(v, p, ux, uy, theta, 1.3, 0.7)),
+        ],
+    )
+    def test_entry_equals_its_rotate_oracle(self, tag, rotate):
+        pos = enc.grid_positions(3, 4, origin=(0.5, -2.0))[:, None, :]  # (tokens, 1, 2)
+        theta = enc.FrequencySchedule.for_bands(5).band_angles
+        ux, uy = rng.standard_normal((2, 5, 3))  # raw per-band axes
+        v = rng.standard_normal((2, 12, 5, enc.ROTATIONS[tag].width))
+        got = enc.ORACLES[tag](v, *enc.position_angles(pos, theta, 1.3, 0.7), ux, uy)
+        assert got.tobytes() == rotate(v, pos, theta, ux, uy).tobytes()
+
+
 class TestTokenBlock:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -253,6 +308,7 @@ class TestScalarOps:
         for sx in (1.3, 0.7, -2.5, 1e-3):
             got = enc.rope1d_rotate(v, p, theta, sx)
             assert got.tobytes() == enc.rope1d_rotate(v, sx * p, theta).tobytes()
+            assert got.tobytes() == enc.rope1d_apply(v, theta * (sx * p)).tobytes()
             assert got.tobytes() == enc.rope1d_apply(v, enc.position_angles(
                 np.stack([p, p], axis=-1), theta, sx, 1.0)[0]).tobytes()
         assert enc.rope1d_rotate(v, p, theta).tobytes() == enc.rope1d_rotate(v, p, theta, 1.0).tobytes()
@@ -433,8 +489,7 @@ class TestApplyEncoding:
         [("rope1d", 9, 1), ("mixed", 8, 2), ("spherical", 9, 0), ("quatro", 10, 1), ("care", 17, 1)],
     )
     def test_block_matches_scalar_ops(self, tag, head_dim, remainder):
-        axes_x = rng.standard_normal(3) if tag in ("mixed", "quatro", "care") else None
-        axes_y = rng.standard_normal(3) if tag in ("quatro", "care") else None
+        axes_x, axes_y = draw_axes(tag)
         method = enc.EncodingMethod.configure(
             tag, head_dim, base=50.0, axes_x=axes_x, axes_y=axes_y, scale_x=1.1, scale_y=0.6
         )
@@ -447,18 +502,9 @@ class TestApplyEncoding:
             for band in range(nb):
                 theta = float(method.schedule.band_angles[band])
                 seg = slice(band * w, (band + 1) * w)
+                angles = enc.position_angles(p, theta, 1.1, 0.6)
                 for c in range(block.batch):
-                    v = block.data[c, t, seg]
-                    if tag == "rope1d":
-                        ref = enc.rope1d_rotate(v, method.scale_x * p[0], theta)
-                    elif tag == "mixed":
-                        ref = enc.mixed_rotate(v, p, axes_x, theta, 1.1, 0.6)
-                    elif tag == "spherical":
-                        ref = enc.spherical_rotate(v, p, theta, 1.1, 0.6)
-                    elif tag == "quatro":
-                        ref = enc.quatro_rotate(v, p, axes_x, axes_y, theta, 1.1, 0.6)
-                    else:
-                        ref = enc.care_rotate(v, p, axes_x, axes_y, theta, 1.1, 0.6)
+                    ref = enc.ORACLES[tag](block.data[c, t, seg], *angles, axes_x, axes_y)
                     assert np.max(np.abs(out.data[c, t, seg] - ref)) < 1e-12
         if remainder:
             tail = slice(nb * w, None)
@@ -475,8 +521,7 @@ class TestApplyEncoding:
     @pytest.mark.parametrize("tag", enc.METHODS)
     def test_inverse_round_trip(self, tag):
         head_dim = 17
-        axes_x = rng.standard_normal(3) if tag in ("mixed", "quatro", "care") else None
-        axes_y = rng.standard_normal(3) if tag in ("quatro", "care") else None
+        axes_x, axes_y = draw_axes(tag)
         method = enc.EncodingMethod.configure(tag, head_dim, axes_x=axes_x, axes_y=axes_y)
         block = enc.random_block(2, head_dim, self.POS, seed=21)
         out = enc.apply_encoding(block, method)
@@ -526,8 +571,7 @@ class TestRotateRows:
     POS = enc.grid_positions(3, 4, origin=(7.0, -3.0))
 
     def configure(self, tag, head_dim):
-        axes_x = rng.standard_normal(3) if tag in ("mixed", "quatro", "care") else None
-        axes_y = rng.standard_normal(3) if tag in ("quatro", "care") else None
+        axes_x, axes_y = draw_axes(tag)
         return enc.EncodingMethod.configure(tag, head_dim, axes_x=axes_x, axes_y=axes_y)
 
     @pytest.mark.parametrize("tag", enc.METHODS)
@@ -619,19 +663,11 @@ class TestRotateRows:
 
 
 def _rotate_one(method, v, p, band):
-    """One sub-vector through the single-sub-vector ``*_rotate`` oracle."""
+    """One sub-vector through its rotor oracle, at the encoder's angles."""
     theta = float(method.schedule.band_angles[band])
-    sx, sy = method.scale_x, method.scale_y
-    if method.tag == "rope1d":
-        return enc.rope1d_rotate(v, sx * p[0], theta)
-    if method.tag == "spherical":
-        return enc.spherical_rotate(v, p, theta, sx, sy)
-    ax, ay = method.axes.axes_x[band], method.axes.axes_y[band]
-    if method.tag == "mixed":
-        return enc.mixed_rotate(v, p, ax, theta, sx, sy)
-    if method.tag == "quatro":
-        return enc.quatro_rotate(v, p, ax, ay, theta, sx, sy)
-    return enc.care_rotate(v, p, ax, ay, theta, sx, sy)
+    angles = enc.position_angles(p, theta, method.scale_x, method.scale_y)
+    axes = (None, None) if method.axes is None else (method.axes.axes_x[band], method.axes.axes_y[band])
+    return enc.ORACLES[method.tag](v, *angles, *axes)
 
 
 class TestRotationMaps:
@@ -640,8 +676,7 @@ class TestRotationMaps:
     POS = enc.grid_positions(3, 4)
 
     def configure(self, tag, head_dim):
-        axes_x = rng.standard_normal(3) if tag in ("mixed", "quatro", "care") else None
-        axes_y = rng.standard_normal(3) if tag in ("quatro", "care") else None
+        axes_x, axes_y = draw_axes(tag)
         return enc.EncodingMethod.configure(
             tag, head_dim, base=30.0, axes_x=axes_x, axes_y=axes_y, scale_x=1.3, scale_y=0.8
         )
@@ -663,14 +698,8 @@ class TestRotationMaps:
         v = rng.standard_normal(enc.METHOD_WIDTHS[tag])
         ax, ay = rng.uniform(-4.0, 4.0, 2)
         ux = unit3()
-        uy = ux if tag == "mixed" else unit3()
-        want = {
-            "rope1d": lambda: enc.rope1d_apply(v, ax),
-            "mixed": lambda: enc.mixed_apply(v, ax + ay, ux),
-            "spherical": lambda: enc.spherical_apply(v, ax, ay),
-            "quatro": lambda: enc.quatro_apply(v, ax, ay, ux, uy),
-            "care": lambda: enc.care_apply(v, ax, ay, ux, uy),
-        }[tag]()
+        uy = ux if enc.ROTATIONS[tag].free_axes == 1 else unit3()
+        want = enc.ORACLES[tag](v, ax, ay, ux, uy)
         maps = enc.rotation_maps(tag, ax, ay, ux, uy)
         got = enc.apply_maps(tag, maps, v)
         assert got.shape == v.shape
@@ -910,15 +939,7 @@ class TestTwoRotorMatrix:
 class TestRotationGradient:
     def fd(self, tag, v, ax, ay, ux, uy, coordinate, h=1e-5):
         def f(dx, dy):
-            if tag == "rope1d":
-                return enc.rope1d_apply(v, ax + dx)
-            if tag == "mixed":
-                return enc.mixed_apply(v, (ax + dx) + (ay + dy), ux)
-            if tag == "spherical":
-                return enc.spherical_apply(v, ax + dx, ay + dy)
-            if tag == "quatro":
-                return enc.quatro_apply(v, ax + dx, ay + dy, ux, uy)
-            return enc.care_apply(v, ax + dx, ay + dy, ux, uy)
+            return enc.ORACLES[tag](v, ax + dx, ay + dy, ux, uy)
 
         if coordinate == "angle_x":
             return (f(h, 0) - f(-h, 0)) / (2 * h)
@@ -933,7 +954,7 @@ class TestRotationGradient:
             p = rng.uniform(-8, 8, 2)
             theta = float(10 ** rng.uniform(-2, 0))
             ux = unit3()
-            uy = ux if tag == "mixed" else unit3()
+            uy = ux if enc.ROTATIONS[tag].free_axes == 1 else unit3()
             g = enc.rotation_gradient(
                 tag, v, p, theta, coordinate, axis_x=ux, axis_y=uy, scale_x=1.2, scale_y=0.8
             )
@@ -950,7 +971,7 @@ class TestRotationGradient:
         p = rng.uniform(-8, 8, (n, 2))
         theta = 10 ** rng.uniform(-2, 0, n)
         ux = enc.unit_axis(rng.standard_normal((n, 3)))
-        uy = ux if tag == "mixed" else enc.unit_axis(rng.standard_normal((n, 3)))
+        uy = ux if enc.ROTATIONS[tag].free_axes == 1 else enc.unit_axis(rng.standard_normal((n, 3)))
         scales = dict(scale_x=1.2, scale_y=0.8)
         batch = enc.rotation_gradient(
             tag, v, p, theta, coordinate, axis_x=ux, axis_y=uy, **scales
