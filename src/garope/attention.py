@@ -26,9 +26,11 @@ from .encodings import (
 DIRECTIONS = 128  # unit directions commutator_norm probes on a band
 # Q K^T is formed in query-row chunks of at most this many multiply-adds
 # per matrix product. OpenBLAS runs products this small on the calling
-# thread; larger ones wake its worker threads, and on a 2-vCPU VM such
-# wake-ups stalled single score requests for ~30 ms. The chunks cost about
-# 0.5 ms on the largest scores measured (2 x 256 tokens, head_dim 64).
+# thread; larger ones wake its worker threads, where a library caller's
+# numpy has them, and on a 2-vCPU VM such wake-ups stalled single score
+# requests for ~30 ms. (A garope process starts none; see cli.) The
+# chunks cost about 0.5 ms on the largest scores measured (2 x 256
+# tokens, head_dim 64).
 PRODUCT_CHUNK_MULADDS = 1 << 18
 _DIRECTION_SEED = 20240915  # fixed so commutator sampling is reproducible
 

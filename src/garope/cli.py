@@ -12,7 +12,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
+
+# No garope command needs BLAS threads, and OpenBLAS starts its thread pool
+# while numpy loads, about a third of numpy's import time. A thread
+# variable the user set wins, and a process that loaded numpy first keeps
+# its pool. The rule runs at import, not in main(), because this module
+# still imports numpy at module level; it moves into main() once the
+# commands import their modules lazily (ROADMAP item 6).
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

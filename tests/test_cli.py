@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: exit codes, determinism, file I/O."""
 
 import dataclasses
+import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -610,3 +614,51 @@ class TestParser:
         code, _, err = run(capsys, ["check", "--config", str(tmp_path / "none.cfg")])
         assert code == cli.EXIT_IO
         assert "i/o error" in err
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# prints the BLAS thread variables as a child process ends up with them,
+# and its thread count where Linux lists it
+REPORT_ENV = (
+    "import json, os\n"
+    "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+    f"print(json.dumps({{'env': {{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}}, 'tasks': tasks}}))\n"
+)
+
+
+def run_child(args, **preset) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's ``garope``, with none of the
+    BLAS thread variables set but those in ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=True, timeout=120)
+
+
+def child_env(imports: str, **preset) -> dict:
+    return json.loads(run_child(["-c", imports + "\n" + REPORT_ENV], **preset).stdout)
+
+
+class TestBlasThreads:
+    def test_cli_import_starts_numpy_single_threaded(self):
+        report = child_env("import garope.cli")
+        assert report["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+        if sys.platform.startswith("linux"):
+            assert report["tasks"] == 1
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_a_preset_variable_is_kept(self, var):
+        report = child_env("import garope.cli", **{var: "2"})
+        assert report["env"] == {v: "2" if v == var else None for v in BLAS_THREAD_VARS}
+
+    @pytest.mark.parametrize(
+        "imports",
+        ["import numpy\nimport garope.cli", "import garope.encodings, garope.attention, garope.formats"],
+    )
+    def test_numpy_loaded_first_or_library_use_sets_nothing(self, imports):
+        assert child_env(imports)["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+
+    @pytest.mark.parametrize("command", ["check", "equiv", "grad"])
+    def test_reports_do_not_depend_on_blas_threads(self, command):
+        args = ["-c", "import sys; from garope.cli import main; sys.exit(main())", command, "--seed", "7"]
+        default = run_child(args).stdout
+        assert default and run_child(args, OPENBLAS_NUM_THREADS="2").stdout == default
