@@ -16,16 +16,23 @@ import os
 import sys
 
 # No garope command needs BLAS threads, and OpenBLAS starts its thread pool
-# while numpy loads, about a third of numpy's import time. A thread
-# variable the user set wins, and a process that loaded numpy first keeps
-# its pool. The rule runs at import, not in main(), because this module
-# still imports numpy at module level; it moves into main() once the
-# commands import their modules lazily (ROADMAP item 6).
+# while numpy loads; the new worker busy-waits while the import goes on, which
+# cost up to ~65 ms of a ~170 ms numpy import on a 2-vCPU VM. So numpy loads
+# with OPENBLAS_NUM_THREADS=1 unless the user set a thread variable, and the
+# variable is removed again at once: OpenBLAS reads it only at load, and
+# processes started later inherit the environment as it was. Importing this
+# module after numpy changes nothing. The rule runs at import, not in main(),
+# because this module still imports numpy at module level; it moves into main()
+# once the commands import their modules lazily (ROADMAP item 6).
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+_ONE_BLAS_THREAD = not any(var in os.environ for var in _BLAS_THREAD_VARS)
+if _ONE_BLAS_THREAD:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
+
+if _ONE_BLAS_THREAD:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import bench as bench_mod
 from . import checks
