@@ -1,4 +1,5 @@
-"""Named invariant suites behind the ``check`` and ``equiv`` commands.
+"""All three verifications: the suites of ``check``, and the reductions
+and gradients that ``equiv`` and ``grad`` print.
 
 Each suite re-derives its expected values independently: the blade-table
 engine, which is also the one Cl(3,0) product behind ``cl3.mv8_product``,
@@ -7,12 +8,12 @@ matrices and closed-form identities; the encoder meets the rotor oracles
 of ``encodings.ORACLES``, as a wrong orthogonal map keeps norms and round
 trips; and two frozen witness configurations (``witness_gaps``) show the
 non-commuting methods losing shift equivariance.
-Suites are seeded and pure: same seed, same printed detail, byte for byte.
+All are seeded and pure (same seed, same printed figures, byte for byte);
+samples that draw several values each follow the rule of ``draw_samples``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +31,7 @@ from .encodings import (
     SPHERICAL_AXIS_Y,
     EncodingMethod,
     apply_encoding,
+    apply_maps,
     block_maps,
     care_rotate,
     grade1_rotation_axis,
@@ -41,6 +43,8 @@ from .encodings import (
     quatro_rotate,
     random_block,
     rotate_rows,
+    rotation_gradient,
+    rotation_maps,
     spherical_rotate,
     unit_axis,
 )
@@ -65,13 +69,16 @@ class CheckResult:
     detail: str
 
 
-def _random_rotor_rows(rng: np.random.Generator, n: int) -> np.ndarray:
-    return mv8_rotor(rng.standard_normal((n, 3)), rng.uniform(-np.pi, np.pi, n))
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CheckFailure(message)
+
+
+def draw_samples(count: int, draw: Callable[[], tuple]) -> tuple[np.ndarray, ...]:
+    """Call ``draw()`` ``count`` times, in order, and stack its results
+    column by column. Drawing one sample at a time keeps each seed's samples,
+    and so its printed figures; evaluate the stacked samples all at once."""
+    return tuple(np.array(column) for column in zip(*(draw() for _ in range(count))))
 
 
 # ---------------------------------------------------------------------------
@@ -107,32 +114,32 @@ def _suite_ga_product_laws(seed: int) -> str:
 def _suite_ga_rotor_sandwich(seed: int) -> str:
     rng = np.random.default_rng([seed, 1])
     alg = Algebra(3)
+    n = 100
+    b3, half, mv = draw_samples(
+        n, lambda: (rng.standard_normal(3), rng.uniform(-np.pi, np.pi), rng.standard_normal(8))
+    )
 
-    def sandwich(rotor, mv):
-        return alg.gp(alg.gp(rotor, mv), alg.reverse(rotor))
+    def dots(a):  # each row's np.dot(row, row): the same BLAS dot, so the same digits
+        return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
-    def grade_norm(mv, grade):
-        part = alg.grade_project(mv, grade)
-        return float(np.sqrt(np.dot(part, part)))
+    def sandwich(rotor, x):
+        return alg.gp(alg.gp(rotor, x), alg.reverse(rotor))
 
-    worst_norm = 0.0
-    worst_inv = 0.0
-    for _ in range(100):
-        biv = np.zeros(8)
-        biv[[3, 5, 6]] = rng.standard_normal(3)  # bivector masks e12, e13, e23
-        biv = biv * (1.0 / float(np.sqrt(np.dot(biv, biv))))
-        half = rng.uniform(-np.pi, np.pi)
-        rotor = math.sin(half) * biv  # exp(h B) = cos(h) + sin(h) B for a unit bivector
-        rotor[0] = math.cos(half)
-        mv = rng.standard_normal(8)
-        out = sandwich(rotor, mv)
-        for grade in range(4):
-            worst_norm = max(worst_norm, abs(grade_norm(out, grade) - grade_norm(mv, grade)))
-        back = sandwich(alg.reverse(rotor), out)
-        worst_inv = max(worst_inv, float(np.max(np.abs(back - mv))))
+    def grade_norms(x):  # (rows, grade)
+        return np.stack([np.sqrt(dots(alg.grade_project(x, g))) for g in range(4)], axis=-1)
+
+    biv = np.zeros((n, 8))
+    biv[:, [3, 5, 6]] = b3  # bivector masks e12, e13, e23
+    biv = biv * (1.0 / np.sqrt(dots(biv)))[:, None]
+    rotor = np.sin(half)[:, None] * biv  # exp(h B) = cos(h) + sin(h) B for a unit bivector
+    rotor[:, 0] = np.cos(half)
+    out = sandwich(rotor, mv)
+    worst_norm = float(np.max(np.abs(grade_norms(out) - grade_norms(mv))))
+    back = sandwich(alg.reverse(rotor), out)
+    worst_inv = float(np.max(np.abs(back - mv)))
     _require(worst_norm <= 1e-12, f"grade-norm deviation {worst_norm:.3e} > 1e-12")
     _require(worst_inv <= 1e-12, f"sandwich inverse deviation {worst_inv:.3e} > 1e-12")
-    return f"grade norms {worst_norm:.3e}, inverse {worst_inv:.3e} on 100 rotors"
+    return f"grade norms {worst_norm:.3e}, inverse {worst_inv:.3e} on {n} rotors"
 
 
 def _suite_quat_isomorphism(seed: int) -> str:
@@ -175,7 +182,7 @@ def _suite_quat_rotation(seed: int) -> str:
 def _suite_cl3_invariant_channels(seed: int) -> str:
     rng = np.random.default_rng([seed, 5])
     n = 2000
-    rotors = _random_rotor_rows(rng, n)
+    rotors = mv8_rotor(rng.standard_normal((n, 3)), rng.uniform(-np.pi, np.pi, n))
     a = rng.standard_normal((n, 8))
     out = cl3.mv8_rotor_sandwich(rotors, a)
     a_inv, out_inv = a[:, CARE_INVARIANT_SLOTS], out[:, CARE_INVARIANT_SLOTS]
@@ -198,15 +205,11 @@ def reduction_deviations(
     rng = np.random.default_rng([seed, 6])
     grid = grid_positions(grid_h, grid_w)
     schedule = EncodingMethod.configure("quatro", 64, base=base).schedule
-    # one sample's draws at a time keeps the random stream, and so each
-    # seed's sample set, fixed; each reduction then runs over all samples
-    draws = []
-    for _ in range(samples):
-        p = grid[rng.integers(0, grid.shape[0])]
-        theta = schedule.band_angles[rng.integers(0, schedule.num_bands)]
-        v, u, ux, uy = (rng.standard_normal(3) for _ in range(4))
-        draws.append((p, theta, v, u, ux, uy))
-    p, theta, v, u, ux, uy = (np.array(column) for column in zip(*draws))
+    p, theta, v, u, ux, uy = draw_samples(samples, lambda: (
+        grid[rng.integers(0, grid.shape[0])],
+        schedule.band_angles[rng.integers(0, schedule.num_bands)],
+        *(rng.standard_normal(3) for _ in range(4)),
+    ))
     u, ux, uy = unit_axis(u), unit_axis(ux), unit_axis(uy)
 
     def worst(a, b) -> float:
@@ -242,6 +245,75 @@ def _suite_rotary_reductions(seed: int) -> str:
     _require(worst <= 1e-10, f"reduction deviation {worst:.3e} > 1e-10")
     parts = ", ".join(f"{k.split('_vs_')[0]} {v:.2e}" for k, v in dev.items())
     return f"300 samples each: {parts}"
+
+
+GRAD_H_SWEEP = (1e-4, 1e-5, 1e-6)  # finite-difference steps, each checked
+GRAD_CHANNEL_H = 1e-5  # step of the care invariant-channel check
+GRAD_CHANNEL_TOL = 1e-10  # bound on any derivative of the care scalar/e123 slots
+
+
+def _grad_cases(tag: str, rng: np.random.Generator, positions: np.ndarray, schedule, count: int):
+    """``count`` gradient samples: carriers, positions, band angles and unit
+    axes; a shared-axis method draws one axis for both."""
+    rotation = ROTATIONS[tag]
+    shared = rotation.free_axes == 1
+
+    def draw():
+        v = rng.standard_normal(rotation.width)
+        p = positions[rng.integers(0, positions.shape[0])]
+        theta = float(schedule.band_angles[rng.integers(0, schedule.num_bands)])
+        raw_x = rng.standard_normal(3)
+        return v, p, theta, raw_x, raw_x if shared else rng.standard_normal(3)
+
+    v, p, theta, raw_x, raw_y = draw_samples(count, draw)
+    axis_x = unit_axis(raw_x)
+    return v, p, theta, axis_x, axis_x if shared else unit_axis(raw_y)
+
+
+def _grad_fd(tag, cases, coordinate, scales, h) -> np.ndarray:
+    """Central differences of every sample at once, through the map table."""
+    v, p, theta, axis_x, axis_y = cases
+    ax, ay = position_angles(p, theta, *scales)
+
+    def f(dx, dy):
+        return apply_maps(tag, rotation_maps(tag, ax + dx, ay + dy, axis_x, axis_y), v)
+
+    if coordinate == "angle_x":
+        return (f(h, 0.0) - f(-h, 0.0)) / (2.0 * h)
+    return (f(0.0, h) - f(0.0, -h)) / (2.0 * h)
+
+
+def gradient_errors(
+    seed: int, positions: np.ndarray, samples: int = 100, base: float = 10000.0, scales=(1.0, 1.0)
+) -> tuple[dict[tuple[str, str, float], float], float]:
+    """Worst max |g - fd| / max(1, max |fd|) of ``rotation_gradient`` (the
+    rotor commutator) against central differences through the map table,
+    per (method, angle, step of GRAD_H_SWEEP); and the largest derivative,
+    either way, of care's scalar and e123 slots, which no rotor moves."""
+    schedule = EncodingMethod.configure("quatro", 64, base=base).schedule
+
+    def gradient(tag, cases, coordinate):  # cases: (v, p, theta, axis_x, axis_y)
+        return rotation_gradient(tag, *cases[:3], coordinate, *cases[3:], *scales)
+
+    errors = {}
+    for tag_index, tag in enumerate(METHODS):
+        for coord_index, coordinate in enumerate(("angle_x", "angle_y")):
+            rng = np.random.default_rng([seed, 2 * tag_index + coord_index])
+            cases = _grad_cases(tag, rng, positions, schedule, samples)
+            g = gradient(tag, cases, coordinate)  # independent of h
+            for h in GRAD_H_SWEEP:
+                fd = _grad_fd(tag, cases, coordinate, scales, h)
+                rel = np.max(np.abs(g - fd), axis=-1) / np.maximum(1.0, np.max(np.abs(fd), axis=-1))
+                errors[tag, coordinate, h] = float(np.max(rel))
+
+    rng = np.random.default_rng([seed, 999])
+    cases = _grad_cases("care", rng, positions, schedule, samples)
+    derivatives = []
+    for coordinate in ("angle_x", "angle_y"):
+        fd = _grad_fd("care", cases, coordinate, scales, GRAD_CHANNEL_H)
+        derivatives += [gradient("care", cases, coordinate), fd]
+    channels = float(np.max(np.abs(np.stack(derivatives)[..., CARE_INVARIANT_SLOTS])))
+    return errors, channels
 
 
 def _suite_rotary_norms(seed: int) -> str:
@@ -309,11 +381,8 @@ def _suite_harness_equivariance(seed: int) -> str:
     block = random_block(1, 6, pos, seed=seed + 100)
     mixed = EncodingMethod.configure("mixed", 6)
     rope = EncodingMethod.configure("rope1d", 6)
-    worst_inv = 0.0
-    for _ in range(25):
-        shift = rng.uniform(-10.0, 10.0, 2)
-        worst_inv = max(worst_inv, shift_invariance_gap(mixed, block, shift))
-        worst_inv = max(worst_inv, shift_invariance_gap(rope, block, shift))
+    shifts = rng.uniform(-10.0, 10.0, (25, 2))
+    worst_inv = max(shift_invariance_gap(m, block, s) for s in shifts for m in (mixed, rope))
     _require(worst_inv <= 1e-8, f"commuting-method shift gap {worst_inv:.3e} > 1e-8")
     gaps = witness_gaps()
     _require(

@@ -5,6 +5,9 @@ deviations), ``encode`` (apply an encoding to a tensor file), ``grad``
 (analytic vs finite-difference gradients), ``bench`` (kernel timings).
 Exit codes: 0 success, 1 property failure, 2 usage/config error, 3 I/O
 error. Everything except bench timings is deterministic given the seed.
+The three verifications behind ``check``, ``equiv`` and ``grad`` live in
+``checks``; their commands here only print the results, apply the
+tolerance and pick the exit code.
 """
 
 from __future__ import annotations
@@ -29,26 +32,14 @@ _ONE_BLAS_THREAD = not any(var in os.environ for var in _BLAS_THREAD_VARS)
 if _ONE_BLAS_THREAD:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
+import numpy  # noqa: F401  (OpenBLAS reads the variable only while numpy loads)
 
 if _ONE_BLAS_THREAD:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import bench as bench_mod
 from . import checks
-from .encodings import (
-    CARE_INVARIANT_SLOTS,
-    METHODS,
-    ROTATIONS,
-    EncodingMethod,
-    apply_maps,
-    block_maps,
-    position_angles,
-    rotate_rows,
-    rotation_gradient,
-    rotation_maps,
-    unit_axis,
-)
+from .encodings import block_maps, rotate_rows
 from .formats import (
     ConfigError,
     RunConfig,
@@ -65,9 +56,7 @@ EXIT_PROPERTY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-GRAD_H_SWEEP = (1e-4, 1e-5, 1e-6)
 GRAD_DEFAULT_TOL = 1e-6
-GRAD_CHANNEL_TOL = 1e-10
 EQUIV_DEFAULT_TOL = 1e-10
 
 
@@ -160,13 +149,10 @@ def cmd_equiv(args) -> int:
         seed, samples=1000, grid_h=config.grid_h, grid_w=config.grid_w, base=config.base
     )
     lines = ["reduction,max_abs_dev,tolerance,pass"]
-    all_ok = True
     for name, value in dev.items():
-        ok = value <= tol
-        all_ok &= ok
-        lines.append(f"{name},{value!r},{tol!r},{'true' if ok else 'false'}")
+        lines.append(f"{name},{value!r},{tol!r},{'true' if value <= tol else 'false'}")
     _emit("\n".join(lines) + "\n", args)
-    if not all_ok:
+    if not all(value <= tol for value in dev.values()):
         worst = max(dev, key=dev.get)
         print(f"reduction {worst} exceeded tolerance: {dev[worst]!r} > {tol!r}", file=sys.stderr)
         return EXIT_PROPERTY
@@ -205,87 +191,24 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _grad_cases(tag: str, rng: np.random.Generator, positions: np.ndarray, schedule, count: int):
-    """``count`` random gradient samples, stacked: carriers, positions,
-    band angles and unit axes (a shared-axis method's axis_y is its axis_x)."""
-    rotation = ROTATIONS[tag]
-    cases = []
-    for _ in range(count):
-        v = rng.standard_normal(rotation.width)
-        p = positions[rng.integers(0, positions.shape[0])]
-        theta = float(schedule.band_angles[rng.integers(0, schedule.num_bands)])
-        axis_x = unit_axis(rng.standard_normal(3))
-        axis_y = axis_x if rotation.free_axes == 1 else unit_axis(rng.standard_normal(3))
-        cases.append((v, p, theta, axis_x, axis_y))
-    return tuple(np.array(column) for column in zip(*cases))
-
-
-def _grad_analytic(tag, cases, coordinate, scales) -> np.ndarray:
-    """rotation_gradient of every sample at once (the oracle)."""
-    v, p, theta, axis_x, axis_y = cases
-    return rotation_gradient(
-        tag, v, p, theta, coordinate,
-        axis_x=axis_x, axis_y=axis_y, scale_x=scales[0], scale_y=scales[1],
-    )
-
-
-def _grad_fd(tag, cases, coordinate, scales, h) -> np.ndarray:
-    """Central differences of every sample at once, through the map table."""
-    v, p, theta, axis_x, axis_y = cases
-    ax, ay = position_angles(p, theta, *scales)
-
-    def f(dx, dy):
-        return apply_maps(tag, rotation_maps(tag, ax + dx, ay + dy, axis_x, axis_y), v)
-
-    if coordinate == "angle_x":
-        return (f(h, 0.0) - f(-h, 0.0)) / (2.0 * h)
-    return (f(0.0, h) - f(0.0, -h)) / (2.0 * h)
-
-
 def cmd_grad(args) -> int:
     config = _load_config(args)
     seed = _seed(args, config)
     tol = _tolerance(args, config, GRAD_DEFAULT_TOL)
-    positions = config_positions(config)
-    schedule = EncodingMethod.configure("quatro", 64, base=config.base).schedule
     scales = (config.coord_scale_x, config.coord_scale_y)
-    samples_per_case = 100
-
+    positions = config_positions(config)
+    errors, channels = checks.gradient_errors(seed, positions, base=config.base, scales=scales)
+    rows = [(*case, value, tol) for case, value in errors.items()]
+    channel_tol = checks.GRAD_CHANNEL_TOL
+    rows.append(("care_invariant_channels", "both", checks.GRAD_CHANNEL_H, channels, channel_tol))
     lines = ["case,coordinate,h,max_rel_err,pass"]
-    all_ok = True
-    worst_label, worst_val = "", -1.0
-    for tag_index, tag in enumerate(METHODS):
-        for coord_index, coordinate in enumerate(("angle_x", "angle_y")):
-            rng = np.random.default_rng([seed, 2 * tag_index + coord_index])
-            cases = _grad_cases(tag, rng, positions, schedule, samples_per_case)
-            g = _grad_analytic(tag, cases, coordinate, scales)  # independent of h
-            for h in GRAD_H_SWEEP:
-                fd = _grad_fd(tag, cases, coordinate, scales, h)
-                rel = np.max(np.abs(g - fd), axis=-1) / np.maximum(1.0, np.max(np.abs(fd), axis=-1))
-                worst = float(np.max(rel))
-                ok = worst <= tol
-                all_ok &= ok
-                if worst > worst_val:
-                    worst_label, worst_val = f"{tag}/{coordinate} at h={h:g}", worst
-                lines.append(f"{tag},{coordinate},{h:g},{worst!r},{'true' if ok else 'false'}")
-
-    # invariant channels: care scalar/e123 slots must have zero sensitivity
-    rng = np.random.default_rng([seed, 999])
-    cases = _grad_cases("care", rng, positions, schedule, samples_per_case)
-    chan_worst = 0.0
-    for coordinate in ("angle_x", "angle_y"):
-        g = _grad_analytic("care", cases, coordinate, scales)
-        fd = _grad_fd("care", cases, coordinate, scales, 1e-5)
-        chan_worst = max(chan_worst, float(np.max(np.abs(g[:, CARE_INVARIANT_SLOTS]))))
-        chan_worst = max(chan_worst, float(np.max(np.abs(fd[:, CARE_INVARIANT_SLOTS]))))
-    chan_ok = chan_worst <= GRAD_CHANNEL_TOL
-    all_ok &= chan_ok
-    lines.append(
-        f"care_invariant_channels,both,1e-05,{chan_worst!r},{'true' if chan_ok else 'false'}"
-    )
+    for name, coordinate, h, value, bound in rows:
+        lines.append(f"{name},{coordinate},{h:g},{value!r},{'true' if value <= bound else 'false'}")
     _emit("\n".join(lines) + "\n", args)
-    if not all_ok:
-        print(f"gradient check failed: {worst_label} rel err {worst_val!r}", file=sys.stderr)
+    if not all(value <= bound for *_, value, bound in rows):
+        tag, coordinate, h = worst = max(errors, key=errors.get)
+        worst_label = f"{tag}/{coordinate} at h={h:g}"
+        print(f"gradient check failed: {worst_label} rel err {errors[worst]!r}", file=sys.stderr)
         return EXIT_PROPERTY
     return EXIT_OK
 

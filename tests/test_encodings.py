@@ -808,7 +808,7 @@ class TestAngleFormula:
         assert np.array_equal(got, enc.quatro_apply(v, ax[:, 5], ay[:, 5], ux, uy))
 
     def test_grad_differences_use_the_encoder_angles(self, monkeypatch):
-        from garope import cli
+        from garope import checks
 
         method = self.method()
         n = len(self.POS)
@@ -821,9 +821,9 @@ class TestAngleFormula:
             seen.append(np.asarray(ax))
             return enc.rotation_maps(tag, ax, ay, ux, uy)
 
-        monkeypatch.setattr(cli, "rotation_maps", recorder)
+        monkeypatch.setattr(checks, "rotation_maps", recorder)
         with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 leaves the angles as formed
-            cli._grad_fd("rope1d", cases, "angle_x", self.SCALES, 0.0)
+            checks._grad_fd("rope1d", cases, "angle_x", self.SCALES, 0.0)
         assert np.array_equal(seen[0], enc.token_band_angles(method, self.POS)[0][:, 3])
 
 
