@@ -86,9 +86,11 @@ def run_bench(
     known = ", ".join(sorted(METHODS))
     if not names:
         raise ValueError(f"no kernels to run; known: {known}")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in METHODS:
             raise ValueError(f"unknown kernel {name!r}; known: {known}")
+        if name in names[:i]:
+            raise ValueError(f"kernel {name!r} is listed twice")
 
     positions = _bench_positions(tokens)
     rng = np.random.default_rng(seed)

@@ -256,6 +256,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a size too large to allocate is a usage error
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ each 2-slot carrier read as one complex number; the 3x3 maps (rank 2)
 are applied with explicit multiply-adds. spherical, quatro and care
 build the 3x3 matrix of a two-rotor quaternion product, written out in
 closed form. A block is encoded in two steps, ``block_maps`` (maps from
-positions) and ``rotate_rows`` (maps applied to a raw float32 or float64
+positions; on a row-major grid its trig runs once per column and row, not
+once per token) and ``rotate_rows`` (maps applied to a raw float32 or float64
 array one batch row at a time: each row is converted, rotated, checked
 for non-finite values while still in float64, and cast into the output,
 where a float32 row is checked again for overflow);
@@ -289,7 +290,9 @@ class TokenBlock:
 
 
 def grid_positions(grid_h: int, grid_w: int, origin=(0.0, 0.0)) -> np.ndarray:
-    """Row-major (tokens, 2) integer grid; p_x runs along columns."""
+    """Row-major (tokens, 2) positions of a unit-spaced grid whose first
+    token sits at ``origin`` (which may be fractional); p_x runs along
+    columns."""
     rows, cols = np.meshgrid(np.arange(grid_h), np.arange(grid_w), indexing="ij")
     pos = np.stack([cols.ravel() + origin[0], rows.ravel() + origin[1]], axis=-1)
     return pos.astype(np.float64)
@@ -544,10 +547,12 @@ def rotation_gradient(
 # the components of q = r_outer r_inner are written out from the two
 # half-angle cosines and sines and the axes' dot and cross products, and
 # the nine entries of q's rotation matrix go straight into one (3, 3, ...)
-# array, with no quaternion arrays in between. Maps are built once per
-# (token, band), components first, and applied to every batch row; the
-# inverse map set (the conjugate phase, or the transposed matrices) is
-# formed once per call, before the rows are rotated.
+# array, with no quaternion arrays in between. Maps are built for every
+# (token, band), components first, and applied to every batch row; on a
+# grid, block_maps takes the trig once per column (angle_x) and row
+# (angle_y) and the elementwise steps broadcast them. The inverse map set
+# (the conjugate phase, or the transposed matrices) is formed once per
+# call, before the rows are rotated.
 
 CARE_VECTOR_SLOTS = (1, 2, 4)  # e1, e2, e3
 CARE_BIVECTOR_SLOTS = (6, 5, 3)  # e23, e31, e12: the duals of e1, e2, e3
@@ -688,14 +693,18 @@ class Rotation:
     invert: Callable[[np.ndarray], np.ndarray]
     apply: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     map_rank: int  # leading component axes of the maps
+    # build takes its trig of angle_x and of angle_y apart, so on a grid it
+    # can take (1, columns, bands) and (rows, 1, bands) angles
+    separable: bool
 
 
 ROTATIONS = {  # in the order METHODS lists and reports them
-    "rope1d": Rotation(2, 0, _planar_maps, np.conjugate, _apply_planar, 0),
-    "mixed": Rotation(3, 1, _mixed_maps, _transpose, _apply_3x3, 2),
-    "spherical": Rotation(3, 0, _spherical_maps, _transpose, _apply_3x3, 2),
-    "quatro": Rotation(3, 2, _quatro_maps, _transpose, _apply_3x3, 2),
-    "care": Rotation(8, 2, _care_maps, _transpose, _apply_care, 2),
+    "rope1d": Rotation(2, 0, _planar_maps, np.conjugate, _apply_planar, 0, True),
+    # mixed turns by the sum angle_x + angle_y, one trig argument per token
+    "mixed": Rotation(3, 1, _mixed_maps, _transpose, _apply_3x3, 2, False),
+    "spherical": Rotation(3, 0, _spherical_maps, _transpose, _apply_3x3, 2, True),
+    "quatro": Rotation(3, 2, _quatro_maps, _transpose, _apply_3x3, 2, True),
+    "care": Rotation(8, 2, _care_maps, _transpose, _apply_care, 2, True),
 }
 METHODS = tuple(ROTATIONS)
 METHOD_WIDTHS = {tag: rotation.width for tag, rotation in ROTATIONS.items()}  # perfbench reads it
@@ -741,12 +750,55 @@ def token_band_angles(method: EncodingMethod, positions) -> tuple[np.ndarray, np
     return position_angles(pos, method.schedule.band_angles, method.scale_x, method.scale_y)
 
 
+def _constant(a: np.ndarray) -> bool:
+    """Whether ``a`` is constant along its first axis, bit for bit (-0.0
+    is not 0.0 to sin)."""
+    return a[1:].tobytes() == a[:-1].tobytes()
+
+
+def _grid_shape(pos: np.ndarray) -> tuple[int, int] | None:
+    """(rows, columns) when (tokens, 2) positions form a row-major product
+    grid bit for bit: p_x constant down each column, p_y along each row.
+    None otherwise."""
+    if not len(pos):
+        return None
+    y = pos[:, 1].view(np.int64)
+    columns = int((y != y[0]).argmax()) or len(pos)  # where the second row starts
+    if len(pos) % columns:
+        return None
+    grid = pos.reshape(-1, columns, 2)
+    if _constant(grid[:, :, 0]) and _constant(grid[:, :, 1].T):
+        return grid.shape[0], columns
+    return None
+
+
 def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     """Maps of ``method`` for every (token, band) at (tokens, 2) positions,
     components first; ``rotate_rows`` applies them to any block at those
-    positions. Angles that overflow float64 raise (``position_angles``)."""
+    positions. Angles that overflow float64 raise (``position_angles``).
+
+    On a row-major grid a separable method takes its trig once per column
+    and row: angle_x comes from the first row, angle_y from the first
+    column, and the maps are the per-token ones bit for bit, since every
+    later step is the same elementwise operation on the same values.
+    """
+    rotation = ROTATIONS[method.tag]
     axes = () if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
-    return rotation_maps(method.tag, *token_band_angles(method, positions), *axes)
+    pos = np.asarray(positions, dtype=np.float64)
+    grid = _grid_shape(pos) if rotation.separable else None
+    if grid is not None:
+        rows, columns = grid
+        # one call sees every distinct coordinate, so an overflowing or
+        # non-finite angle raises with the per-token message
+        ax, ay = token_band_angles(method, np.concatenate([pos[:columns], pos[::columns]]))
+        row_x, row_y, column_x, column_y = ax[:columns], ay[:columns], ax[columns:], ay[columns:]
+        if _constant(row_y) and _constant(column_x):  # each angle reads its own coordinate
+            maps = rotation_maps(method.tag, row_x[None], column_y[:, None], *axes)
+            full = maps.shape[: rotation.map_rank] + (rows, columns, ax.shape[1])
+            if maps.shape != full:  # rope1d's phase is one row, repeated by the copying reshape
+                maps = np.broadcast_to(maps, full)
+            return maps.reshape(full[:-3] + (len(pos), full[-1]))
+    return rotation_maps(method.tag, *token_band_angles(method, pos), *axes)
 
 
 def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -65,6 +65,10 @@ class TestRunBench:
         with pytest.raises(ValueError, match="unknown kernel 'care_generic'"):
             tiny_report(kernels=("care_generic",))
 
+    def test_repeated_kernel_rejected(self):
+        with pytest.raises(ValueError, match="^kernel 'rope1d' is listed twice$"):
+            tiny_report(kernels=("rope1d", "mixed", "rope1d"))
+
     def test_prime_token_count_still_works(self):
         report = tiny_report(tokens=13, kernels=("rope1d",))
         assert report.rows[0].tokens == 13

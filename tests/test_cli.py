@@ -577,6 +577,31 @@ class TestBench:
         assert code == cli.EXIT_CONFIG
         assert "unknown kernel" in err
 
+    def test_repeated_kernel_rejected(self, capsys, tmp_path):
+        # timing a method twice would print two rows for it
+        code, out, err = run(
+            capsys,
+            ["bench", "--config", self.small_cfg(tmp_path), "--reps", "30", "--kernels", "care,rope1d,care"],
+        )
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err == "error: kernel 'care' is listed twice\n"
+
+    def test_unallocatable_batch_is_a_usage_error(self, capsys):
+        # 891 PiB: beyond any 64-bit address space, so the allocation fails
+        # whatever the host's overcommit setting, before any page is touched
+        code, out, err = run(capsys, ["bench", "--batch", str(10**13), "--kernels", "rope1d", "--reps", "30"])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+    def test_memory_error_without_message_is_named(self, capsys, monkeypatch):
+        def run_bench(**_):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli.bench_mod, "run_bench", run_bench)
+        code, out, err = run(capsys, ["bench", "--reps", "30"])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err == "error: out of memory\n"
+
     def test_empty_kernel_list_rejected(self, capsys, tmp_path):
         code, out, err = run(
             capsys,

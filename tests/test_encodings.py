@@ -1,5 +1,6 @@
 """Encoding methods: schedules, rotations, reductions, block application."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -775,6 +776,130 @@ class TestRotationMaps:
         maps = enc.rotation_maps("quatro", 0.1, 0.2, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
         with pytest.raises(ValueError, match="trailing axis of 3"):
             enc.apply_maps("quatro", maps, np.zeros(4))
+
+
+grid_rng = np.random.default_rng(7177)  # apart from rng, so the later tests draw what they drew before
+
+
+def _grid(columns, rows) -> np.ndarray:
+    """Row-major (tokens, 2) positions of the product grid columns x rows."""
+    px, py = np.meshgrid(np.asarray(columns, dtype=np.float64), np.asarray(rows, dtype=np.float64))
+    return np.stack([px.ravel(), py.ravel()], axis=-1)
+
+
+def _grid_position_sets() -> dict:
+    g = enc.grid_positions
+    negative_zero_token = g(3, 4).copy()
+    negative_zero_token[5, 0] = -0.0
+    return {
+        "1x1": g(1, 1),
+        "1x7": g(1, 7),
+        "7x1": g(7, 1),
+        "32x32": g(32, 32, origin=(7.0, -3.0)),
+        "negative_origin": g(5, 6, origin=(-4.0, -9.0)),
+        "fractional_origin": g(5, 6, origin=(-1.5, 2.25)),
+        "negative_zero_origin": g(3, 4, origin=(-0.0, -0.0)),
+        "negative_zero_column": _grid([-0.0, 1.0, 2.0], [0.0, -0.0, 3.5]),
+        "negative_zero_token": negative_zero_token,
+        "reversed": g(6, 5)[::-1],
+        "duplicated_rows": np.repeat(g(2, 5).reshape(2, 5, 2), 2, axis=0).reshape(-1, 2),
+        "one_row_twice": np.concatenate([g(4, 5)[:5], g(4, 5)]),
+        "column_major": g(5, 4).reshape(5, 4, 2).swapaxes(0, 1).reshape(-1, 2),
+        "random": grid_rng.uniform(-20.0, 20.0, (37, 2)),
+    }
+
+
+GRID_POSITION_SETS = _grid_position_sets()
+
+
+class TestGridMaps:
+    """On a grid, block_maps takes its trig once per column and row; every
+    map stays the per-token build's, bit for bit."""
+
+    def configure(self, tag, head_dim, **scales):
+        free_axes, bands = enc.ROTATIONS[tag].free_axes, head_dim // enc.METHOD_WIDTHS[tag]
+        axes_x = grid_rng.standard_normal((bands, 3)) if free_axes else None
+        axes_y = grid_rng.standard_normal((bands, 3)) if free_axes == 2 else None
+        scales = {"scale_x": 1.3, "scale_y": 0.7, **scales}
+        return enc.EncodingMethod.configure(
+            tag, head_dim, base=100.0, axes_x=axes_x, axes_y=axes_y, **scales
+        )
+
+    @staticmethod
+    def per_token_maps(method, pos):
+        axes = () if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
+        return enc.rotation_maps(method.tag, *enc.token_band_angles(method, pos), *axes)
+
+    @pytest.mark.parametrize("name", list(GRID_POSITION_SETS))
+    @pytest.mark.parametrize("head_dim", [64, 66])
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_maps_equal_the_per_token_build_bit_for_bit(self, tag, head_dim, name):
+        pos = GRID_POSITION_SETS[name]
+        method = self.configure(tag, head_dim)
+        want = self.per_token_maps(method, pos)
+        got = enc.block_maps(method, pos)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_grid_shape_is_found_bit_for_bit(self):
+        shapes = {name: enc._grid_shape(pos) for name, pos in GRID_POSITION_SETS.items()}
+        assert shapes == {
+            "1x1": (1, 1),
+            "1x7": (1, 7),
+            "7x1": (7, 1),
+            "32x32": (32, 32),
+            "negative_origin": (5, 6),
+            "fractional_origin": (5, 6),
+            "negative_zero_origin": (3, 4),
+            "negative_zero_column": (3, 3),
+            "negative_zero_token": None,  # its column holds 0.0 and -0.0
+            "reversed": (6, 5),
+            "duplicated_rows": (2, 10),
+            "one_row_twice": None,
+            "column_major": None,
+            "random": None,
+        }
+        assert enc._grid_shape(np.zeros((0, 2))) is None
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_separable_methods_take_column_and_row_angles(self, tag, monkeypatch):
+        rotation = enc.ROTATIONS[tag]
+        shapes = []
+
+        def build(ax, ay, ux, uy):
+            shapes.append((ax.shape, ay.shape))
+            return rotation.build(ax, ay, ux, uy)
+
+        monkeypatch.setitem(enc.ROTATIONS, tag, dataclasses.replace(rotation, build=build))
+        method = self.configure(tag, 24)
+        bands = method.schedule.num_bands
+        enc.block_maps(method, enc.grid_positions(6, 7, origin=(0.5, -2.0)))
+        enc.block_maps(method, GRID_POSITION_SETS["random"])
+        grid = ((1, 7, bands), (6, 1, bands)) if rotation.separable else ((42, bands),) * 2
+        assert shapes == [grid, ((37, bands),) * 2]
+        assert rotation.separable == (tag != "mixed")  # mixed turns by angle_x + angle_y
+
+    @pytest.mark.parametrize(
+        "case,columns,rows,scales",
+        [
+            ("one column overflows", [0.0, 1.0, 2.0, 1e306], [0.0, -1.0, 5.0], {"scale_x": 1e3}),
+            ("one row overflows", [0.0, 1.0, 2.0, 3.0], [0.0, -1e306, 5.0], {"scale_y": 1e3}),
+            ("infinite column", [0.0, np.inf, 2.0, 3.0], [0.0, -1.0, 5.0], {}),
+            ("NaN row", [0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 5.0], {}),
+            ("overflow and infinite row", [0.0, 1.0, 2.0, 1e306], [0.0, np.inf, 5.0], {"scale_x": 1e3}),
+        ],
+    )
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_angle_errors_match_the_per_token_path(self, tag, case, columns, rows, scales):
+        pos = _grid(columns, rows)
+        assert enc._grid_shape(pos) == (3, 4)
+        method = self.configure(tag, 24, **scales)
+        with pytest.raises(ValueError) as want:
+            enc.token_band_angles(method, pos)
+        with pytest.raises(ValueError) as got:
+            enc.block_maps(method, pos)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("position angle")
 
 
 class TestAngleFormula:
