@@ -115,16 +115,6 @@ def _unit_directions(width: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
 
-def _band_rotation(method: EncodingMethod, band: int):
-    """The sub-vector rotation v -> R(p) v for one schedule band."""
-
-    def rotate(p, v):
-        maps = block_maps(method, [p])[..., 0, band]
-        return apply_maps(method.tag, maps, v)
-
-    return rotate
-
-
 def _finite_position(p, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (2,) or not np.all(np.isfinite(p)):
@@ -143,9 +133,10 @@ def commutator_norm(method: EncodingMethod, p_a, p_b, band: int = 0) -> float:
     if not 0 <= band < method.schedule.num_bands:
         raise ValueError("band index out of range")
     p_a, p_b = _finite_position(p_a, "p_a"), _finite_position(p_b, "p_b")
-    rotate = _band_rotation(method, band)
+    maps = block_maps(method, [p_a, p_b])[..., band]  # R(p_a), R(p_b) on the band
+    r_a, r_b = maps[..., 0], maps[..., 1]
     dirs = _unit_directions(method.width)
-    ab = rotate(p_a, rotate(p_b, dirs))
-    ba = rotate(p_b, rotate(p_a, dirs))
+    ab = apply_maps(method.tag, r_a, apply_maps(method.tag, r_b, dirs))
+    ba = apply_maps(method.tag, r_b, apply_maps(method.tag, r_a, dirs))
     return float(np.max(np.abs(ab - ba)))
 

@@ -11,13 +11,12 @@ encoder's agreement with the rotor oracles is ``garope check``'s
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import METHODS, EncodingMethod, TokenBlock, apply_encoding, grid_positions
+from .encodings import METHODS, EncodingMethod, TokenBlock, apply_encoding
 
 MIN_REPS = 30
 WARMUP_RUNS = 5
@@ -57,29 +56,23 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _bench_positions(tokens: int) -> np.ndarray:
-    """Near-square grid covering exactly `tokens` positions."""
-    h = max(1, int(math.isqrt(tokens)))
-    while tokens % h:
-        h -= 1
-    return grid_positions(h, tokens // h)
-
-
 def run_bench(
+    positions,
     batch: int = 2,
-    tokens: int = 196,
     head_dim: int = 64,
     reps: int = 50,
     seed: int = 0,
     kernels: tuple[str, ...] | None = None,
 ) -> BenchReport:
     """Time each named method (default: all of ``METHODS``) through
-    ``apply_encoding`` on one seeded block; stats over `reps` runs.
+    ``apply_encoding`` on one seeded block at (tokens, 2) ``positions``;
+    stats over `reps` runs.
 
     5 warm-up runs are discarded; the median is the headline number.
     """
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
+    tokens = len(positions)
     if min(batch, tokens, head_dim) < 1:
         raise ValueError("workload sizes must be positive")
     names = tuple(kernels) if kernels is not None else METHODS
@@ -92,7 +85,6 @@ def run_bench(
         if name in names[:i]:
             raise ValueError(f"kernel {name!r} is listed twice")
 
-    positions = _bench_positions(tokens)
     rng = np.random.default_rng(seed)
     block = TokenBlock(
         data=rng.standard_normal((batch, tokens, head_dim)), positions=positions

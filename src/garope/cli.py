@@ -220,8 +220,8 @@ def cmd_bench(args) -> int:
     if args.kernels is not None:
         kernels = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
     report = bench_mod.run_bench(
+        positions=config_positions(config),
         batch=args.batch,
-        tokens=config.grid_h * config.grid_w,
         head_dim=config.head_dim,
         reps=args.reps,
         seed=seed,

@@ -27,9 +27,9 @@ build the 3x3 matrix of a two-rotor quaternion product, written out in
 closed form. A block is encoded in two steps, ``block_maps`` (maps from
 positions; on a row-major grid its trig runs once per column and row, not
 once per token) and ``rotate_rows`` (maps applied to a raw float32 or float64
-array one batch row at a time: each row is converted, rotated, checked
-for non-finite values while still in float64, and cast into the output,
-where a float32 row is checked again for overflow);
+array one batch row at a time: each row is converted, rotated, cast into
+the output and checked once for non-finite values, on the values written;
+a failure is named as a float32 overflow or as non-finite values);
 ``apply_encoding`` runs both, attention scores reuse one build for
 queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype.
@@ -646,11 +646,11 @@ def _apply_planar(phase, src, dst) -> None:
     np.multiply(_as_complex(src), phase, out=_as_complex(dst))
 
 
-def _matvec3(mats, src, dst, slots_in, slots_out) -> None:
-    """dst[slots_out] = M src[slots_in], one row of M at a time."""
-    x, y, z = (src[..., k] for k in slots_in)
+def _matvec3(mats, src, dst, slots) -> None:
+    """dst[slots] = M src[slots], one row of M at a time."""
+    x, y, z = (src[..., k] for k in slots)
     term = np.empty(np.broadcast_shapes(mats.shape[2:], x.shape))
-    for i, k in enumerate(slots_out):
+    for i, k in enumerate(slots):
         row = mats[i]
         out = dst[..., k]
         np.multiply(row[0], x, out=out)
@@ -659,12 +659,12 @@ def _matvec3(mats, src, dst, slots_in, slots_out) -> None:
 
 
 def _apply_3x3(maps, src, dst) -> None:
-    _matvec3(maps, src, dst, (0, 1, 2), (0, 1, 2))
+    _matvec3(maps, src, dst, (0, 1, 2))
 
 
 def _apply_care(maps, src, dst) -> None:
-    _matvec3(maps, src, dst, CARE_VECTOR_SLOTS, CARE_VECTOR_SLOTS)
-    _matvec3(maps, src, dst, CARE_BIVECTOR_SLOTS, CARE_BIVECTOR_SLOTS)
+    _matvec3(maps, src, dst, CARE_VECTOR_SLOTS)
+    _matvec3(maps, src, dst, CARE_BIVECTOR_SLOTS)
     for k in CARE_INVARIANT_SLOTS:  # exactly invariant: copied, not recomputed
         dst[..., k] = src[..., k]
 
@@ -809,12 +809,12 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
     leftover trailing dims pass through untouched. ``data`` may be float32
     or float64 and is rotated in float64 one batch row at a time, each row
-    cast back to ``data``'s dtype. Every rotated row is checked while it is
-    still in float64, before any cast: the maps are orthogonal, so a
-    non-finite input value, or an overflow near the float64 limit, leaves
-    a non-finite value in its row, and the check raises before anything
-    later is written. A float32 row is checked again after its cast, since
-    a rotated value near the float32 limit can overflow to inf there.
+    cast back to ``data``'s dtype. Each row is checked once, on the values
+    written: the maps are orthogonal, so a rotated value is non-finite only
+    if an input value was, or if the rotation overflowed, near the float64
+    limit or in the cast to float32. A failed check raises before any later
+    row is rotated, with a message that names the cause: a float32 overflow
+    in that batch row, or non-finite values in the block.
     """
     data = np.asarray(data)
     if data.ndim != 3:
@@ -856,17 +856,15 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
         row = np.ascontiguousarray(data[c, :, :body], dtype=np.float64).reshape(carriers)
         dst = out[c].reshape(carriers) if direct else scratch
         rotation.apply(maps, row, dst)
-        if not np.isfinite(dst).all():
+        if narrow:
+            with np.errstate(over="ignore"):  # an overflow is reported just below
+                out[c, :, :body] = scratch.reshape(tokens, body)
+        elif not direct:  # float64 cannot overflow here, and an errstate costs ~3 us a row
+            out[c, :, :body] = scratch.reshape(tokens, body)
+        if not np.isfinite(out[c, :, :body] if narrow else dst).all():
+            if narrow and np.isfinite(scratch).all():
+                raise ValueError(f"rotated values in batch row {c} overflow float32")
             raise ValueError("block contains non-finite values")
-        if direct:
-            continue
-        if not narrow:
-            out[c, :, :body] = scratch.reshape(tokens, body)
-            continue
-        with np.errstate(over="ignore"):  # an overflow is reported just below
-            out[c, :, :body] = scratch.reshape(tokens, body)
-        if not np.isfinite(out[c, :, :body]).all():
-            raise ValueError(f"rotated values in batch row {c} overflow float32")
     return out
 
 

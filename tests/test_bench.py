@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from garope import bench, cl3
-from garope.encodings import METHODS, EncodingMethod, apply_encoding, random_block
+from garope.encodings import METHODS, EncodingMethod, apply_encoding, grid_positions, random_block
 from garope.ga import Algebra
 
 
 def tiny_report(**overrides):
-    params = dict(batch=1, tokens=12, head_dim=16, reps=30, seed=3)
+    params = dict(positions=grid_positions(3, 4), batch=1, head_dim=16, reps=30, seed=3)
     params.update(overrides)
     return bench.run_bench(**params)
 
@@ -40,15 +40,12 @@ class TestRunBench:
 
     def test_checksum_matches_direct_encoding(self):
         report = tiny_report(kernels=("care",))
-        block = random_block(1, 16, bench._bench_positions(12), seed=3)
+        block = random_block(1, 16, grid_positions(3, 4), seed=3)
         # run_bench seeds its block identically
         rng = np.random.default_rng(3)
         data = rng.standard_normal((1, 12, 16))
         assert np.array_equal(block.data, data)
-        out = apply_encoding(
-            type(block)(data=data, positions=bench._bench_positions(12)),
-            EncodingMethod.configure("care", 16),
-        )
+        out = apply_encoding(block, EncodingMethod.configure("care", 16))
         assert report.rows[0].checksum == float(np.sum(out.data))
 
     def test_reps_floor_enforced(self):
@@ -57,7 +54,7 @@ class TestRunBench:
 
     def test_sizes_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            tiny_report(tokens=0)
+            tiny_report(positions=grid_positions(0, 4))
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -70,7 +67,7 @@ class TestRunBench:
             tiny_report(kernels=("rope1d", "mixed", "rope1d"))
 
     def test_prime_token_count_still_works(self):
-        report = tiny_report(tokens=13, kernels=("rope1d",))
+        report = tiny_report(positions=grid_positions(1, 13), kernels=("rope1d",))
         assert report.rows[0].tokens == 13
 
 

@@ -533,6 +533,28 @@ class TestBench:
         assert len(lines) == 3
         assert lines[1].split(",")[:5] == ["rope1d", "1", "12", "16", "30"]
 
+    @pytest.mark.parametrize("grid_h, grid_w", [(4, 3), (2, 8)])
+    def test_times_the_config_grid(self, capsys, tmp_path, monkeypatch, grid_h, grid_w):
+        # not the near-square grid of grid_h * grid_w tokens (3x4, 4x4)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(
+            f"grid_h = {grid_h}\ngrid_w = {grid_w}\norigin_x = 0.5\norigin_y = -2\nhead_dim = 16\n"
+        )
+        seen = []
+
+        def encode(block, method):
+            seen.append(block.positions)
+            return apply_encoding(block, method)
+
+        monkeypatch.setattr(cli.bench_mod, "apply_encoding", encode)
+        code, out, _ = run(
+            capsys, ["bench", "--config", str(cfg), "--reps", "30", "--kernels", "rope1d"]
+        )
+        assert code == cli.EXIT_OK
+        assert out.split("\n")[1].split(",")[2] == str(grid_h * grid_w)
+        expected = grid_positions(grid_h, grid_w, origin=(0.5, -2.0))
+        assert seen and all(np.array_equal(p, expected) for p in seen)
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "bench.csv"
         code, out, _ = run(

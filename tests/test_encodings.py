@@ -647,6 +647,23 @@ class TestRotateRows:
                 with pytest.raises(ValueError, match="^rotated values in batch row 0 overflow float32$"):
                     enc.rotate_rows(data, method, maps, inverse)
 
+    @pytest.mark.parametrize("head_dim", [4, 5])
+    def test_float32_failure_names_its_row_and_cause(self, head_dim):
+        # the message is chosen only once a row fails, from its float64 values
+        method = self.configure("rope1d", head_dim)
+        maps = enc.block_maps(method, self.POS)
+        data = rng.standard_normal((3, 12, head_dim)).astype(np.float32)
+        data[1, 7, :2] = 3.0e38  # rotated past the float32 limit
+        for inverse in (False, True):
+            with pytest.raises(ValueError, match="^rotated values in batch row 1 overflow float32$"):
+                enc.rotate_rows(data, method, maps, inverse)
+        for also_overflowing in (False, True):
+            spoiled = data.copy() if also_overflowing else data[[0, 0, 2]]
+            spoiled[1, 3, 1] = np.nan  # a NaN wins over an overflow in the same row
+            for inverse in (False, True):
+                with pytest.raises(ValueError, match="^block contains non-finite values$"):
+                    enc.rotate_rows(spoiled, method, maps, inverse)
+
     def test_output_block_is_built_without_a_second_scan(self, monkeypatch):
         block = enc.random_block(2, 17, self.POS, seed=13)
         scans = []

@@ -1,5 +1,6 @@
 """Fingerprint the outputs of ``garope check``, ``equiv`` and ``grad`` over a
-range of seeds, and compare two fingerprint files.
+range of seeds, and of ``garope encode`` on fixed inputs, and compare two
+fingerprint files.
 
     python3 tools/verify_outputs.py record --src src --seeds 0-999,2031 --out change.json
     python3 tools/verify_outputs.py compare parent.json change.json
@@ -7,9 +8,19 @@ range of seeds, and compare two fingerprint files.
 ``record`` imports ``garope.cli`` from the source tree ``--src`` and runs
 ``main([command, "--seed", seed])`` for every command and seed in one
 process, with stdout and stderr captured. Per (command, seed) it writes
-the exit code and the sha256 of stdout and of stderr. ``compare`` prints
-every (command, seed) whose record differs or exists on one side only,
-and exits 1 if there is any, else 0.
+the exit code and the sha256 of stdout and of stderr.
+
+It then runs ``main(["encode", ...])`` on tensors it writes itself from
+``ENCODE_SEED``, on a 6x7 grid at origin (0.5, -2): every method, float32
+and float64, head_dim 64, 66 and 67, forward and inverse, and four inputs
+that must fail (a NaN in a rotated dim, a NaN in a pass-through dim, a
+float32 overflow in batch row 1, a float64 rotation overflow). Per run it
+writes the exit code, the sha256 of the output file (null when none was
+written) and of stderr, and the numpy warnings raised, as category and
+message without the source path and line that differ between trees.
+
+``compare`` prints every run whose record differs or exists on one side
+only, and exits 1 if there is any, else 0.
 
 Two source trees are compared by recording each in its own process.
 """
@@ -23,8 +34,15 @@ import io
 import json
 import os
 import sys
+import tempfile
+import warnings
+
+import numpy as np
 
 COMMANDS = ("check", "equiv", "grad")
+ENCODE_SEED = 20310
+ENCODE_CONFIG = "grid_h = 6\ngrid_w = 7\norigin_x = 0.5\norigin_y = -2\n"
+ENCODE_BATCH = 3
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -38,6 +56,59 @@ def parse_seeds(text: str) -> list[int]:
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _encode_cases():
+    """(label, method, dtype, head_dim, invert, spoil) per encode run;
+    spoil is None or an (index, value) written into the seeded input."""
+    from garope.encodings import METHODS
+
+    for method in METHODS:
+        for dtype in ("float32", "float64"):
+            for head_dim in (64, 66, 67):
+                for invert in (False, True):
+                    direction = "inverse" if invert else "forward"
+                    yield f"{method}/{dtype}/{head_dim}/{direction}", method, dtype, head_dim, invert, None
+    yield "fails/nan-in-rotated-dim", "quatro", "float32", 66, False, ((1, 5, 3), np.nan)
+    yield "fails/nan-in-pass-through-dim", "quatro", "float64", 67, False, ((1, 5, 66), np.nan)
+    # rope1d band 0 turns token 0 (p_x = 0.5) by 0.5 rad, and cos + sin > 1
+    # takes a pair of values at the dtype's limit past it
+    f32_max = np.finfo(np.float32).max
+    yield "fails/float32-overflow-in-row-1", "rope1d", "float32", 64, False, ((1, 0, slice(2)), f32_max)
+    yield "fails/float64-rotation-overflow", "rope1d", "float64", 64, False, ((2, 0, slice(2)), 1.7e308)
+
+
+def _record_encode(main) -> dict:
+    from garope.formats import write_tensor
+
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "grid.cfg")
+        for i, (label, method, dtype, head_dim, invert, spoil) in enumerate(_encode_cases()):
+            rng = np.random.default_rng(ENCODE_SEED)
+            data = rng.standard_normal((ENCODE_BATCH, 42, head_dim)).astype(dtype)
+            if spoil is not None:
+                index, value = spoil
+                data[index] = value
+            src, dst = os.path.join(tmp, f"in{i}.rten"), os.path.join(tmp, f"out{i}.rten")
+            write_tensor(src, data)
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(ENCODE_CONFIG + f"method = {method}\ninvert = {str(invert).lower()}\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["encode", src, "--config", config, "--output", dst])
+            output = None
+            if os.path.exists(dst):
+                with open(dst, "rb") as fh:
+                    output = hashlib.sha256(fh.read()).hexdigest()
+            runs[label] = {
+                "exit": code,
+                "output_sha256": output,
+                "stderr_sha256": _sha256(err.getvalue()),
+                "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+            }
+    return runs
 
 
 def record(src: str, seeds: list[int]) -> dict:
@@ -56,21 +127,28 @@ def record(src: str, seeds: list[int]) -> dict:
                 "stdout_sha256": _sha256(out.getvalue()),
                 "stderr_sha256": _sha256(err.getvalue()),
             }
+    results["encode"] = _record_encode(main)
     return {"src": os.path.abspath(src), "results": results}
 
 
+def _run_order(key: str):
+    """Seeds in numeric order, then encode labels in text order."""
+    return (0, int(key), "") if key.isdigit() else (1, 0, key)
+
+
 def compare(a: dict, b: dict) -> list[str]:
-    """One line per (command, seed) whose records differ."""
+    """One line per run whose records differ."""
     lines = []
     for command in sorted(set(a["results"]) | set(b["results"])):
         runs_a, runs_b = a["results"].get(command, {}), b["results"].get(command, {})
-        for seed in sorted(set(runs_a) | set(runs_b), key=int):
-            ra, rb = runs_a.get(seed), runs_b.get(seed)
+        for key in sorted(set(runs_a) | set(runs_b), key=_run_order):
+            run = f"{command} --seed {key}" if key.isdigit() else f"{command} {key}"
+            ra, rb = runs_a.get(key), runs_b.get(key)
             if ra is None or rb is None:
-                lines.append(f"{command} --seed {seed}: recorded on one side only")
+                lines.append(f"{run}: recorded on one side only")
             elif ra != rb:
                 keys = ", ".join(k for k in ra if ra[k] != rb.get(k))
-                lines.append(f"{command} --seed {seed}: {keys} differ")
+                lines.append(f"{run}: {keys} differ")
     return lines
 
 
@@ -102,7 +180,7 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     runs = len({(c, s) for r in (a, b) for c, seeds in r["results"].items() for s in seeds})
-    print(f"{len(lines)} of {runs} (command, seed) records differ")
+    print(f"{len(lines)} of {runs} run records differ")
     return 1 if lines else 0
 
 
