@@ -3,8 +3,9 @@ and gradients that ``equiv`` and ``grad`` print.
 
 Each suite re-derives its expected values independently: the blade-table
 engine, which is also the one Cl(3,0) product behind ``cl3.mv8_product``,
-meets its algebra laws and the Hamilton product; rotors meet rotation
-matrices and closed-form identities; the encoder meets the rotor oracles
+meets its algebra laws and the Hamilton product; the encoder's quaternion
+matrix (``encodings.rotor_matrix``) meets Hamilton sandwiches, and rotors
+meet closed-form identities; the encoder meets the rotor oracles
 of ``encodings.ORACLES``, as a wrong orthogonal map keeps norms and round
 trips; and two frozen witness configurations (``witness_gaps``) show the
 non-commuting methods losing shift equivariance.
@@ -45,6 +46,7 @@ from .encodings import (
     rotate_rows,
     rotation_gradient,
     rotation_maps,
+    rotor_matrix,
     spherical_rotate,
     unit_axis,
 )
@@ -54,7 +56,6 @@ from .quaternion import (
     hamilton_product,
     quat_rotor,
     quat_sandwich,
-    quat_to_rotation_matrix,
 )
 
 
@@ -170,10 +171,13 @@ def _suite_quat_rotation(seed: int) -> str:
     rotors = quat_rotor(axes, half)
     vecs = rng.standard_normal((1000, 3))
     via_sandwich = quat_sandwich(rotors, vecs)
-    via_matrix = np.einsum("nij,nj->ni", quat_to_rotation_matrix(rotors), vecs)
+    # the encoder's matrix formula, as (n, 3, 3) rows; contiguous, since an
+    # einsum over the moved-axis view rounds differently
+    mats = np.ascontiguousarray(np.moveaxis(rotor_matrix(*rotors.T), (0, 1), (-2, -1)))
+    via_matrix = np.einsum("nij,nj->ni", mats, vecs)
     worst = float(np.max(np.abs(via_sandwich - via_matrix)))
     _require(worst <= 1e-12, f"sandwich vs matrix deviation {worst:.3e} > 1e-12")
-    dets = np.linalg.det(quat_to_rotation_matrix(rotors))
+    dets = np.linalg.det(mats)
     worst_det = float(np.max(np.abs(dets - 1.0)))
     _require(worst_det <= 1e-12, f"rotation determinant off by {worst_det:.3e}")
     return f"1000 rotor/vector pairs dev {worst:.3e}; det drift {worst_det:.3e}"

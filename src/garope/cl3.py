@@ -4,7 +4,9 @@ An 8-slot element stores coefficients in the order
 (1, e1, e2, e12, e3, e31, e23, e123). This matches the generic engine's
 ascending-mask order except that slot 5 carries the e31 = -e13
 orientation, so the generic engine's coefficients and mv8 slots differ by
-one sign flip (``_SLOT_ORIENTATION``).
+one sign flip (``_SLOT_ORIENTATION``, the one statement of that sign).
+``mv8_from_quaternion`` applies it to ``quaternion.even_cl3_coeffs``, so
+quaternions reach mv8 slots by the even-subalgebra embedding alone.
 
 ``mv8_product`` is ``Algebra(3).gp`` with that flip on its operands and
 its result: the one Cl(3,0) product, and the rotor sandwich is two of its
@@ -19,6 +21,7 @@ import numpy as np
 
 from . import _cl3_numpy  # loaded for perfbench's Tracer.install; ROADMAP item 1 removes it
 from .ga import Algebra, UNIT_TOL
+from .quaternion import even_cl3_coeffs
 
 REVERSE_SIGNS = _cl3_numpy.REVERSE_SIGNS
 _SLOT_ORIENTATION = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
@@ -59,6 +62,13 @@ def _as_mv8(a) -> np.ndarray:
     if arr.shape[-1:] != (8,):
         raise ValueError(f"mv8 values need a trailing axis of 8, got shape {arr.shape}")
     return arr
+
+
+def mv8_from_quaternion(q) -> np.ndarray:
+    """mv8 slots of quaternions (..., 4) in the even subalgebra: the
+    generic engine's coefficients (``even_cl3_coeffs``) with slot 5's
+    e31 flip."""
+    return even_cl3_coeffs(q) * _SLOT_ORIENTATION
 
 
 def mv8_product(a, b) -> np.ndarray:

@@ -26,7 +26,7 @@ import sys
 # processes started later inherit the environment as it was. Importing this
 # module after numpy changes nothing. The rule runs at import, not in main(),
 # because this module still imports numpy at module level; it moves into main()
-# once the commands import their modules lazily (ROADMAP item 6).
+# once the commands import their modules lazily.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _ONE_BLAS_THREAD = not any(var in os.environ for var in _BLAS_THREAD_VARS)
 if _ONE_BLAS_THREAD:

@@ -24,18 +24,21 @@ rope1d's map is a complex phase exp(i angle) (rank 0) that multiplies
 each 2-slot carrier read as one complex number; the 3x3 maps (rank 2)
 are applied with explicit multiply-adds. spherical, quatro and care
 build the 3x3 matrix of a two-rotor quaternion product, written out in
-closed form. A block is encoded in two steps, ``block_maps`` (maps from
-positions; on a row-major grid its trig runs once per column and row, not
-once per token) and ``rotate_rows`` (maps applied to a raw float32 or float64
-array one batch row at a time: each row is converted, rotated, cast into
-the output and checked once for non-finite values, on the values written;
-a failure is named as a float32 overflow or as non-finite values);
+closed form (the entries of a quaternion's matrix: ``rotor_matrix``). A
+block is encoded in two steps, ``block_maps`` (maps from positions; on a
+row-major grid its trig runs once per column and row, not once per token)
+and ``rotate_rows`` (maps applied to a raw float32 or float64 array one
+batch row at a time: each row is converted, rotated, cast into the output
+and checked once for non-finite values, on the values written; a failure
+is named as a float32 overflow or as non-finite values);
 ``apply_encoding`` runs both, attention scores reuse one build for
 queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype.
 The single sub-vector ``*_rotate`` functions (grid positions) and
 ``*_apply`` variants (resolved angles) compute the same rotations
-independently, through rotors, and serve as its oracles; ``ORACLES``
+independently and serve as its oracles: spherical takes two of rope1d's
+planar turns, and care's rotors are quatro's quaternion rotors placed in
+the even subalgebra (``cl3.mv8_from_quaternion``). ``ORACLES``
 lists them at resolved angles, called like the map builders. They and
 ``rotation_gradient`` broadcast over leading sample axes.
 """
@@ -344,26 +347,14 @@ def rope1d_rotate(v, p, theta, scale_x: float = 1.0) -> np.ndarray:
     return rope1d_apply(v, angle)
 
 
-def _rot_xy(angle) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    z, o = np.zeros_like(c), np.ones_like(c)
-    return np.stack(
-        [np.stack([c, -s, z], -1), np.stack([s, c, z], -1), np.stack([z, z, o], -1)], axis=-2
-    )
-
-
-def _rot_yz(angle) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    z, o = np.zeros_like(c), np.ones_like(c)
-    return np.stack(
-        [np.stack([o, z, z], -1), np.stack([z, c, -s], -1), np.stack([z, s, c], -1)], axis=-2
-    )
-
-
 def spherical_apply(v, angle_x, angle_y) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    step = np.einsum("...ij,...j->...i", _rot_xy(angle_y), v)
-    return np.einsum("...ij,...j->...i", _rot_yz(angle_x), step)
+    """Two planar turns of ``rope1d_apply``: the xy-plane by angle_y
+    first, then the yz-plane by angle_x."""
+    lead = np.broadcast_shapes(np.shape(v)[:-1], np.shape(angle_x), np.shape(angle_y))
+    out = np.array(np.broadcast_to(v, lead + (3,)), dtype=np.float64)
+    out[..., 0:2] = rope1d_apply(out[..., 0:2], angle_y)
+    out[..., 1:3] = rope1d_apply(out[..., 1:3], angle_x)
+    return out
 
 
 def spherical_rotate(v, p, theta, scale_x: float = 1.0, scale_y: float = 1.0) -> np.ndarray:
@@ -409,23 +400,15 @@ def mixed_rotate(
 
 
 def mv8_bivector(axis) -> np.ndarray:
-    """mv8 bivector slots for an axis (a_i, a_j, a_k): a_i e12 + a_j e23 +
-    a_k e13, with the e13 component stored on the e31 slot as -a_k."""
-    axis = np.asarray(axis, dtype=np.float64)
-    out = np.zeros(axis.shape[:-1] + (8,))
-    out[..., 3] = axis[..., 0]
-    out[..., 6] = axis[..., 1]
-    out[..., 5] = -axis[..., 2]
-    return out
+    """mv8 bivector slots for an axis (a_i, a_j, a_k): the pure quaternion
+    (0, axis) in the even subalgebra, a_i e12 + a_j e23 + a_k e13."""
+    return cl3.mv8_from_quaternion(np.insert(np.asarray(axis, dtype=np.float64), 0, 0.0, axis=-1))
 
 
 def mv8_rotor(axis, half_angle) -> np.ndarray:
-    """Unit mv8 rotor cos(h) + sin(h) B(axis); broadcasts like quat_rotor."""
-    u = unit_axis(axis)
-    half_angle = np.asarray(half_angle, dtype=np.float64)
-    out = np.sin(half_angle)[..., None] * mv8_bivector(u)
-    out[..., 0] = np.cos(half_angle)
-    return out
+    """Unit mv8 rotor cos(h) + sin(h) B(axis): quat_rotor's rotor in the
+    even subalgebra; broadcasts like quat_rotor."""
+    return cl3.mv8_from_quaternion(quat_rotor(unit_axis(axis), half_angle))
 
 
 def care_apply(m, angle_x, angle_y, axis_x, axis_y) -> np.ndarray:
@@ -436,8 +419,7 @@ def care_apply(m, angle_x, angle_y, axis_x, axis_y) -> np.ndarray:
     # scalar and e123 commute with every rotor, so these channels are
     # exactly invariant; copy them through instead of keeping the
     # products' re-accumulated (round-off-bearing) values
-    out[..., 0] = m[..., 0]
-    out[..., 7] = m[..., 7]
+    out[..., CARE_INVARIANT_SLOTS] = m[..., CARE_INVARIANT_SLOTS]
     return out
 
 
@@ -546,13 +528,13 @@ def rotation_gradient(
 # matrices of spherical, quatro and care all come from one two-rotor build:
 # the components of q = r_outer r_inner are written out from the two
 # half-angle cosines and sines and the axes' dot and cross products, and
-# the nine entries of q's rotation matrix go straight into one (3, 3, ...)
-# array, with no quaternion arrays in between. Maps are built for every
-# (token, band), components first, and applied to every batch row; on a
-# grid, block_maps takes the trig once per column (angle_x) and row
-# (angle_y) and the elementwise steps broadcast them. The inverse map set
-# (the conjugate phase, or the transposed matrices) is formed once per
-# call, before the rows are rotated.
+# rotor_matrix writes the nine entries of q's rotation matrix straight
+# into one (3, 3, ...) array, with no quaternion arrays in between. Maps
+# are built for every (token, band), components first, and applied to
+# every batch row; on a grid, block_maps takes the trig once per column
+# (angle_x) and row (angle_y) and the elementwise steps broadcast them.
+# The inverse map set (the conjugate phase, or the transposed matrices) is
+# formed once per call, before the rows are rotated.
 
 CARE_VECTOR_SLOTS = (1, 2, 4)  # e1, e2, e3
 CARE_BIVECTOR_SLOTS = (6, 5, 3)  # e23, e31, e12: the duals of e1, e2, e3
@@ -584,6 +566,28 @@ def _mixed_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
     return mats
 
 
+def rotor_matrix(w, x, y, z) -> np.ndarray:
+    """(3, 3, ...) rotation matrix M of the unit quaternion(s) w + x i +
+    y j + z k, components first, with M v = quat_sandwich(q, v). The
+    components share one shape; a q off unit norm raises."""
+    x2, y2, z2 = 2.0 * x, 2.0 * y, 2.0 * z
+    xx, yy, zz = x * x2, y * y2, z * z2
+    xy, xz, yz = x * y2, x * z2, y * z2
+    wx, wy, wz = w * x2, w * y2, w * z2
+    require_unit_norm(w * w + 0.5 * (xx + yy + zz))  # also rejects NaN components
+    mats = np.empty((3, 3) + w.shape)
+    np.subtract(1.0, yy + zz, out=mats[0, 0, ...])
+    np.subtract(xy, wz, out=mats[0, 1, ...])
+    np.add(xz, wy, out=mats[0, 2, ...])
+    np.add(xy, wz, out=mats[1, 0, ...])
+    np.subtract(1.0, xx + zz, out=mats[1, 1, ...])
+    np.subtract(yz, wx, out=mats[1, 2, ...])
+    np.subtract(xz, wy, out=mats[2, 0, ...])
+    np.add(yz, wx, out=mats[2, 1, ...])
+    np.subtract(1.0, xx + yy, out=mats[2, 2, ...])
+    return mats
+
+
 def _two_rotor_matrix(axis_outer, angle_outer, axis_inner, angle_inner) -> np.ndarray:
     """Rotation matrix of the quaternion q = r_outer r_inner, components
     first, for rotors r = cos(a/2) + sin(a/2) u about unit axes u (outer)
@@ -600,22 +604,7 @@ def _two_rotor_matrix(axis_outer, angle_outer, axis_inner, angle_inner) -> np.nd
         cs * v[i] + sc * u[i] + ss * (u[j] * v[k] - u[k] * v[j])
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     )
-    x2, y2, z2 = 2.0 * x, 2.0 * y, 2.0 * z
-    xx, yy, zz = x * x2, y * y2, z * z2
-    xy, xz, yz = x * y2, x * z2, y * z2
-    wx, wy, wz = w * x2, w * y2, w * z2
-    require_unit_norm(w * w + 0.5 * (xx + yy + zz))  # also rejects NaN angles
-    mats = np.empty((3, 3) + w.shape)
-    np.subtract(1.0, yy + zz, out=mats[0, 0, ...])
-    np.subtract(xy, wz, out=mats[0, 1, ...])
-    np.add(xz, wy, out=mats[0, 2, ...])
-    np.add(xy, wz, out=mats[1, 0, ...])
-    np.subtract(1.0, xx + zz, out=mats[1, 1, ...])
-    np.subtract(yz, wx, out=mats[1, 2, ...])
-    np.subtract(xz, wy, out=mats[2, 0, ...])
-    np.add(yz, wx, out=mats[2, 1, ...])
-    np.subtract(1.0, xx + yy, out=mats[2, 2, ...])
-    return mats
+    return rotor_matrix(w, x, y, z)
 
 
 def _spherical_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:

@@ -7,8 +7,10 @@ as 3D vectors and are passed around as plain (..., 3) arrays.
 The basis correspondence with Cl(3,0) is 1 -> 1, i -> e12, j -> e23,
 k -> e13, which matches both multiplication tables cell for cell and
 therefore turns the Hamilton product into the geometric product.
-``even_cl3_coeffs`` places quaternion rows on those blades, so the
-generic engine's ``Algebra(3).gp`` serves as the product's oracle.
+``even_cl3_coeffs`` places quaternion rows on those blades (the only
+copy of that placement), so the generic engine's ``Algebra(3).gp`` serves
+as the product's oracle. ``quat_sandwich`` is the oracle that
+``encodings.rotor_matrix``, a quaternion's rotation matrix, is held to.
 """
 
 from __future__ import annotations
@@ -93,17 +95,6 @@ def quat_sandwich(r, v) -> np.ndarray:
     if residue > PURE_RESIDUE_TOL * scale:
         raise ValueError(f"sandwich scalar residue {residue!r} exceeds tolerance")
     return out[..., 1:]
-
-
-def quat_to_rotation_matrix(r) -> np.ndarray:
-    """3x3 proper rotation matrix M with M v = quat_sandwich(r, v)."""
-    r = np.asarray(r, dtype=np.float64)
-    require_unit_norm(np.sum(r * r, axis=-1))
-    w, x, y, z = (r[..., i] for i in range(4))
-    row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
-    row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)
-    row2 = np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
 
 
 def even_cl3_coeffs(q) -> np.ndarray:

@@ -22,11 +22,12 @@ from garope.encodings import (
     mv8_rotor,
     random_block,
     rotation_gradient,
+    rotor_matrix,
     unit_axis,
 )
 from garope.formats import read_tensor, write_tensor
 from garope.ga import Algebra
-from garope.quaternion import even_cl3_coeffs, hamilton_product, quat_sandwich, quat_to_rotation_matrix
+from garope.quaternion import even_cl3_coeffs, hamilton_product, quat_sandwich
 
 _ORIENT = np.array(cl3._SLOT_ORIENTATION, dtype=np.float64)
 
@@ -97,7 +98,7 @@ def test_rotation_agrees_with_matrix_oracle_and_preserves_grades():
 
     rotors = quat_rotor(axis, rng.uniform(-np.pi, np.pi, 1000))
     v = rng.standard_normal((1000, 3))
-    mats = quat_to_rotation_matrix(rotors)
+    mats = np.moveaxis(rotor_matrix(*rotors.T), (0, 1), (-2, -1))  # the encoder's matrices
     quat_dev = float(
         np.max(np.abs(quat_sandwich(rotors, v) - np.einsum("nij,nj->ni", mats, v)))
     )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from garope import checks
+from garope import checks, encodings
 from garope.encodings import METHODS, ROTATIONS, EncodingMethod, grid_positions, unit_axis
 from garope.ga import Algebra
 from garope.quaternion import even_cl3_coeffs, hamilton_product
@@ -160,6 +160,24 @@ def test_quat_isomorphism_names_first_mismatched_basis_pair(monkeypatch):
     with pytest.raises(checks.CheckFailure) as failure:
         checks._suite_quat_isomorphism(0)
     assert str(failure.value) == want
+
+
+def test_quat_rotation_fails_on_a_wrong_entry_of_the_encoder_matrix(monkeypatch):
+    # the suite holds the matrix formula the encoder ships to Hamilton
+    # sandwiches, so one wrong entry in it (here xy + wz at (0, 1), the
+    # sign of w flipped) fails the suite
+    shipped = encodings.rotor_matrix
+    assert checks.rotor_matrix is shipped
+
+    def broken(w, x, y, z):
+        mats = shipped(w, x, y, z)
+        mats[0, 1] = mats[1, 0]
+        return mats
+
+    monkeypatch.setattr(checks, "rotor_matrix", broken)
+    result = {r.name: r for r in checks.run_all(0)}["quat-rotation-matrix"]
+    assert not result.passed
+    assert result.detail.startswith("sandwich vs matrix deviation")
 
 
 @pytest.mark.parametrize(

@@ -151,13 +151,37 @@ class TestRotorSandwich:
         assert np.max(np.abs(back - a)) < 1e-13
 
 
-# What the benchmark harness reads, in a fresh interpreter, after it has
-# run ``import garope.cli`` and ``from garope import cl3`` (see
-# perfbench/spans.py, Tracer.install), with the line that reads it.
+# Everything the benchmark harness reads from garope, in a fresh
+# interpreter, after it has run ``import garope.cli`` and ``from garope
+# import cl3`` (see perfbench/spans.py, Tracer.install), with the line that
+# reads it. A change that drops one of these names fails here, not only in
+# the benchmark.
 PERFBENCH_READS = {
     "cl3.backend_name()": "perfbench/run.py:83 (environment)",
     "cl3.PRODUCT_TERMS": "perfbench/spans.py:137 and perfbench/test_perfbench.py:205",
-    "sys.modules['garope._cl3_numpy']": "perfbench/spans.py:138 (Tracer.install)",
+    **{
+        f"sys.modules['garope.{module}']": "perfbench/spans.py:138 (Tracer.install, spans.MODULES)"
+        for module in (
+            "cli", "formats", "attention", "checks", "encodings", "quaternion", "cl3", "_cl3_numpy", "ga",
+        )
+    },
+    **{
+        f"garope.{target}": "perfbench/spans.py:33 (spans.EXTRA_TARGETS)"
+        for target in (
+            "ga.Algebra.gp", "encodings.EncodingMethod.configure", "encodings.TokenBlock.__post_init__",
+        )
+    },
+    **{
+        f"garope.encodings.{tag}_rotate": "perfbench/workloads.py:83-97 (bulk and attend gates)"
+        for tag in ("rope1d", "mixed", "spherical", "quatro", "care")
+    },
+    "garope.encodings.METHOD_WIDTHS": "perfbench/workloads.py:76 and :409",
+    "garope.encodings.METHODS": "perfbench/metrics.py:15 and perfbench/workloads.py:25",
+    "garope.encodings.grid_positions": "perfbench/workloads.py:25",
+    "garope.encodings.apply_encoding": "perfbench/workloads.py:246 and perfbench/setup_probe.py:30",
+    "garope.attention.score_matrix": "perfbench/workloads.py:309 and perfbench/setup_probe.py:32",
+    "garope.formats.write_tensor": "perfbench/workloads.py:421",
+    "garope.cli.main": "perfbench/workloads.py:452 and perfbench/cli_launcher.py:29",
 }
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from garope.encodings import rotor_matrix
 from garope.ga import Algebra
 from garope.quaternion import (
     conjugate,
@@ -10,7 +11,6 @@ from garope.quaternion import (
     hamilton_product,
     quat_rotor,
     quat_sandwich,
-    quat_to_rotation_matrix,
 )
 
 rng = np.random.default_rng(77)
@@ -85,7 +85,9 @@ class TestRotor:
 
 
 class TestSandwich:
-    @pytest.mark.parametrize("apply", [lambda r: quat_sandwich(r, np.ones(3)), quat_to_rotation_matrix])
+    @pytest.mark.parametrize(
+        "apply", [lambda r: quat_sandwich(r, np.ones(3)), lambda r: rotor_matrix(*r[:, None])]
+    )
     def test_nan_rotor_rejected(self, apply):
         with pytest.raises(ValueError, match="not unit norm"):
             apply(np.array([np.nan, 0.0, 0.0, 0.0]))
@@ -110,7 +112,7 @@ class TestSandwich:
         r = quat_rotor(axes, rng.uniform(-np.pi, np.pi, n))
         v = rng.standard_normal((n, 3))
         via_sandwich = quat_sandwich(r, v)
-        via_matrix = np.einsum("nij,nj->ni", quat_to_rotation_matrix(r), v)
+        via_matrix = np.einsum("ijn,nj->ni", rotor_matrix(*r.T), v)  # the encoder's matrices
         assert np.max(np.abs(via_sandwich - via_matrix)) < 1e-12
 
     def test_axis_is_fixed(self):
@@ -133,12 +135,13 @@ class TestSandwich:
 
 class TestRotationMatrix:
     def test_identity_quaternion(self):
-        assert np.array_equal(quat_to_rotation_matrix(ONE), np.eye(3))
+        assert np.array_equal(rotor_matrix(*ONE[:, None])[..., 0], np.eye(3))
 
     def test_proper_orthogonal(self):
         axes = rng.standard_normal((30, 3))
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-        mats = quat_to_rotation_matrix(quat_rotor(axes, rng.uniform(-np.pi, np.pi, 30)))
+        rotors = quat_rotor(axes, rng.uniform(-np.pi, np.pi, 30))
+        mats = np.moveaxis(rotor_matrix(*rotors.T), (0, 1), (-2, -1))
         eye = np.broadcast_to(np.eye(3), (30, 3, 3))
         assert np.max(np.abs(mats @ np.swapaxes(mats, -1, -2) - eye)) < 1e-14
         assert np.max(np.abs(np.linalg.det(mats) - 1.0)) < 1e-13

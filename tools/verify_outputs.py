@@ -19,6 +19,11 @@ writes the exit code, the sha256 of the output file (null when none was
 written) and of stderr, and the numpy warnings raised, as category and
 message without the source path and line that differ between trees.
 
+Last it runs ``main(["bench", *BENCH_ARGS])`` and writes the exit code
+and the sha256 of its CSV with the timing columns dropped: the kernel,
+shape and ``checksum`` columns, which show any change in the bytes the
+encoder produces.
+
 ``compare`` prints every run whose record differs or exists on one side
 only, and exits 1 if there is any, else 0.
 
@@ -43,6 +48,8 @@ COMMANDS = ("check", "equiv", "grad")
 ENCODE_SEED = 20310
 ENCODE_CONFIG = "grid_h = 6\ngrid_w = 7\norigin_x = 0.5\norigin_y = -2\n"
 ENCODE_BATCH = 3
+BENCH_ARGS = ("--seed", "3", "--reps", "30")
+BENCH_TIMING_COLUMNS = ("min_ns", "median_ns", "mean_ns", "rot_per_sec")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -111,6 +118,22 @@ def _record_encode(main) -> dict:
     return runs
 
 
+def _record_bench(main) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bench", *BENCH_ARGS])
+    rows = [line.split(",") for line in out.getvalue().splitlines()]
+    keep = [i for i, name in enumerate(rows[0] if rows else ()) if name not in BENCH_TIMING_COLUMNS]
+    checksums = "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+    return {
+        " ".join(BENCH_ARGS): {
+            "exit": code,
+            "stdout_sha256": _sha256(checksums),
+            "stderr_sha256": _sha256(err.getvalue()),
+        }
+    }
+
+
 def record(src: str, seeds: list[int]) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     from garope.cli import main
@@ -128,6 +151,7 @@ def record(src: str, seeds: list[int]) -> dict:
                 "stderr_sha256": _sha256(err.getvalue()),
             }
     results["encode"] = _record_encode(main)
+    results["bench"] = _record_bench(main)
     return {"src": os.path.abspath(src), "results": results}
 
 
