@@ -43,6 +43,7 @@ from .encodings import (
     position_angles,
     quatro_rotate,
     random_block,
+    rope1d_rotate,
     rotate_rows,
     rotation_gradient,
     rotation_maps,
@@ -200,11 +201,14 @@ def reduction_deviations(
 ) -> dict[str, float]:
     """Max deviation of each special-case reduction over random samples.
 
-    The four claims: quatro with the orthogonal fixed pair reproduces
+    The five claims: quatro with the orthogonal fixed pair reproduces
     spherical; quatro with parallel axes reproduces mixed; care restricted
     to a grade-1 carrier reproduces a quaternion rotation (axes remapped
     through the bivector correspondence, conjugation order aligned); care
-    with parallel axes on grade-1 reproduces mixed about the remapped axis.
+    with parallel axes on grade-1 reproduces mixed about the remapped axis;
+    mixed about e3 with scale_y 0 reproduces rope1d, the third slot
+    staying 0. The last draws from a stream of its own, so the first four
+    keep their samples and digits.
     """
     rng = np.random.default_rng([seed, 6])
     grid = grid_positions(grid_h, grid_w)
@@ -239,6 +243,17 @@ def reduction_deviations(
     dev["care_parallel_vs_mixed"] = worst(  # parallel pair
         care_rotate(m, p, ux, 0.5 * ux, theta)[:, CARE_VECTOR_SLOTS],
         mixed_apply(v, theta * (p[:, 0] + p[:, 1]), grade1_rotation_axis(ux)),
+    )
+    rng = np.random.default_rng([seed, 10])
+    p, theta, ab = draw_samples(samples, lambda: (
+        grid[rng.integers(0, grid.shape[0])],
+        schedule.band_angles[rng.integers(0, schedule.num_bands)],
+        rng.standard_normal(2),
+    ))
+    sx = 1.3  # not 1, so an angle formed from an unscaled p_x shows
+    dev["mixed_e3_vs_rope1d"] = worst(
+        mixed_rotate(np.insert(ab, 2, 0.0, axis=-1), p, (0.0, 0.0, 2.0), theta, sx, 0.0),
+        np.insert(rope1d_rotate(ab, p[:, 0], theta, sx), 2, 0.0, axis=-1),
     )
     return dev
 

@@ -134,10 +134,10 @@ def test_special_case_reductions_hold_on_the_grid():
     dev = checks.reduction_deviations(seed=0, samples=1000, grid_h=14, grid_w=14)
     elapsed = time.perf_counter() - t0
     worst = max(dev.values())
-    ok = worst <= 1e-10 and len(dev) == 4 and elapsed < 10.0
+    ok = worst <= 1e-10 and len(dev) == 5 and elapsed < 10.0
     detail = ", ".join(f"{k} {v:.2e}" for k, v in dev.items())
     _verdict(
-        "all four special-case reductions hold to 1e-10 over 1000 samples",
+        "all five special-case reductions hold to 1e-10 over 1000 samples",
         ok,
         f"{detail}; {elapsed:.2f}s",
     )

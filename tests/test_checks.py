@@ -162,6 +162,30 @@ def test_quat_isomorphism_names_first_mismatched_basis_pair(monkeypatch):
     assert str(failure.value) == want
 
 
+@pytest.mark.parametrize(
+    "seed, first_four",
+    [
+        (0, (8.881784197001252e-16, 1.7763568394002505e-15, 1.1102230246251565e-15, 2.192690473634684e-15)),
+        (1, (1.3322676295501878e-15, 1.4432899320127035e-15, 2.6645352591003757e-15, 1.7763568394002505e-15)),
+        (7, (8.881784197001252e-16, 4.08006961549745e-15, 1.7763568394002505e-15, 4.6629367034256575e-15)),
+        (12345, (1.3322676295501878e-15, 2.1094237467877974e-15, 1.3322676295501878e-15, 2.6645352591003757e-15)),
+    ],
+)
+def test_rope1d_reduction_leaves_the_other_four_unchanged(seed, first_four):
+    # printed by `garope equiv`: the fifth reduction draws from its own
+    # stream, so the four before it keep the figures they had without it
+    dev = checks.reduction_deviations(seed)
+    assert list(dev) == [
+        "quatro_orthogonal_vs_spherical",
+        "quatro_parallel_vs_mixed",
+        "care_grade1_vs_quatro",
+        "care_parallel_vs_mixed",
+        "mixed_e3_vs_rope1d",
+    ]
+    assert tuple(dev.values())[:4] == first_four
+    assert dev["mixed_e3_vs_rope1d"] == 0.0
+
+
 def test_quat_rotation_fails_on_a_wrong_entry_of_the_encoder_matrix(monkeypatch):
     # the suite holds the matrix formula the encoder ships to Hamilton
     # sandwiches, so one wrong entry in it (here xy + wz at (0, 1), the

@@ -129,6 +129,7 @@ class TestEquiv:
         "quatro_parallel_vs_mixed",
         "care_grade1_vs_quatro",
         "care_parallel_vs_mixed",
+        "mixed_e3_vs_rope1d",
     ]
 
     def test_reductions_hold_at_default_tolerance(self, capsys):
