@@ -3,12 +3,11 @@ and gradients that ``equiv`` and ``grad`` print.
 
 Each suite re-derives its expected values independently: the blade-table
 engine, which is also the one Cl(3,0) product behind ``cl3.mv8_product``,
-meets its algebra laws and the Hamilton product; the encoder's quaternion
-matrix (``encodings.rotor_matrix``) meets Hamilton sandwiches, and rotors
-meet closed-form identities; the encoder meets the rotor oracles
-of ``encodings.ORACLES``, as a wrong orthogonal map keeps norms and round
-trips; and two frozen witness configurations (``witness_gaps``) show the
-non-commuting methods losing shift equivariance.
+meets its algebra laws and the Hamilton product; rotors meet rotation
+matrices (``rotor_matrix``) and closed-form identities; the encoder meets
+the rotor oracles of ``encodings.ORACLES``, as a wrong orthogonal map
+keeps norms and round trips; and two frozen witness configurations
+(``witness_gaps``) show the non-commuting methods losing shift equivariance.
 All are seeded and pure (same seed, same printed figures, byte for byte);
 samples that draw several values each follow the rule of ``draw_samples``.
 """
@@ -172,8 +171,7 @@ def _suite_quat_rotation(seed: int) -> str:
     rotors = quat_rotor(axes, half)
     vecs = rng.standard_normal((1000, 3))
     via_sandwich = quat_sandwich(rotors, vecs)
-    # the encoder's matrix formula, as (n, 3, 3) rows; contiguous, since an
-    # einsum over the moved-axis view rounds differently
+    # contiguous (n, 3, 3): an einsum over the moved-axis view rounds differently
     mats = np.ascontiguousarray(np.moveaxis(rotor_matrix(*rotors.T), (0, 1), (-2, -1)))
     via_matrix = np.einsum("nij,nj->ni", mats, vecs)
     worst = float(np.max(np.abs(via_sandwich - via_matrix)))
@@ -206,18 +204,21 @@ def reduction_deviations(
     to a grade-1 carrier reproduces a quaternion rotation (axes remapped
     through the bivector correspondence, conjugation order aligned); care
     with parallel axes on grade-1 reproduces mixed about the remapped axis;
-    mixed about e3 with scale_y 0 reproduces rope1d, the third slot
-    staying 0. The last draws from a stream of its own, so the first four
-    keep their samples and digits.
+    mixed about e3 with scale_y 0 reproduces rope1d, the third slot 0. The
+    last draws from its own stream, so the first four keep their samples.
     """
-    rng = np.random.default_rng([seed, 6])
     grid = grid_positions(grid_h, grid_w)
     schedule = EncodingMethod.configure("quatro", 64, base=base).schedule
-    p, theta, v, u, ux, uy = draw_samples(samples, lambda: (
-        grid[rng.integers(0, grid.shape[0])],
-        schedule.band_angles[rng.integers(0, schedule.num_bands)],
-        *(rng.standard_normal(3) for _ in range(4)),
-    ))
+
+    def draw(stream: int, sizes: tuple[int, ...]):  # p, theta, then a normal draw per size
+        rng = np.random.default_rng([seed, stream])
+        return draw_samples(samples, lambda: (
+            grid[rng.integers(0, grid.shape[0])],
+            schedule.band_angles[rng.integers(0, schedule.num_bands)],
+            *(rng.standard_normal(size) for size in sizes),
+        ))
+
+    p, theta, v, u, ux, uy = draw(6, (3, 3, 3, 3))
     u, ux, uy = unit_axis(u), unit_axis(ux), unit_axis(uy)
 
     def worst(a, b) -> float:
@@ -244,12 +245,7 @@ def reduction_deviations(
         care_rotate(m, p, ux, 0.5 * ux, theta)[:, CARE_VECTOR_SLOTS],
         mixed_apply(v, theta * (p[:, 0] + p[:, 1]), grade1_rotation_axis(ux)),
     )
-    rng = np.random.default_rng([seed, 10])
-    p, theta, ab = draw_samples(samples, lambda: (
-        grid[rng.integers(0, grid.shape[0])],
-        schedule.band_angles[rng.integers(0, schedule.num_bands)],
-        rng.standard_normal(2),
-    ))
+    p, theta, ab = draw(10, (2,))
     sx = 1.3  # not 1, so an angle formed from an unscaled p_x shows
     dev["mixed_e3_vs_rope1d"] = worst(
         mixed_rotate(np.insert(ab, 2, 0.0, axis=-1), p, (0.0, 0.0, 2.0), theta, sx, 0.0),

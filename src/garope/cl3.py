@@ -4,9 +4,8 @@ An 8-slot element stores coefficients in the order
 (1, e1, e2, e12, e3, e31, e23, e123). This matches the generic engine's
 ascending-mask order except that slot 5 carries the e31 = -e13
 orientation, so the generic engine's coefficients and mv8 slots differ by
-one sign flip (``_SLOT_ORIENTATION``, the one statement of that sign).
-``mv8_from_quaternion`` applies it to ``quaternion.even_cl3_coeffs``, so
-quaternions reach mv8 slots by the even-subalgebra embedding alone.
+one sign flip (``_SLOT_ORIENTATION``), which ``mv8_from_quaternion`` also
+applies to place quaternions by the even-subalgebra embedding.
 
 ``mv8_product`` is ``Algebra(3).gp`` with that flip on its operands and
 its result: the one Cl(3,0) product, and the rotor sandwich is two of its
@@ -65,9 +64,7 @@ def _as_mv8(a) -> np.ndarray:
 
 
 def mv8_from_quaternion(q) -> np.ndarray:
-    """mv8 slots of quaternions (..., 4) in the even subalgebra: the
-    generic engine's coefficients (``even_cl3_coeffs``) with slot 5's
-    e31 flip."""
+    """mv8 slots of quaternions (..., 4): ``even_cl3_coeffs`` with the e31 flip."""
     return even_cl3_coeffs(q) * _SLOT_ORIENTATION
 
 

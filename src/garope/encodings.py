@@ -348,8 +348,7 @@ def rope1d_rotate(v, p, theta, scale_x: float = 1.0) -> np.ndarray:
 
 
 def spherical_apply(v, angle_x, angle_y) -> np.ndarray:
-    """Two planar turns of ``rope1d_apply``: the xy-plane by angle_y
-    first, then the yz-plane by angle_x."""
+    """rope1d_apply's turn in the xy-plane by angle_y, then the yz-plane by angle_x."""
     lead = np.broadcast_shapes(np.shape(v)[:-1], np.shape(angle_x), np.shape(angle_y))
     out = np.array(np.broadcast_to(v, lead + (3,)), dtype=np.float64)
     out[..., 0:2] = rope1d_apply(out[..., 0:2], angle_y)
@@ -406,8 +405,7 @@ def mv8_bivector(axis) -> np.ndarray:
 
 
 def mv8_rotor(axis, half_angle) -> np.ndarray:
-    """Unit mv8 rotor cos(h) + sin(h) B(axis): quat_rotor's rotor in the
-    even subalgebra; broadcasts like quat_rotor."""
+    """quat_rotor's unit rotor cos(h) + sin(h) B(axis), as mv8 slots."""
     return cl3.mv8_from_quaternion(quat_rotor(unit_axis(axis), half_angle))
 
 
@@ -567,9 +565,8 @@ def _mixed_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
 
 
 def rotor_matrix(w, x, y, z) -> np.ndarray:
-    """(3, 3, ...) rotation matrix M of the unit quaternion(s) w + x i +
-    y j + z k, components first, with M v = quat_sandwich(q, v). The
-    components share one shape; a q off unit norm raises."""
+    """(3, 3, ...) matrices M, M v = quat_sandwich(q, v), of unit quaternions
+    q = w + x i + y j + z k given as components of one shape; a non-unit q raises."""
     x2, y2, z2 = 2.0 * x, 2.0 * y, 2.0 * z
     xx, yy, zz = x * x2, y * y2, z * z2
     xy, xz, yz = x * y2, x * z2, y * z2

@@ -7,10 +7,9 @@ as 3D vectors and are passed around as plain (..., 3) arrays.
 The basis correspondence with Cl(3,0) is 1 -> 1, i -> e12, j -> e23,
 k -> e13, which matches both multiplication tables cell for cell and
 therefore turns the Hamilton product into the geometric product.
-``even_cl3_coeffs`` places quaternion rows on those blades (the only
-copy of that placement), so the generic engine's ``Algebra(3).gp`` serves
-as the product's oracle. ``quat_sandwich`` is the oracle that
-``encodings.rotor_matrix``, a quaternion's rotation matrix, is held to.
+``even_cl3_coeffs`` places quaternion rows on those blades (the only copy
+of that placement), so the generic engine's ``Algebra(3).gp`` serves as the
+product's oracle, as ``quat_sandwich`` does for ``encodings.rotor_matrix``.
 """
 
 from __future__ import annotations
