@@ -74,7 +74,7 @@ def quat_rotor(axis, half_angle) -> np.ndarray:
     half_angle = np.asarray(half_angle, dtype=np.float64)
     w = np.cos(half_angle)
     xyz = np.sin(half_angle)[..., None] * axis
-    return np.concatenate([w[..., None], xyz], axis=-1)
+    return np.concatenate([np.broadcast_to(w[..., None], xyz.shape[:-1] + (1,)), xyz], axis=-1)
 
 
 def quat_sandwich(r, v) -> np.ndarray:

@@ -172,6 +172,10 @@ class TestRotor:
         closed = mv8_rotor(axis, h) * cl3._SLOT_ORIENTATION
         assert np.max(np.abs(series - closed)) < 1e-14
 
+    def test_axes_broadcast_against_one_angle(self):
+        axes = np.array([[0.6, -0.48, 0.64], [0.0, 1.0, 0.0]])
+        assert np.array_equal(mv8_rotor(axes, 0.7), np.stack([mv8_rotor(axis, 0.7) for axis in axes]))
+
 
 class TestSandwich:
     def test_quarter_turn_sends_e1_to_minus_e2(self):

@@ -83,6 +83,12 @@ class TestRotor:
         r = quat_rotor(np.array([0.0, 0.0, 1.0]), 0.0)
         assert np.array_equal(r, ONE)
 
+    @pytest.mark.parametrize("half", [0.3, np.full(3, 0.3)])
+    def test_axes_broadcast_against_one_angle(self, half):
+        # more axes than angles: each axis gets the angle, as per axis
+        r = quat_rotor(np.eye(3), half)
+        assert np.array_equal(r, np.stack([quat_rotor(axis, 0.3) for axis in np.eye(3)]))
+
 
 class TestSandwich:
     @pytest.mark.parametrize(
