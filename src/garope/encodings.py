@@ -348,7 +348,7 @@ def rope1d_rotate(v, p, theta, scale_x: float = 1.0) -> np.ndarray:
 
 
 def spherical_apply(v, angle_x, angle_y) -> np.ndarray:
-    """rope1d_apply's turn in the xy-plane by angle_y, then the yz-plane by angle_x."""
+    """Two rope1d_apply turns: the xy-plane by angle_y, then the yz-plane by angle_x."""
     lead = np.broadcast_shapes(np.shape(v)[:-1], np.shape(angle_x), np.shape(angle_y))
     out = np.array(np.broadcast_to(v, lead + (3,)), dtype=np.float64)
     out[..., 0:2] = rope1d_apply(out[..., 0:2], angle_y)
@@ -401,7 +401,7 @@ def mixed_rotate(
 def mv8_bivector(axis) -> np.ndarray:
     """mv8 bivector slots for an axis (a_i, a_j, a_k): the pure quaternion
     (0, axis) in the even subalgebra, a_i e12 + a_j e23 + a_k e13."""
-    return cl3.mv8_from_quaternion(np.insert(np.asarray(axis, dtype=np.float64), 0, 0.0, axis=-1))
+    return cl3.mv8_from_quaternion(np.insert(axis, 0, 0.0, axis=-1))
 
 
 def mv8_rotor(axis, half_angle) -> np.ndarray:
