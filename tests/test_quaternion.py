@@ -85,14 +85,16 @@ class TestRotor:
 
     @pytest.mark.parametrize("half", [0.3, np.full(3, 0.3)])
     def test_axes_broadcast_against_one_angle(self, half):
-        # more axes than angles: each axis gets the angle, as per axis
+        # one angle for all axes, or one per axis: each axis turns by it
         r = quat_rotor(np.eye(3), half)
         assert np.array_equal(r, np.stack([quat_rotor(axis, 0.3) for axis in np.eye(3)]))
 
 
 class TestSandwich:
     @pytest.mark.parametrize(
-        "apply", [lambda r: quat_sandwich(r, np.ones(3)), lambda r: rotor_matrix(*r[:, None])]
+        "apply",
+        [lambda r: quat_sandwich(r, np.ones(3)), lambda r: rotor_matrix(*r[:, None])],
+        ids=["quat_sandwich", "rotor_matrix"],
     )
     def test_nan_rotor_rejected(self, apply):
         with pytest.raises(ValueError, match="not unit norm"):
