@@ -30,7 +30,9 @@ row-major grid its trig runs once per column and row, not once per token)
 and ``rotate_rows`` (maps applied to a raw float32 or float64 array one
 batch row at a time: each row is converted, rotated, cast into the output
 and checked once for non-finite values, on the values written; a failure
-is named as a float32 overflow or as non-finite values);
+is named as a float32 overflow or as non-finite values; care rotates each
+row into a slots-first scratch, one contiguous plane per slot, and copies
+it out once);
 ``apply_encoding`` runs both, attention scores reuse one build for
 queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype.
@@ -670,7 +672,10 @@ class Rotation:
     returns the maps components first: a complex (...) phase
     cos + i sin (rank 0), or (3, 3, ...) for a matrix (rank 2).
     ``invert(maps)`` returns the inverse maps, and ``apply(maps, src, dst)``
-    writes the rotated (..., width) carriers of src into dst.
+    writes the rotated (..., width) carriers of src into dst. ``slot_major``
+    (care) tells ``rotate_rows`` to give apply a slots-first dst, whose
+    slot k is one contiguous (tokens, bands) plane, and to copy or cast
+    each row from it into the output once.
     """
 
     width: int  # carrier width
@@ -682,6 +687,7 @@ class Rotation:
     # build takes its trig of angle_x and of angle_y apart, so on a grid it
     # can take (1, columns, bands) and (rows, 1, bands) angles
     separable: bool
+    slot_major: bool = False  # apply's per-slot passes want a slots-first dst
 
 
 ROTATIONS = {  # in the order METHODS lists and reports them
@@ -690,7 +696,7 @@ ROTATIONS = {  # in the order METHODS lists and reports them
     "mixed": Rotation(3, 1, _mixed_maps, _transpose, _apply_3x3, 2, False),
     "spherical": Rotation(3, 0, _spherical_maps, _transpose, _apply_3x3, 2, True),
     "quatro": Rotation(3, 2, _quatro_maps, _transpose, _apply_3x3, 2, True),
-    "care": Rotation(8, 2, _care_maps, _transpose, _apply_care, 2, True),
+    "care": Rotation(8, 2, _care_maps, _transpose, _apply_care, 2, True, slot_major=True),
 }
 METHODS = tuple(ROTATIONS)
 METHOD_WIDTHS = {tag: rotation.width for tag, rotation in ROTATIONS.items()}  # perfbench reads it
@@ -795,12 +801,19 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
     leftover trailing dims pass through untouched. ``data`` may be float32
     or float64 and is rotated in float64 one batch row at a time, each row
-    cast back to ``data``'s dtype. Each row is checked once, on the values
-    written: the maps are orthogonal, so a rotated value is non-finite only
-    if an input value was, or if the rotation overflowed, near the float64
-    limit or in the cast to float32. A failed check raises before any later
-    row is rotated, with a message that names the cause: a float32 overflow
-    in that batch row, or non-finite values in the block.
+    cast back to ``data``'s dtype. A slot-major method (care) rotates each
+    row into a slots-first float64 scratch, allocated once per call, whose
+    per-slot multiply-adds each write one contiguous (tokens, bands) plane;
+    the row is then copied or cast into the output in one pass. The others
+    rotate a float64 row without pass-through dims straight into the
+    output, and any other row through an interleaved scratch.
+
+    Each row is checked once, on the values written: the maps are
+    orthogonal, so a rotated value is non-finite only if an input value
+    was, or if the rotation overflowed, near the float64 limit or in the
+    cast to float32. A failed check raises before any later row is
+    rotated, with a message that names the cause: a float32 overflow in
+    that batch row, or non-finite values in the block.
     """
     data = np.asarray(data)
     if data.ndim != 3:
@@ -833,20 +846,24 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     # multiply-add runs as one long loop over (token, band) only on
     # contiguous rows, so a row goes straight into a float64 out without
     # pass-through dims and otherwise through a float64 scratch, cast on
-    # the copy.
+    # the copy. A width-8 carrier fills a cache line, so care's per-slot
+    # passes over an interleaved row would each touch every line of it.
     carriers = (tokens, bands, method.width)
     narrow = data.dtype == np.float32
-    direct = not narrow and not remainder
-    scratch = None if direct else np.empty(carriers)
+    direct = not (narrow or remainder or rotation.slot_major)
+    if rotation.slot_major:
+        scratch = np.moveaxis(np.empty((method.width, tokens, bands)), 0, -1)
+    else:
+        scratch = None if direct else np.empty(carriers)
     for c in range(batch):
         row = np.ascontiguousarray(data[c, :, :body], dtype=np.float64).reshape(carriers)
         dst = out[c].reshape(carriers) if direct else scratch
         rotation.apply(maps, row, dst)
         if narrow:
             with np.errstate(over="ignore"):  # an overflow is reported just below
-                out[c, :, :body] = scratch.reshape(tokens, body)
+                np.copyto(out[c, :, :body].reshape(carriers), scratch)
         elif not direct:  # float64 cannot overflow here, and an errstate costs ~3 us a row
-            out[c, :, :body] = scratch.reshape(tokens, body)
+            np.copyto(out[c, :, :body].reshape(carriers), scratch)
         if not np.isfinite(out[c, :, :body] if narrow else dst).all():
             if narrow and np.isfinite(scratch).all():
                 raise ValueError(f"rotated values in batch row {c} overflow float32")

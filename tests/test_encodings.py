@@ -594,6 +594,33 @@ class TestRotateRows:
         with pytest.raises(ValueError, match="float32 or float64, not int64"):
             enc.rotate_rows(block.data.astype(np.int64), method, maps)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("head_dim", [16, 17, 18])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_care_rows_equal_the_interleaved_apply(self, dtype, head_dim, batch):
+        # care's rows go through a slots-first scratch; the bits must be
+        # those of its apply into a contiguous interleaved row
+        method = self.configure("care", head_dim)
+        maps = enc.block_maps(method, self.POS)
+        data = rng.standard_normal((batch, 12, head_dim)).astype(dtype)
+        body = head_dim // 8 * 8
+        carriers = (batch, 12, head_dim // 8, 8)
+        invariant = list(enc.CARE_INVARIANT_SLOTS)
+        for inverse in (False, True):
+            applied = enc.ROTATIONS["care"].invert(maps) if inverse else maps
+            want = np.empty(carriers)
+            for c in range(batch):
+                row = data[c, :, :body].astype(np.float64).reshape(carriers[1:])
+                enc.ROTATIONS["care"].apply(applied, row, want[c])
+            got = enc.rotate_rows(data, method, maps, inverse)
+            assert got.dtype == dtype
+            assert np.array_equal(got[..., :body], want.reshape(batch, 12, body).astype(dtype))
+            slots = got[..., :body].reshape(carriers)[..., invariant]
+            assert np.array_equal(slots, data[..., :body].reshape(carriers)[..., invariant])
+            assert np.array_equal(got[..., body:], data[..., body:])
+            again = enc.rotate_rows(data, method, maps, inverse)
+            assert np.array_equal(again, got) and not np.shares_memory(again, got)
+
     @staticmethod
     def bad_slots(tag, head_dim):
         """(head_dim, slot) pairs to spoil: a carrier slot, care's
