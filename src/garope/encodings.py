@@ -30,9 +30,9 @@ row-major grid its trig runs once per column and row, not once per token)
 and ``rotate_rows`` (maps applied to a raw float32 or float64 array one
 batch row at a time: each row is converted, rotated, cast into the output
 and checked once for non-finite values, on the values written; a failure
-is named as a float32 overflow or as non-finite values; care rotates each
-row into a slots-first scratch, one contiguous plane per slot, and copies
-it out once);
+is named as non-finite input or as an overflow of the dtype, with no
+numpy warning; care rotates each row into a slots-first scratch, one
+contiguous plane per slot, and copies it out once);
 ``apply_encoding`` runs both, attention scores reuse one build for
 queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype.
@@ -812,8 +812,9 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     orthogonal, so a rotated value is non-finite only if an input value
     was, or if the rotation overflowed, near the float64 limit or in the
     cast to float32. A failed check raises before any later row is
-    rotated, with a message that names the cause: a float32 overflow in
-    that batch row, or non-finite values in the block.
+    rotated, with a message that names the cause: non-finite values in
+    the block if the input row holds any, else an overflow of ``data``'s
+    dtype in that batch row. No numpy warning is raised on the way.
     """
     data = np.asarray(data)
     if data.ndim != 3:
@@ -855,19 +856,17 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
         scratch = np.moveaxis(np.empty((method.width, tokens, bands)), 0, -1)
     else:
         scratch = None if direct else np.empty(carriers)
-    for c in range(batch):
-        row = np.ascontiguousarray(data[c, :, :body], dtype=np.float64).reshape(carriers)
-        dst = out[c].reshape(carriers) if direct else scratch
-        rotation.apply(maps, row, dst)
-        if narrow:
-            with np.errstate(over="ignore"):  # an overflow is reported just below
+    with np.errstate(over="ignore", invalid="ignore"):  # a failed row is named below
+        for c in range(batch):
+            row = np.ascontiguousarray(data[c, :, :body], dtype=np.float64).reshape(carriers)
+            dst = out[c].reshape(carriers) if direct else scratch
+            rotation.apply(maps, row, dst)
+            if not direct:
                 np.copyto(out[c, :, :body].reshape(carriers), scratch)
-        elif not direct:  # float64 cannot overflow here, and an errstate costs ~3 us a row
-            np.copyto(out[c, :, :body].reshape(carriers), scratch)
-        if not np.isfinite(out[c, :, :body] if narrow else dst).all():
-            if narrow and np.isfinite(scratch).all():
-                raise ValueError(f"rotated values in batch row {c} overflow float32")
-            raise ValueError("block contains non-finite values")
+            if not np.isfinite(out[c, :, :body] if narrow else dst).all():
+                if np.isfinite(row).all():  # finite input turned past the dtype's limit
+                    raise ValueError(f"rotated values in batch row {c} overflow {data.dtype}")
+                raise ValueError("block contains non-finite values")
     return out
 
 

@@ -312,6 +312,23 @@ class TestEncode:
         assert out == ""
         assert out_path.read_bytes() == before
 
+    def test_float64_overflow_fails_before_writing(self, capsys, tmp_path):
+        # finite input that rope1d turns past the float64 limit: token 0
+        # (p_x = 0.5) by 0.5 rad, and cos + sin > 1
+        data = np.ones((2, 12, 4))
+        data[1, 0, :2] = 1.7e308
+        src = tmp_path / "in.rten"
+        write_tensor(src, data)
+        cfg = self.write_cfg(tmp_path, "method = rope1d\ngrid_h = 3\ngrid_w = 4\norigin_x = 0.5\n")
+        out_path = tmp_path / "out.rten"
+        write_tensor(out_path, np.ones((1, 2, 3)))
+        before = out_path.read_bytes()
+        code, out, err = run(capsys, ["encode", str(src), "--config", cfg, "--output", str(out_path)])
+        assert code == cli.EXIT_CONFIG
+        assert err == "error: rotated values in batch row 1 overflow float64\n"
+        assert out == ""
+        assert out_path.read_bytes() == before
+
     @pytest.mark.parametrize("tag", METHODS)
     def test_angle_overflow_fails_before_writing(self, capsys, tmp_path, tag):
         # an all-ones block: only coord_scale_x * p_x (1e300 * 1e10) overflows

@@ -655,9 +655,23 @@ class TestRotateRows:
         method = self.configure(tag, 16)
         block = enc.TokenBlock(data=np.full((2, 12, 16), 1.6e308), positions=self.POS)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match="block contains non-finite values"
+            ValueError, match="^rotated values in batch row 0 overflow float64$"
         ):
             enc.apply_encoding(block, method)
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    @pytest.mark.parametrize("head_dim", [16, 17])
+    def test_float64_overflow_names_its_row_without_a_warning(self, tag, head_dim):
+        # straight into the output (head_dim 16) or through the scratch (17)
+        method = self.configure(tag, head_dim)
+        maps = enc.block_maps(method, self.POS)
+        data = rng.standard_normal((3, 12, head_dim))
+        data[1] = 1.6e308  # finite, but turned past the float64 limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for inverse in (False, True):
+                with pytest.raises(ValueError, match="^rotated values in batch row 1 overflow float64$"):
+                    enc.rotate_rows(data, method, maps, inverse)
 
     @pytest.mark.parametrize("head_dim", [4, 5])
     def test_float32_overflow_raises(self, head_dim):
