@@ -644,9 +644,8 @@ class TestRotateRows:
             data[1, 5, slot] = value  # a middle batch row
             maps = enc.block_maps(method, self.POS)
             for inverse in (False, True):
-                with np.errstate(invalid="ignore"), pytest.raises(
-                    ValueError, match="block contains non-finite values"
-                ):
+                # no numpy warning, though inf times a zero map entry is NaN
+                with pytest.raises(ValueError, match="^block contains non-finite values$"):
                     enc.rotate_rows(data, method, maps, inverse)
 
     @pytest.mark.parametrize("tag", enc.METHODS)
@@ -654,15 +653,13 @@ class TestRotateRows:
         # finite input, accepted by the block, but turned past the float64 limit
         method = self.configure(tag, 16)
         block = enc.TokenBlock(data=np.full((2, 12, 16), 1.6e308), positions=self.POS)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match="^rotated values in batch row 0 overflow float64$"
-        ):
+        with pytest.raises(ValueError, match="^rotated values in batch row 0 overflow float64$"):
             enc.apply_encoding(block, method)
 
     @pytest.mark.parametrize("tag", enc.METHODS)
     @pytest.mark.parametrize("head_dim", [16, 17])
     def test_float64_overflow_names_its_row_without_a_warning(self, tag, head_dim):
-        # straight into the output (head_dim 16) or through the scratch (17)
+        # rows without (head_dim 16) and with (17) a pass-through dim
         method = self.configure(tag, head_dim)
         maps = enc.block_maps(method, self.POS)
         data = rng.standard_normal((3, 12, head_dim))
