@@ -593,8 +593,8 @@ def _two_rotor_matrix(axis_outer, angle_outer, axis_inner, angle_inner) -> np.nd
     and v (inner). With c, s the half-angle cosines and sines,
     w = c1 c2 - s1 s2 (u.v) and xyz = c1 s2 v + s1 c2 u + s1 s2 (u x v).
     """
-    u = np.moveaxis(require_unit_axis(axis_outer), -1, 0)  # (3, ...)
-    v = np.moveaxis(require_unit_axis(axis_inner), -1, 0)
+    u = np.moveaxis(axis_outer, -1, 0)  # (3, ...)
+    v = np.moveaxis(axis_inner, -1, 0)
     h1, h2 = 0.5 * angle_outer, 0.5 * angle_inner
     c1, s1, c2, s2 = np.cos(h1), np.sin(h1), np.cos(h2), np.sin(h2)
     ss, cs, sc = s1 * s2, c1 * s2, s1 * c2
@@ -629,8 +629,6 @@ def _as_complex(carriers: np.ndarray) -> np.ndarray:
 
 
 def _apply_planar(phase, src, dst) -> None:
-    if src.strides[-1] != src.itemsize:  # the view needs each (x, y) adjacent
-        src = np.ascontiguousarray(src)
     np.multiply(_as_complex(src), phase, out=_as_complex(dst))
 
 
@@ -711,9 +709,14 @@ def rotation_maps(tag: str, angles_x, angles_y, unit_x=None, unit_y=None) -> np.
     only ``unit_x``) broadcasting like quat_rotor's; rope1d and spherical
     ignore them.
     """
+    rotation = ROTATIONS[tag]
     angles_x = np.asarray(angles_x, dtype=np.float64)
     angles_y = np.asarray(angles_y, dtype=np.float64)
-    return ROTATIONS[tag].build(angles_x, angles_y, unit_x, unit_y)
+    if rotation.free_axes:
+        unit_x = require_unit_axis(unit_x)
+    if rotation.free_axes == 2:
+        unit_y = require_unit_axis(unit_y)
+    return rotation.build(angles_x, angles_y, unit_x, unit_y)
 
 
 def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
@@ -721,7 +724,7 @@ def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
     against v's leading axes; for the inverse rotation pass
     ``ROTATIONS[tag].invert(maps)``."""
     rotation = ROTATIONS[tag]
-    v = np.asarray(v, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
     width = rotation.width
     if v.shape[-1:] != (width,):
         raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
@@ -742,24 +745,18 @@ def token_band_angles(method: EncodingMethod, positions) -> tuple[np.ndarray, np
     return position_angles(pos, method.schedule.band_angles, method.scale_x, method.scale_y)
 
 
-def _constant(a: np.ndarray) -> bool:
-    """Whether ``a`` is constant along its first axis, bit for bit (-0.0
-    is not 0.0 to sin)."""
-    return a[1:].tobytes() == a[:-1].tobytes()
-
-
 def _grid_shape(pos: np.ndarray) -> tuple[int, int] | None:
     """(rows, columns) when (tokens, 2) positions form a row-major product
     grid bit for bit: p_x constant down each column, p_y along each row.
     None otherwise."""
     if not len(pos):
         return None
-    y = pos[:, 1].view(np.int64)
-    columns = int((y != y[0]).argmax()) or len(pos)  # where the second row starts
+    bits = pos.view(np.int64)  # -0.0 is not 0.0 to sin
+    columns = int((bits[:, 1] != bits[0, 1]).argmax()) or len(pos)  # where the second row starts
     if len(pos) % columns:
         return None
-    grid = pos.reshape(-1, columns, 2)
-    if _constant(grid[:, :, 0]) and _constant(grid[:, :, 1].T):
+    grid = bits.reshape(-1, columns, 2)
+    if (grid[:, :, 0] == grid[0, :, 0]).all() and (grid[:, :, 1] == grid[:, :1, 1]).all():
         return grid.shape[0], columns
     return None
 
@@ -775,22 +772,20 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     later step is the same elementwise operation on the same values.
     """
     rotation = ROTATIONS[method.tag]
-    axes = () if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
+    axes = (None, None) if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
     pos = np.asarray(positions, dtype=np.float64)
     grid = _grid_shape(pos) if rotation.separable else None
-    if grid is not None:
-        rows, columns = grid
-        # one call sees every distinct coordinate, so an overflowing or
-        # non-finite angle raises with the per-token message
-        ax, ay = token_band_angles(method, np.concatenate([pos[:columns], pos[::columns]]))
-        row_x, row_y, column_x, column_y = ax[:columns], ay[:columns], ax[columns:], ay[columns:]
-        if _constant(row_y) and _constant(column_x):  # each angle reads its own coordinate
-            maps = rotation_maps(method.tag, row_x[None], column_y[:, None], *axes)
-            full = maps.shape[: rotation.map_rank] + (rows, columns, ax.shape[1])
-            if maps.shape != full:  # rope1d's phase is one row, repeated by the copying reshape
-                maps = np.broadcast_to(maps, full)
-            return maps.reshape(full[:-3] + (len(pos), full[-1]))
-    return rotation_maps(method.tag, *token_band_angles(method, pos), *axes)
+    if grid is None:
+        return rotation.build(*token_band_angles(method, pos), *axes)
+    rows, columns = grid
+    # one call sees every distinct coordinate, so an overflowing or
+    # non-finite angle raises with the per-token message
+    ax, ay = token_band_angles(method, np.concatenate([pos[:columns], pos[::columns]]))
+    maps = rotation.build(ax[None, :columns], ay[columns:, None], *axes)
+    full = maps.shape[: rotation.map_rank] + (rows, columns, ax.shape[1])
+    if maps.shape != full:  # rope1d's phase is one row, repeated by the copying reshape
+        maps = np.broadcast_to(maps, full)
+    return maps.reshape(full[:-3] + (len(pos), full[-1]))
 
 
 def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -122,7 +122,7 @@ class TestScoreMatrixReference:
 
             return wrapper
 
-        monkeypatch.setattr(enc, "rotation_maps", counted(builds, enc.rotation_maps))
+        monkeypatch.setattr(att, "block_maps", counted(builds, att.block_maps))
         monkeypatch.setattr(att, "rotate_rows", counted(rotations, att.rotate_rows))
         method = self.method("care", 66, seed=1)
         q = random_block(2, 66, self.POS, seed=3)

@@ -78,10 +78,13 @@ class TestCheck:
             assert err == "failing suites: rotary-reductions, encoder-oracle-agreement\n"
 
     # Each mutation keeps every map orthogonal, so norms and round trips
-    # hold and only the comparison with the rotor oracles fails. The norm
-    # and equivariance suites run the mutated encoder too and still pass;
+    # hold and the comparison with the rotor oracles fails. The norm and
+    # equivariance suites run the mutated encoder too and still pass;
     # under the quatro and coordinate mutations their printed maxima and
-    # witness gaps move, so only their verdicts are compared.
+    # witness gaps move, so only their verdicts are compared. Swapping the
+    # coordinates gives every grid token the same maps (the first row's
+    # angle_x reads its one p_y, the first column's angle_y its one p_x),
+    # so the equivariance witness gap closes and that suite fails as well.
     MAP_MUTATIONS = {
         "quatro_transposed": ("quatro", lambda b: lambda *a: b(*a).swapaxes(0, 1)),
         "quatro_axes_swapped": ("quatro", lambda b: lambda ax, ay, ux, uy: b(ax, ay, uy, ux)),
@@ -111,13 +114,19 @@ class TestCheck:
             )
         code, out, err = run(capsys, ["check", "--seed", "0"])
         assert code == cli.EXIT_PROPERTY
-        assert err == "failing suites: encoder-oracle-agreement\n"
+        failing = ["encoder-oracle-agreement"]
+        if mutation == "coordinates_swapped":
+            failing.insert(0, "harness-equivariance")
+        assert err == f"failing suites: {', '.join(failing)}\n"
         lines, clean_lines = out.split("\n"), clean.split("\n")
         assert lines[8].startswith("FAIL encoder-oracle-agreement: encoder vs rotor oracle")
-        assert lines[9] == "8/9 suites passed (seed 0)"
+        assert lines[9] == f"{9 - len(failing)}/9 suites passed (seed 0)"
         moved = ("rotary-norm-preservation", "harness-equivariance")
         for line, clean_line in zip(lines[:8], clean_lines[:8]):
-            if mutation in self.DETAILS_MOVE and clean_line.split(":")[0][5:] in moved:
+            name = clean_line.split(":")[0][5:]
+            if name in failing:
+                assert line.startswith(f"FAIL {name}: witness gap ")
+            elif mutation in self.DETAILS_MOVE and name in moved:
                 assert line.startswith("ok  ")
             else:
                 assert line == clean_line

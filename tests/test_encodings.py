@@ -827,6 +827,18 @@ class TestRotationMaps:
             assert np.array_equal(ax[t], theta * (1.3 * px))
             assert np.array_equal(ay[t], theta * (0.8 * py))
 
+    # quatro's x axis is its outer one, care's its inner one; mixed reads only x
+    @pytest.mark.parametrize("bad", [(1.0, 1.0, 0.0), (np.nan, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize(
+        "tag,axis", [("mixed", "x"), ("quatro", "x"), ("quatro", "y"), ("care", "x"), ("care", "y")]
+    )
+    def test_non_unit_axis_rejected(self, tag, axis, bad):
+        axes = {"x": np.tile([0.0, 0.6, 0.8], (7, 1)), "y": np.tile([0.8, 0.0, -0.6], (7, 1))}
+        axes[axis][1] = bad
+        angles = np.linspace(-50.0, 50.0, 40 * 7).reshape(40, 7)
+        with pytest.raises(ValueError, match="^rotation axis must be a unit 3-vector$"):
+            enc.rotation_maps(tag, angles, angles[::-1], axes["x"], axes["y"])
+
     def test_carrier_width_checked(self):
         maps = enc.rotation_maps("quatro", 0.1, 0.2, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
         with pytest.raises(ValueError, match="trailing axis of 3"):
@@ -1108,14 +1120,6 @@ class TestTwoRotorMatrix:
             enc._two_rotor_matrix(u, a, v, b)
         with pytest.raises(ValueError, match="not unit norm"):
             enc._two_rotor_matrix(u, b, v, a)
-
-    @pytest.mark.parametrize("bad", [(1.0, 1.0, 0.0), (np.nan, 0.0, 0.0), (0.0, 0.0, 0.0)])
-    @pytest.mark.parametrize("outer", [True, False])
-    def test_non_unit_axis_rejected(self, bad, outer):
-        u, a, v, b = self.draw()
-        (u if outer else v)[1] = bad
-        with pytest.raises(ValueError, match="unit 3-vector"):
-            enc._two_rotor_matrix(u, a, v, b)
 
 
 class TestRotationGradient:
