@@ -712,6 +712,8 @@ def rotation_maps(tag: str, angles_x, angles_y, unit_x=None, unit_y=None) -> np.
     rotation = ROTATIONS[tag]
     angles_x = np.asarray(angles_x, dtype=np.float64)
     angles_y = np.asarray(angles_y, dtype=np.float64)
+    if not (np.isfinite(angles_x).all() and np.isfinite(angles_y).all()):
+        raise ValueError("rotation angles must be finite")
     if rotation.free_axes:
         unit_x = require_unit_axis(unit_x)
     if rotation.free_axes == 2:

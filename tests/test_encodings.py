@@ -839,6 +839,16 @@ class TestRotationMaps:
         with pytest.raises(ValueError, match="^rotation axis must be a unit 3-vector$"):
             enc.rotation_maps(tag, angles, angles[::-1], axes["x"], axes["y"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("angle", ["x", "y"])
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_non_finite_angle_rejected(self, tag, angle, bad):
+        angles = {"x": np.array([0.3, 1.2, -2.0]), "y": np.array([-0.4, 2.0, 0.1])}
+        angles[angle][1] = bad
+        axis = np.array([0.0, 0.6, 0.8])
+        with pytest.raises(ValueError, match="^rotation angles must be finite$"):
+            enc.rotation_maps(tag, angles["x"], angles["y"], axis, axis)
+
     def test_carrier_width_checked(self):
         maps = enc.rotation_maps("quatro", 0.1, 0.2, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
         with pytest.raises(ValueError, match="trailing axis of 3"):
