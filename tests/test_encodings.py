@@ -1,6 +1,7 @@
 """Encoding methods: schedules, rotations, reductions, block application."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -208,6 +209,70 @@ class TestMethodConfigure:
     def test_per_band_axes_shape_enforced(self):
         with pytest.raises(ValueError):
             enc.EncodingMethod.configure("quatro", 9, axes_x=rng.standard_normal((2, 3)))
+
+
+_TWO_BANDS = enc.FrequencySchedule.for_bands(2)
+
+
+def _rope1d_rows(data, tokens):
+    """rotate_rows on ``data`` with rope1d head_dim 4 maps for ``tokens`` positions."""
+    method = enc.EncodingMethod.configure("rope1d", 4)
+    return enc.rotate_rows(np.asarray(data), method, enc.block_maps(method, np.zeros((tokens, 2))))
+
+
+class TestRefusals:
+    """Each guard on outside input refuses with its own message."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (
+                lambda: enc.AxisParams(np.zeros((2, 2)), np.zeros((2, 2))),
+                "axes_x must have shape (num_bands, 3)",
+            ),
+            (
+                lambda: enc.AxisParams(np.ones((2, 3)), np.ones((3, 3))),
+                "axes_x and axes_y must cover the same bands",
+            ),
+            (lambda: enc.EncodingMethod("axial", _TWO_BANDS), "unknown encoding method 'axial'"),
+            (lambda: enc.EncodingMethod("quatro", _TWO_BANDS), "quatro needs axis parameters"),
+            (
+                lambda: enc.EncodingMethod(
+                    "quatro", _TWO_BANDS, enc.AxisParams(np.ones((3, 3)), np.ones((3, 3)))
+                ),
+                "axis bands do not match schedule bands",
+            ),
+            (
+                lambda: enc.EncodingMethod.configure("quatro", 12, axes_x=[1.0, 0.0]),
+                "axes_x must be one 3-vector or shape (4, 3)",
+            ),
+            (
+                lambda: enc.rotation_gradient("axial", np.ones(3), np.zeros(2), 1.0, "angle_x"),
+                "unknown encoding method 'axial'",
+            ),
+            (lambda: _rope1d_rows(np.zeros((3, 4)), 3), "block data must be batch x tokens x head_dim"),
+            (lambda: _rope1d_rows(np.zeros((1, 3, 1)), 3), "head_dim 1 is below the sub-vector width 2"),
+            (
+                lambda: _rope1d_rows(np.zeros((1, 3, 4)), 2),
+                "maps of shape (2, 2) do not cover 3 tokens x 2 bands",
+            ),
+        ],
+        ids=[
+            "axis_params_shape",
+            "axis_params_bands",
+            "method_unknown_tag",
+            "method_missing_axes",
+            "method_axis_bands",
+            "per_band_shape",
+            "gradient_unknown_tag",
+            "rows_rank",
+            "rows_head_dim_below_width",
+            "rows_maps_cover",
+        ],
+    )
+    def test_refusal_names_its_cause(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestMethodTable:

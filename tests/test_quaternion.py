@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from garope import quaternion
 from garope.encodings import rotor_matrix
 from garope.ga import Algebra
 from garope.quaternion import (
@@ -135,6 +136,14 @@ class TestSandwich:
         v = rng.standard_normal((50, 3))
         out = quat_sandwich(r, v)
         assert np.max(np.abs(np.linalg.norm(out, axis=-1) - np.linalg.norm(v, axis=-1))) < 1e-13
+
+    def test_scalar_residue_rejected(self, monkeypatch):
+        # r v r^-1 of a pure v is pure for every r, so only a product that
+        # is not the conjugation, here r v r, leaves a residue to refuse
+        monkeypatch.setattr(quaternion, "conjugate", lambda r: r)
+        r = quat_rotor(np.array([0.0, 0.0, 1.0]), 0.3)
+        with pytest.raises(ValueError, match=r"^sandwich scalar residue 0\.56\d* exceeds tolerance$"):
+            quat_sandwich(r, np.array([0.0, 0.0, 1.0]))
 
     def test_rejects_non_unit_rotor(self):
         with pytest.raises(ValueError):
