@@ -28,14 +28,14 @@ closed form (the entries of a quaternion's matrix: ``rotor_matrix``). A
 block is encoded in two steps, ``block_maps`` (maps from positions; on a
 row-major grid its trig runs once per column and row, not once per token)
 and ``rotate_rows`` (maps applied to a raw float32 or float64 array one
-batch row at a time: each row is converted, rotated, cast into the output
-and checked once for non-finite values, on the values written; a failure
-is named as non-finite input or as an overflow of the dtype, with no
-numpy warning; care rotates each row into a slots-first scratch, one
-contiguous plane per slot, and copies it out once);
+batch row at a time, each row checked once, on the values written; care
+rotates each row into a slots-first scratch and copies it out once);
 ``apply_encoding`` runs both, attention scores reuse one build for
 queries and keys, and ``garope encode`` rotates the file's array into an
-output of its own dtype.
+output of its own dtype. Each precondition is proven once, where its
+values enter (``AxisParams``, ``position_angles``, the grid test of
+``block_maps``, ``rotation_maps``, ``apply_maps``, ``rotate_rows``), and
+the builders and applies behind these entries trust their inputs.
 The single sub-vector ``*_rotate`` functions (grid positions) and
 ``*_apply`` variants (resolved angles) compute the same rotations
 independently and serve as its oracles: spherical takes two of rope1d's
@@ -670,7 +670,9 @@ class Rotation:
     returns the maps components first: a complex (...) phase
     cos + i sin (rank 0), or (3, 3, ...) for a matrix (rank 2).
     ``invert(maps)`` returns the inverse maps, and ``apply(maps, src, dst)``
-    writes the rotated (..., width) carriers of src into dst. ``slot_major``
+    writes the rotated (..., width) carriers of src into dst. build and
+    apply trust their inputs (finite angles, unit axes, contiguous float64
+    carriers); the entries that call them prove these. ``slot_major``
     (care) tells ``rotate_rows`` to give apply a slots-first dst, whose
     slot k is one contiguous (tokens, bands) plane, and to copy or cast
     each row from it into the output once.
@@ -707,17 +709,16 @@ def rotation_maps(tag: str, angles_x, angles_y, unit_x=None, unit_y=None) -> np.
 
     ``unit_x``/``unit_y`` are unit axes (mixed, quatro, care; mixed reads
     only ``unit_x``) broadcasting like quat_rotor's; rope1d and spherical
-    ignore them.
+    ignore them. Non-finite angles, or a non-unit axis the method reads,
+    raise before the build.
     """
     rotation = ROTATIONS[tag]
     angles_x = np.asarray(angles_x, dtype=np.float64)
     angles_y = np.asarray(angles_y, dtype=np.float64)
     if not (np.isfinite(angles_x).all() and np.isfinite(angles_y).all()):
         raise ValueError("rotation angles must be finite")
-    if rotation.free_axes:
-        unit_x = require_unit_axis(unit_x)
-    if rotation.free_axes == 2:
-        unit_y = require_unit_axis(unit_y)
+    unit_x = require_unit_axis(unit_x) if rotation.free_axes else unit_x  # mixed reads x alone
+    unit_y = require_unit_axis(unit_y) if rotation.free_axes == 2 else unit_y
     return rotation.build(angles_x, angles_y, unit_x, unit_y)
 
 
@@ -768,10 +769,11 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     components first; ``rotate_rows`` applies them to any block at those
     positions. Angles that overflow float64 raise (``position_angles``).
 
-    On a row-major grid a separable method takes its trig once per column
-    and row: angle_x comes from the first row, angle_y from the first
-    column, and the maps are the per-token ones bit for bit, since every
-    later step is the same elementwise operation on the same values.
+    On a row-major grid, proven once on the positions' bits, a separable
+    method takes its trig once per column and row: angle_x comes from the
+    first row, angle_y from the first column, and the maps are the
+    per-token ones bit for bit, since equal positions give equal angles
+    and every later step is the same elementwise operation on them.
     """
     rotation = ROTATIONS[method.tag]
     axes = (None, None) if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
