@@ -727,7 +727,7 @@ def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
     against v's leading axes; for the inverse rotation pass
     ``ROTATIONS[tag].invert(maps)``."""
     rotation = ROTATIONS[tag]
-    v = np.ascontiguousarray(v, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64, order="C")  # rope1d views each (x, y) as one complex
     width = rotation.width
     if v.shape[-1:] != (width,):
         raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")

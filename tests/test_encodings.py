@@ -918,6 +918,8 @@ class TestRotationMaps:
         maps = enc.rotation_maps("quatro", 0.1, 0.2, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
         with pytest.raises(ValueError, match="trailing axis of 3"):
             enc.apply_maps("quatro", maps, np.zeros(4))
+        with pytest.raises(ValueError, match=r"trailing axis of 2, got shape \(\)$"):
+            enc.apply_maps("rope1d", enc.rotation_maps("rope1d", 0.1, 0.0), 1.0)
 
 
 grid_rng = np.random.default_rng(7177)  # apart from rng, so the later tests draw what they drew before
