@@ -8,7 +8,10 @@ matrices (``rotor_matrix``) and closed-form identities; the encoder meets
 the rotor oracles of ``encodings.ORACLES``, as a wrong orthogonal map
 keeps norms and round trips; and two frozen witness configurations
 (``witness_gaps``) show the non-commuting methods losing shift equivariance.
-All are seeded and pure (same seed, same printed figures, byte for byte);
+The gradient check turns each drawn case set into angles once, through
+``position_angles`` as the encoder does, and hands the same angles and unit
+axes to ``rotation_gradient`` and to central differences of maps built by
+``ROTATIONS[tag].build``. All are seeded and pure (same seed, same printed figures, byte for byte);
 samples that draw several values each follow the rule of ``draw_samples``.
 """
 
@@ -45,7 +48,6 @@ from .encodings import (
     rope1d_rotate,
     rotate_rows,
     rotation_gradient,
-    rotation_maps,
     rotor_matrix,
     spherical_rotate,
     unit_axis,
@@ -285,13 +287,13 @@ def _grad_cases(tag: str, rng: np.random.Generator, positions: np.ndarray, sched
     return v, p, theta, axis_x, axis_x if shared else unit_axis(raw_y)
 
 
-def _grad_fd(tag, cases, coordinate, scales, h) -> np.ndarray:
+def _grad_fd(tag, cases, coordinate, h) -> np.ndarray:
     """Central differences of every sample at once, through the map table."""
-    v, p, theta, axis_x, axis_y = cases
-    ax, ay = position_angles(p, theta, *scales)
+    v, angle_x, angle_y, axis_x, axis_y = cases
+    build = ROTATIONS[tag].build
 
     def f(dx, dy):
-        return apply_maps(tag, rotation_maps(tag, ax + dx, ay + dy, axis_x, axis_y), v)
+        return apply_maps(tag, build(angle_x + dx, angle_y + dy, axis_x, axis_y), v)
 
     if coordinate == "angle_x":
         return (f(h, 0.0) - f(-h, 0.0)) / (2.0 * h)
@@ -307,26 +309,25 @@ def gradient_errors(
     either way, of care's scalar and e123 slots, which no rotor moves."""
     schedule = EncodingMethod.configure("quatro", 64, base=base).schedule
 
-    def gradient(tag, cases, coordinate):  # cases: (v, p, theta, axis_x, axis_y)
-        return rotation_gradient(tag, *cases[:3], coordinate, *cases[3:], *scales)
+    def resolved_cases(tag, rng):  # (v, angle_x, angle_y, axis_x, axis_y)
+        v, p, theta, axis_x, axis_y = _grad_cases(tag, rng, positions, schedule, samples)
+        return (v, *position_angles(p, theta, *scales), axis_x, axis_y)
 
     errors = {}
     for tag_index, tag in enumerate(METHODS):
         for coord_index, coordinate in enumerate(("angle_x", "angle_y")):
-            rng = np.random.default_rng([seed, 2 * tag_index + coord_index])
-            cases = _grad_cases(tag, rng, positions, schedule, samples)
-            g = gradient(tag, cases, coordinate)  # independent of h
+            cases = resolved_cases(tag, np.random.default_rng([seed, 2 * tag_index + coord_index]))
+            g = rotation_gradient(tag, coordinate, *cases)  # independent of h
             for h in GRAD_H_SWEEP:
-                fd = _grad_fd(tag, cases, coordinate, scales, h)
+                fd = _grad_fd(tag, cases, coordinate, h)
                 rel = np.max(np.abs(g - fd), axis=-1) / np.maximum(1.0, np.max(np.abs(fd), axis=-1))
                 errors[tag, coordinate, h] = float(np.max(rel))
 
-    rng = np.random.default_rng([seed, 999])
-    cases = _grad_cases("care", rng, positions, schedule, samples)
+    cases = resolved_cases("care", np.random.default_rng([seed, 999]))
     derivatives = []
     for coordinate in ("angle_x", "angle_y"):
-        fd = _grad_fd("care", cases, coordinate, scales, GRAD_CHANNEL_H)
-        derivatives += [gradient("care", cases, coordinate), fd]
+        fd = _grad_fd("care", cases, coordinate, GRAD_CHANNEL_H)
+        derivatives += [rotation_gradient("care", coordinate, *cases), fd]
     channels = float(np.max(np.abs(np.stack(derivatives)[..., CARE_INVARIANT_SLOTS])))
     return errors, channels
 

@@ -34,15 +34,19 @@ rotates each row into a slots-first scratch and copies it out once);
 queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype. Each precondition is proven once, where its
 values enter (``AxisParams``, ``position_angles``, the grid test of
-``block_maps``, ``rotation_maps``, ``apply_maps``, ``rotate_rows``), and
-the builders and applies behind these entries trust their inputs.
-The single sub-vector ``*_rotate`` functions (grid positions) and
+``block_maps``, ``apply_maps``, ``rotate_rows``), and the
+builders and applies behind these entries trust their inputs:
+``ROTATIONS[tag].build`` has two callers, ``block_maps`` and the
+gradient check, and both pass angles from ``position_angles`` and unit
+axes. The single sub-vector ``*_rotate`` functions (grid positions) and
 ``*_apply`` variants (resolved angles) compute the same rotations
 independently and serve as its oracles: spherical takes two of rope1d's
 planar turns, and care's rotors are quatro's quaternion rotors placed in
 the even subalgebra (``cl3.mv8_from_quaternion``). ``ORACLES``
-lists them at resolved angles, called like the map builders. They and
-``rotation_gradient`` broadcast over leading sample axes.
+lists them at resolved angles, called like the map builders, and
+``rotation_gradient(tag, coordinate, v, angle_x, angle_y, axis_x,
+axis_y)`` takes the same arguments after its tag and angle name. They
+broadcast over leading sample axes.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .quaternion import (
     hamilton_product,
     quat_rotor,
     quat_sandwich,
-    require_unit_axis,
     require_unit_norm,
 )
 
@@ -455,38 +458,32 @@ def _mv8_commutator_half(b: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def rotation_gradient(
-    tag: str,
-    v,
-    p,
-    theta,
-    coordinate: str,
-    axis_x=None,
-    axis_y=None,
-    scale_x: float = 1.0,
-    scale_y: float = 1.0,
+    tag: str, coordinate: str, v, angle_x, angle_y, axis_x=None, axis_y=None
 ) -> np.ndarray:
     """Derivative of the rotated sub-vector w.r.t. one resolved angle.
 
-    ``coordinate`` picks angle_x or angle_y (the angle after the schedule
-    and speed scaling, so d angle/d p is not included). Uses the rotor
-    derivative d/dt (R a ~R) = (B (R a ~R) - (R a ~R) B) / 2 for the rotor
-    whose angle moves, conjugated through the remaining outer rotor; for
+    After ``tag`` and ``coordinate`` it is called like ``ORACLES[tag]``,
+    ``(v, angle_x, angle_y, axis_x, axis_y)``, at angles resolved by
+    ``position_angles``. ``coordinate`` picks angle_x or angle_y (the
+    angle after the schedule and speed scaling, so d angle/d p is not
+    included). Uses the rotor derivative
+    d/dt (R a ~R) = (B (R a ~R) - (R a ~R) B) / 2 for the rotor whose
+    angle moves, conjugated through the remaining outer rotor; for
     3-vector carriers that commutator is the cross product with the axis.
     """
     if coordinate not in ("angle_x", "angle_y"):
         raise ValueError("coordinate must be angle_x or angle_y")
-    ax, ay = position_angles(p, theta, scale_x, scale_y)
     wrt_x = coordinate == "angle_x"
 
     if tag == "rope1d":
         if not wrt_x:
             return np.zeros(np.shape(np.asarray(v, dtype=np.float64)))
-        out = rope1d_apply(v, ax)
+        out = rope1d_apply(v, angle_x)
         return np.stack([-out[..., 1], out[..., 0]], axis=-1)
 
     if tag == "mixed":
         u = unit_axis(axis_x)
-        return np.cross(u, mixed_apply(v, ax + ay, u))
+        return np.cross(u, mixed_apply(v, angle_x + angle_y, u))
 
     if tag == "spherical":
         axis_x, axis_y = SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y
@@ -495,16 +492,16 @@ def rotation_gradient(
     if tag == "quatro":
         ux, uy = unit_axis(axis_x), unit_axis(axis_y)
         if wrt_x:  # outer rotor
-            return np.cross(ux, quatro_apply(v, ax, ay, ux, uy))
-        rx = quat_rotor(ux, ax / 2.0)
-        ry = quat_rotor(uy, ay / 2.0)
+            return np.cross(ux, quatro_apply(v, angle_x, angle_y, ux, uy))
+        rx = quat_rotor(ux, angle_x / 2.0)
+        ry = quat_rotor(uy, angle_y / 2.0)
         return quat_sandwich(rx, np.cross(uy, quat_sandwich(ry, v)))
 
     if tag == "care":
         ux, uy = unit_axis(axis_x), unit_axis(axis_y)
         bx, by = mv8_bivector(ux), mv8_bivector(uy)
-        rx = mv8_rotor(ux, ax / 2.0)
-        ry = mv8_rotor(uy, ay / 2.0)
+        rx = mv8_rotor(ux, angle_x / 2.0)
+        ry = mv8_rotor(uy, angle_y / 2.0)
         if not wrt_x:  # outer rotor
             out = cl3.mv8_rotor_sandwich(cl3.mv8_product(ry, rx), v)
             return _mv8_commutator_half(by, out)
@@ -672,7 +669,9 @@ class Rotation:
     ``invert(maps)`` returns the inverse maps, and ``apply(maps, src, dst)``
     writes the rotated (..., width) carriers of src into dst. build and
     apply trust their inputs (finite angles, unit axes, contiguous float64
-    carriers); the entries that call them prove these. ``slot_major``
+    carriers). build is called by ``block_maps`` and by the gradient
+    check, which pass angles from ``position_angles`` and unit axes;
+    ``apply_maps`` and ``rotate_rows`` prove apply's. ``slot_major``
     (care) tells ``rotate_rows`` to give apply a slots-first dst, whose
     slot k is one contiguous (tokens, bands) plane, and to copy or cast
     each row from it into the output once.
@@ -700,26 +699,6 @@ ROTATIONS = {  # in the order METHODS lists and reports them
 }
 METHODS = tuple(ROTATIONS)
 METHOD_WIDTHS = {tag: rotation.width for tag, rotation in ROTATIONS.items()}  # perfbench reads it
-
-
-def rotation_maps(tag: str, angles_x, angles_y, unit_x=None, unit_y=None) -> np.ndarray:
-    """Maps of method ``tag`` at resolved angles, components first: a
-    complex phase of the angles' shape for rope1d, (3, 3, ...) matrices
-    for the others.
-
-    ``unit_x``/``unit_y`` are unit axes (mixed, quatro, care; mixed reads
-    only ``unit_x``) broadcasting like quat_rotor's; rope1d and spherical
-    ignore them. Non-finite angles, or a non-unit axis the method reads,
-    raise before the build.
-    """
-    rotation = ROTATIONS[tag]
-    angles_x = np.asarray(angles_x, dtype=np.float64)
-    angles_y = np.asarray(angles_y, dtype=np.float64)
-    if not (np.isfinite(angles_x).all() and np.isfinite(angles_y).all()):
-        raise ValueError("rotation angles must be finite")
-    unit_x = require_unit_axis(unit_x) if rotation.free_axes else unit_x  # mixed reads x alone
-    unit_y = require_unit_axis(unit_y) if rotation.free_axes == 2 else unit_y
-    return rotation.build(angles_x, angles_y, unit_x, unit_y)
 
 
 def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:

@@ -20,6 +20,7 @@ from garope.encodings import (
     apply_encoding,
     grid_positions,
     mv8_rotor,
+    position_angles,
     random_block,
     rotation_gradient,
     rotor_matrix,
@@ -211,7 +212,7 @@ def test_analytic_gradients_match_finite_differences():
                 theta = float(schedule.band_angles[rng.integers(0, schedule.num_bands)])
                 ux = unit_axis(rng.standard_normal(3))
                 uy = ux if ROTATIONS[tag].free_axes == 1 else unit_axis(rng.standard_normal(3))
-                g = rotation_gradient(tag, v, p, theta, coordinate, axis_x=ux, axis_y=uy)
+                g = rotation_gradient(tag, coordinate, v, *position_angles(p, theta, 1.0, 1.0), ux, uy)
                 ref = fd(tag, v, theta * p[0], theta * p[1], ux, uy, coordinate)
                 rel = float(np.max(np.abs(g - ref))) / max(1.0, float(np.max(np.abs(ref))))
                 worst = max(worst, rel)

@@ -142,9 +142,9 @@ class TestMethodConfigure:
         assert np.all(np.isfinite(enc.block_maps(fine, pos)))
 
     def test_oracles_and_gradient_share_the_angle_overflow_check(self):
-        # position_angles is the one angle formula: the rotor oracles and
-        # rotation_gradient refuse the overflow with block_maps' message
-        # (a leaked numpy warning would fail this test)
+        # position_angles is the one angle formula: the rotor oracles refuse
+        # the overflow with block_maps' message, and rotation_gradient takes
+        # angles resolved by it (a leaked numpy warning would fail this test)
         p, theta, axis = np.array([1e10, 0.0]), 1.0, np.array([0.0, 0.0, 1.0])
         message = r"^position angle overflows float64: .*\(scale_x 1e\+300, scale_y 1.0\) is not finite$"
         calls = [
@@ -154,7 +154,6 @@ class TestMethodConfigure:
             lambda: enc.spherical_rotate(np.ones(3), p, theta, 1e300),
             lambda: enc.quatro_rotate(np.ones(3), p, axis, axis, theta, 1e300),
             lambda: enc.care_rotate(np.ones(8), p, axis, axis, theta, 1e300),
-            lambda: enc.rotation_gradient("care", np.ones(8), p, theta, "angle_y", axis, axis, 1e300),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=message):
@@ -247,7 +246,7 @@ class TestRefusals:
                 "axes_x must be one 3-vector or shape (4, 3)",
             ),
             (
-                lambda: enc.rotation_gradient("axial", np.ones(3), np.zeros(2), 1.0, "angle_x"),
+                lambda: enc.rotation_gradient("axial", "angle_x", np.ones(3), 0.0, 0.0),
                 "unknown encoding method 'axial'",
             ),
             (lambda: _rope1d_rows(np.zeros((3, 4)), 3), "block data must be batch x tokens x head_dim"),
@@ -809,7 +808,7 @@ class TestRotationMaps:
         ux, uy = enc.unit_axis(rng.standard_normal((2, n, 3)))
         ax, ay = rng.uniform(-4.0, 4.0, (2, n))
         m = rng.standard_normal((n, 8))
-        got = enc.apply_maps("care", enc.rotation_maps("care", ax, ay, ux, uy), m)
+        got = enc.apply_maps("care", enc.ROTATIONS["care"].build(ax, ay, ux, uy), m)
         rotor = cl3.mv8_product(enc.mv8_rotor(uy, ay / 2.0), enc.mv8_rotor(ux, ax / 2.0))
         want = cl3.mv8_rotor_sandwich(rotor, m)
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -821,7 +820,7 @@ class TestRotationMaps:
         ux = unit3()
         uy = ux if enc.ROTATIONS[tag].free_axes == 1 else unit3()
         want = enc.ORACLES[tag](v, ax, ay, ux, uy)
-        maps = enc.rotation_maps(tag, ax, ay, ux, uy)
+        maps = enc.ROTATIONS[tag].build(ax, ay, ux, uy)
         got = enc.apply_maps(tag, maps, v)
         assert got.shape == v.shape
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -834,7 +833,7 @@ class TestRotationMaps:
         ux, uy = enc.unit_axis(rng.standard_normal((2, n, 3)))
         ax, ay = rng.uniform(-4.0, 4.0, (2, n))
         m = rng.standard_normal((n, 8))
-        maps = enc.rotation_maps("care", ax, ay, ux, uy)
+        maps = enc.ROTATIONS["care"].build(ax, ay, ux, uy)
         out = enc.apply_maps("care", enc.ROTATIONS["care"].invert(maps) if inverse else maps, m)
         assert np.array_equal(out[:, enc.CARE_INVARIANT_SLOTS], m[:, enc.CARE_INVARIANT_SLOTS])
 
@@ -892,34 +891,14 @@ class TestRotationMaps:
             assert np.array_equal(ax[t], theta * (1.3 * px))
             assert np.array_equal(ay[t], theta * (0.8 * py))
 
-    # quatro's x axis is its outer one, care's its inner one; mixed reads only x
-    @pytest.mark.parametrize("bad", [(1.0, 1.0, 0.0), (np.nan, 0.0, 0.0), (0.0, 0.0, 0.0)])
-    @pytest.mark.parametrize(
-        "tag,axis", [("mixed", "x"), ("quatro", "x"), ("quatro", "y"), ("care", "x"), ("care", "y")]
-    )
-    def test_non_unit_axis_rejected(self, tag, axis, bad):
-        axes = {"x": np.tile([0.0, 0.6, 0.8], (7, 1)), "y": np.tile([0.8, 0.0, -0.6], (7, 1))}
-        axes[axis][1] = bad
-        angles = np.linspace(-50.0, 50.0, 40 * 7).reshape(40, 7)
-        with pytest.raises(ValueError, match="^rotation axis must be a unit 3-vector$"):
-            enc.rotation_maps(tag, angles, angles[::-1], axes["x"], axes["y"])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("angle", ["x", "y"])
-    @pytest.mark.parametrize("tag", enc.METHODS)
-    def test_non_finite_angle_rejected(self, tag, angle, bad):
-        angles = {"x": np.array([0.3, 1.2, -2.0]), "y": np.array([-0.4, 2.0, 0.1])}
-        angles[angle][1] = bad
-        axis = np.array([0.0, 0.6, 0.8])
-        with pytest.raises(ValueError, match="^rotation angles must be finite$"):
-            enc.rotation_maps(tag, angles["x"], angles["y"], axis, axis)
-
     def test_carrier_width_checked(self):
-        maps = enc.rotation_maps("quatro", 0.1, 0.2, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
+        angle_x, angle_y = np.array(0.1), np.array(0.2)
+        maps = enc.ROTATIONS["quatro"].build(angle_x, angle_y, enc.SPHERICAL_AXIS_X, enc.SPHERICAL_AXIS_Y)
         with pytest.raises(ValueError, match="trailing axis of 3"):
             enc.apply_maps("quatro", maps, np.zeros(4))
+        phase = enc.ROTATIONS["rope1d"].build(angle_x, angle_y, None, None)
         with pytest.raises(ValueError, match=r"trailing axis of 2, got shape \(\)$"):
-            enc.apply_maps("rope1d", enc.rotation_maps("rope1d", 0.1, 0.0), 1.0)
+            enc.apply_maps("rope1d", phase, 1.0)
 
 
 grid_rng = np.random.default_rng(7177)  # apart from rng, so the later tests draw what they drew before
@@ -971,8 +950,8 @@ class TestGridMaps:
 
     @staticmethod
     def per_token_maps(method, pos):
-        axes = () if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
-        return enc.rotation_maps(method.tag, *enc.token_band_angles(method, pos), *axes)
+        axes = (None, None) if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
+        return enc.ROTATIONS[method.tag].build(*enc.token_band_angles(method, pos), *axes)
 
     @pytest.mark.parametrize("name", list(GRID_POSITION_SETS))
     @pytest.mark.parametrize("head_dim", [64, 66])
@@ -1080,20 +1059,25 @@ class TestAngleFormula:
         from garope import checks
 
         method = self.method()
-        n = len(self.POS)
-        theta = np.full(n, method.schedule.band_angles[3])
-        v = rng.standard_normal((n, 2))
-        cases = (v, self.POS, theta, np.zeros((n, 3)), np.zeros((n, 3)))
+        rotation = enc.ROTATIONS["rope1d"]
         seen = []
 
-        def recorder(tag, ax, ay, ux, uy):
-            seen.append(np.asarray(ax))
-            return enc.rotation_maps(tag, ax, ay, ux, uy)
+        def recorder(ax, ay, ux, uy):
+            seen.append((np.asarray(ax), np.asarray(ay)))
+            return rotation.build(ax, ay, ux, uy)
 
-        monkeypatch.setattr(checks, "rotation_maps", recorder)
-        with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 leaves the angles as formed
-            checks._grad_fd("rope1d", cases, "angle_x", self.SCALES, 0.0)
-        assert np.array_equal(seen[0], enc.token_band_angles(method, self.POS)[0][:, 3])
+        monkeypatch.setitem(checks.ROTATIONS, "rope1d", dataclasses.replace(rotation, build=recorder))
+        monkeypatch.setattr(checks, "GRAD_H_SWEEP", (0.0,))  # h = 0 leaves the angles as formed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            checks.gradient_errors(3, self.POS, samples=40, scales=self.SCALES)
+        # the first build is rope1d's angle_x case, drawn from stream [3, 0]
+        rng = np.random.default_rng([3, 0])
+        _, p, theta, _, _ = checks._grad_cases("rope1d", rng, self.POS, method.schedule, 40)
+        token = np.argmax((self.POS[None, :, :] == p[:, None, :]).all(axis=-1), axis=1)
+        band = np.argmax(method.schedule.band_angles[None, :] == theta[:, None], axis=1)
+        want_x, want_y = enc.token_band_angles(method, self.POS)
+        assert np.array_equal(seen[0][0], want_x[token, band])
+        assert np.array_equal(seen[0][1], want_y[token, band])
 
 
 class TestComplexPhase:
@@ -1150,7 +1134,7 @@ class TestComplexPhase:
 
     def test_phase_components_are_cos_and_sin(self):
         angles = rng.uniform(-100.0, 100.0, (5, 4))
-        phase = enc.rotation_maps("rope1d", angles, np.zeros_like(angles))
+        phase = enc.ROTATIONS["rope1d"].build(angles, np.zeros_like(angles), None, None)
         assert np.array_equal(phase.real, np.cos(angles))
         assert np.array_equal(phase.imag, np.sin(angles))
 
@@ -1218,9 +1202,7 @@ class TestRotationGradient:
             theta = float(10 ** rng.uniform(-2, 0))
             ux = unit3()
             uy = ux if enc.ROTATIONS[tag].free_axes == 1 else unit3()
-            g = enc.rotation_gradient(
-                tag, v, p, theta, coordinate, axis_x=ux, axis_y=uy, scale_x=1.2, scale_y=0.8
-            )
+            g = enc.rotation_gradient(tag, coordinate, v, *enc.position_angles(p, theta, 1.2, 0.8), ux, uy)
             fd = self.fd(tag, v, theta * 1.2 * p[0], theta * 0.8 * p[1], ux, uy, coordinate)
             rel = float(np.max(np.abs(g - fd))) / max(1.0, float(np.max(np.abs(fd))))
             worst = max(worst, rel)
@@ -1235,18 +1217,10 @@ class TestRotationGradient:
         theta = 10 ** rng.uniform(-2, 0, n)
         ux = enc.unit_axis(rng.standard_normal((n, 3)))
         uy = ux if enc.ROTATIONS[tag].free_axes == 1 else enc.unit_axis(rng.standard_normal((n, 3)))
-        scales = dict(scale_x=1.2, scale_y=0.8)
-        batch = enc.rotation_gradient(
-            tag, v, p, theta, coordinate, axis_x=ux, axis_y=uy, **scales
-        )
+        ax, ay = enc.position_angles(p, theta, 1.2, 0.8)
+        batch = enc.rotation_gradient(tag, coordinate, v, ax, ay, ux, uy)
         single = np.array(
-            [
-                enc.rotation_gradient(
-                    tag, v[i], p[i], float(theta[i]), coordinate,
-                    axis_x=ux[i], axis_y=uy[i], **scales,
-                )
-                for i in range(n)
-            ]
+            [enc.rotation_gradient(tag, coordinate, v[i], ax[i], ay[i], ux[i], uy[i]) for i in range(n)]
         )
         assert batch.shape == v.shape
         assert np.array_equal(batch, single)  # same arithmetic, element by element
@@ -1254,24 +1228,25 @@ class TestRotationGradient:
     def test_planar_derivative_at_zero(self):
         # rotating e1 in the e12-style plane: derivative at angle 0 points
         # along the second axis with unit magnitude
-        g = enc.rotation_gradient("rope1d", np.array([1.0, 0.0]), (0.0, 0.0), 1.0, "angle_x")
+        angles = enc.position_angles((0.0, 0.0), 1.0, 1.0, 1.0)
+        g = enc.rotation_gradient("rope1d", "angle_x", np.array([1.0, 0.0]), *angles)
         assert np.max(np.abs(g - [0.0, 1.0])) < 1e-15
 
     def test_rope1d_has_no_y_sensitivity(self):
-        g = enc.rotation_gradient("rope1d", rng.standard_normal(2), (1.0, 2.0), 0.7, "angle_y")
+        v = rng.standard_normal(2)
+        g = enc.rotation_gradient("rope1d", "angle_y", v, *enc.position_angles((1.0, 2.0), 0.7, 1.0, 1.0))
         assert np.array_equal(g, np.zeros(2))
 
     def test_care_invariant_slots_have_zero_gradient(self):
         for coordinate in ("angle_x", "angle_y"):
             m = rng.standard_normal(8)
-            g = enc.rotation_gradient(
-                "care", m, (1.3, -0.8), 0.9, coordinate, axis_x=unit3(), axis_y=unit3()
-            )
+            angles = enc.position_angles((1.3, -0.8), 0.9, 1.0, 1.0)
+            g = enc.rotation_gradient("care", coordinate, m, *angles, unit3(), unit3())
             assert np.max(np.abs(g[[0, 7]])) <= 1e-10
 
     def test_unknown_coordinate_rejected(self):
         with pytest.raises(ValueError):
-            enc.rotation_gradient("rope1d", np.zeros(2), (0, 0), 1.0, "angle_z")
+            enc.rotation_gradient("rope1d", "angle_z", np.zeros(2), 0.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
