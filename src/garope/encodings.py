@@ -33,8 +33,8 @@ rotates each row into a slots-first scratch and copies it out once);
 ``apply_encoding`` runs both, attention scores reuse one build for
 queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype. Each precondition is proven once, where its
-values enter (``AxisParams``, ``position_angles``, the grid test of
-``block_maps``, ``apply_maps``, ``rotate_rows``), and the
+values enter (``AxisParams``, ``position_angles``, the shape and grid
+tests of ``block_maps``, ``apply_maps``, ``rotate_rows``), and the
 builders and applies behind these entries trust their inputs:
 ``ROTATIONS[tag].build`` has two callers, ``block_maps`` and the
 gradient check, and both pass angles from ``position_angles`` and unit
@@ -705,7 +705,9 @@ def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
     """Rotate (..., width) carriers by maps whose per-map shape broadcasts
     against v's leading axes; for the inverse rotation pass
     ``ROTATIONS[tag].invert(maps)``."""
-    rotation = ROTATIONS[tag]
+    rotation = ROTATIONS.get(tag)
+    if rotation is None:
+        raise ValueError(f"unknown encoding method {tag!r}")
     v = np.asarray(v, dtype=np.float64, order="C")  # rope1d views each (x, y) as one complex
     width = rotation.width
     if v.shape[-1:] != (width,):
@@ -746,7 +748,8 @@ def _grid_shape(pos: np.ndarray) -> tuple[int, int] | None:
 def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     """Maps of ``method`` for every (token, band) at (tokens, 2) positions,
     components first; ``rotate_rows`` applies them to any block at those
-    positions. Angles that overflow float64 raise (``position_angles``).
+    positions. Positions of any other shape raise, and so do angles that
+    overflow float64 (``position_angles``).
 
     On a row-major grid, proven once on the positions' bits, a separable
     method takes its trig once per column and row: angle_x comes from the
@@ -757,6 +760,8 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     rotation = ROTATIONS[method.tag]
     axes = (None, None) if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
     pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions must be (tokens, 2), got shape {pos.shape}")
     grid = _grid_shape(pos) if rotation.separable else None
     if grid is None:
         return rotation.build(*token_band_angles(method, pos), *axes)

@@ -249,6 +249,10 @@ class TestRefusals:
                 lambda: enc.rotation_gradient("axial", "angle_x", np.ones(3), 0.0, 0.0),
                 "unknown encoding method 'axial'",
             ),
+            (
+                lambda: enc.apply_maps("axial", np.ones((3, 3)), np.ones(3)),
+                "unknown encoding method 'axial'",
+            ),
             (lambda: _rope1d_rows(np.zeros((3, 4)), 3), "block data must be batch x tokens x head_dim"),
             (lambda: _rope1d_rows(np.zeros((1, 3, 1)), 3), "head_dim 1 is below the sub-vector width 2"),
             (
@@ -264,6 +268,7 @@ class TestRefusals:
             "method_axis_bands",
             "per_band_shape",
             "gradient_unknown_tag",
+            "apply_maps_unknown_tag",
             "rows_rank",
             "rows_head_dim_below_width",
             "rows_maps_cover",
@@ -272,6 +277,20 @@ class TestRefusals:
     def test_refusal_names_its_cause(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 1), (5, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_block_maps_refuses_positions_not_tokens_by_two(self, tag, shape):
+        method = enc.EncodingMethod.configure(tag, 24)
+        message = f"positions must be (tokens, 2), got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enc.block_maps(method, np.ones(shape))
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_block_maps_accepts_no_tokens(self, tag):
+        method = enc.EncodingMethod.configure(tag, 24)
+        maps = enc.block_maps(method, np.zeros((0, 2)))
+        assert maps.shape[enc.ROTATIONS[tag].map_rank :] == (0, method.schedule.num_bands)
 
 
 class TestMethodTable:
