@@ -8,7 +8,11 @@ fingerprint files.
 ``record`` imports ``garope.cli`` from the source tree ``--src`` and runs
 ``main([command, "--seed", seed])`` for every command and seed in one
 process, with stdout and stderr captured. Per (command, seed) it writes
-the exit code and the sha256 of stdout and of stderr.
+the exit code and the sha256 of stdout and of stderr. It runs ``equiv``
+and ``grad`` a second time with ``--config`` on ``SCALED_CONFIG`` (both
+coordinate scales away from 1, an off-origin grid and another base), so
+that a dropped or swapped scale shows, and records them as
+``equiv/config`` and ``grad/config``.
 
 It then runs ``main(["encode", ...])`` on tensors it writes itself from
 ``ENCODE_SEED``, on a 6x7 grid at origin (0.5, -2): every method, float32
@@ -48,6 +52,8 @@ COMMANDS = ("check", "equiv", "grad")
 ENCODE_SEED = 20310
 ENCODE_CONFIG = "grid_h = 6\ngrid_w = 7\norigin_x = 0.5\norigin_y = -2\n"
 ENCODE_BATCH = 3
+CONFIG_COMMANDS = ("equiv", "grad")
+SCALED_CONFIG = ENCODE_CONFIG + "coord_scale_x = 1.3\ncoord_scale_y = 0.7\nbase = 500\n"
 BENCH_ARGS = ("--seed", "3", "--reps", "30")
 BENCH_TIMING_COLUMNS = ("min_ns", "median_ns", "mean_ns", "rot_per_sec")
 
@@ -134,22 +140,31 @@ def _record_bench(main) -> dict:
     }
 
 
+def _record_seeds(main, command: str, seeds: list[int], options=()) -> dict:
+    runs = {}
+    for seed in seeds:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--seed", str(seed), *options])
+        runs[str(seed)] = {
+            "exit": code,
+            "stdout_sha256": _sha256(out.getvalue()),
+            "stderr_sha256": _sha256(err.getvalue()),
+        }
+    return runs
+
+
 def record(src: str, seeds: list[int]) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     from garope.cli import main
 
-    results = {}
-    for command in COMMANDS:
-        runs = results[command] = {}
-        for seed in seeds:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, "--seed", str(seed)])
-            runs[str(seed)] = {
-                "exit": code,
-                "stdout_sha256": _sha256(out.getvalue()),
-                "stderr_sha256": _sha256(err.getvalue()),
-            }
+    results = {command: _record_seeds(main, command, seeds) for command in COMMANDS}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "scaled.cfg")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(SCALED_CONFIG)
+        for command in CONFIG_COMMANDS:
+            results[f"{command}/config"] = _record_seeds(main, command, seeds, ("--config", config))
     results["encode"] = _record_encode(main)
     results["bench"] = _record_bench(main)
     return {"src": os.path.abspath(src), "results": results}
