@@ -11,7 +11,8 @@ keeps norms and round trips; and two frozen witness configurations
 The gradient check turns each drawn case set into angles once, through
 ``position_angles`` as the encoder does, and hands the same angles and unit
 axes to ``rotation_gradient`` and to central differences of maps built by
-``ROTATIONS[tag].build``. All are seeded and pure (same seed, same printed figures, byte for byte);
+``ROTATIONS[tag].build``.
+All are seeded and pure (same seed, same printed figures, byte for byte);
 samples that draw several values each follow the rule of ``draw_samples``.
 """
 

@@ -45,8 +45,8 @@ planar turns, and care's rotors are quatro's quaternion rotors placed in
 the even subalgebra (``cl3.mv8_from_quaternion``). ``ORACLES``
 lists them at resolved angles, called like the map builders, and
 ``rotation_gradient(tag, coordinate, v, angle_x, angle_y, axis_x,
-axis_y)`` takes the same arguments after its tag and angle name. They
-broadcast over leading sample axes.
+axis_y)`` takes the same arguments after its tag and angle name. The
+oracles and ``rotation_gradient`` broadcast over leading sample axes.
 """
 
 from __future__ import annotations
