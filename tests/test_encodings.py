@@ -292,6 +292,37 @@ class TestRefusals:
         maps = enc.block_maps(method, np.zeros((0, 2)))
         assert maps.shape[enc.ROTATIONS[tag].map_rank :] == (0, method.schedule.num_bands)
 
+    # a non-finite coordinate is refused at position_angles, the way in for angles
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("coordinate", [0, 1])
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_block_maps_refuses_a_non_finite_position(self, tag, coordinate, bad):
+        pos = np.array([[0.3, -0.4], [1.2, 2.0], [-2.0, 0.1]])
+        pos[1, coordinate] = bad
+        message = (
+            "position angle is not finite: a position, band angle or coordinate scale "
+            "(scale_x 1.0, scale_y 1.0) is not finite"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enc.block_maps(enc.EncodingMethod.configure(tag, 24), pos)
+
+    # a zero or NaN axis is refused at AxisParams, the way in for axes;
+    # quatro's x axis is its outer one, care's its inner one; mixed reads only x
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize(
+        "tag,name",
+        [("mixed", "axes_x"), ("quatro", "axes_x"), ("quatro", "axes_y"), ("care", "axes_x"), ("care", "axes_y")],
+    )
+    def test_configure_refuses_a_degenerate_axis(self, tag, name, bad):
+        width = enc.ROTATIONS[tag].width
+        axes = {"axes_x": np.tile([0.0, 0.6, 0.8], (7, 1)), "axes_y": np.tile([0.8, 0.0, -0.6], (7, 1))}
+        if tag == "mixed":
+            axes["axes_y"] = axes["axes_x"].copy()
+        axes[name][1] = bad
+        message = f"{name} contains a degenerate or non-finite axis"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enc.EncodingMethod.configure(tag, 7 * width, **axes)
+
 
 class TestMethodTable:
     """ROTATIONS holds each method's width and axis rule; the rest reads them."""
