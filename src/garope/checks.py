@@ -37,20 +37,14 @@ from .encodings import (
     apply_encoding,
     apply_maps,
     block_maps,
-    care_rotate,
     grade1_rotation_axis,
     grid_positions,
-    mixed_apply,
-    mixed_rotate,
     mv8_rotor,
     position_angles,
-    quatro_rotate,
     random_block,
-    rope1d_rotate,
     rotate_rows,
     rotation_gradient,
     rotor_matrix,
-    spherical_rotate,
     unit_axis,
 )
 from .ga import Algebra
@@ -188,7 +182,7 @@ def _suite_quat_rotation(seed: int) -> str:
 def _suite_cl3_invariant_channels(seed: int) -> str:
     rng = np.random.default_rng([seed, 5])
     n = 2000
-    rotors = mv8_rotor(rng.standard_normal((n, 3)), rng.uniform(-np.pi, np.pi, n))
+    rotors = mv8_rotor(unit_axis(rng.standard_normal((n, 3))), rng.uniform(-np.pi, np.pi, n))
     a = rng.standard_normal((n, 8))
     out = cl3.mv8_rotor_sandwich(rotors, a)
     a_inv, out_inv = a[:, CARE_INVARIANT_SLOTS], out[:, CARE_INVARIANT_SLOTS]
@@ -223,36 +217,39 @@ def reduction_deviations(
 
     p, theta, v, u, ux, uy = draw(6, (3, 3, 3, 3))
     u, ux, uy = unit_axis(u), unit_axis(ux), unit_axis(uy)
+    angle_x, angle_y = angles = position_angles(p, theta, 1.0, 1.0)
+    quatro, mixed, care = ORACLES["quatro"], ORACLES["mixed"], ORACLES["care"]
 
     def worst(a, b) -> float:
         return float(np.max(np.abs(a - b)))
 
     dev = {}
     dev["quatro_orthogonal_vs_spherical"] = worst(
-        quatro_rotate(v, p, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y, theta),
-        spherical_rotate(v, p, theta),
+        quatro(v, *angles, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y),
+        ORACLES["spherical"](v, *angles, None, None),
     )
-    dev["quatro_parallel_vs_mixed"] = worst(  # parallel, different raw norms
-        quatro_rotate(v, p, u, 2.5 * u, theta), mixed_rotate(v, p, u, theta)
+    dev["quatro_parallel_vs_mixed"] = worst(  # parallel, from different raw norms
+        quatro(v, *angles, u, unit_axis(2.5 * u)), mixed(v, *angles, u, u)
     )
     m = np.zeros((samples, 8))
     m[:, CARE_VECTOR_SLOTS] = v
     # order-aligned quaternion oracle: care conjugates y outermost
-    rx = quat_rotor(grade1_rotation_axis(ux), theta * p[:, 0] / 2.0)
-    ry = quat_rotor(grade1_rotation_axis(uy), theta * p[:, 1] / 2.0)
+    rx = quat_rotor(grade1_rotation_axis(ux), angle_x / 2.0)
+    ry = quat_rotor(grade1_rotation_axis(uy), angle_y / 2.0)
     dev["care_grade1_vs_quatro"] = worst(
-        care_rotate(m, p, ux, uy, theta)[:, CARE_VECTOR_SLOTS],
+        care(m, *angles, ux, uy)[:, CARE_VECTOR_SLOTS],
         quat_sandwich(hamilton_product(ry, rx), v),
     )
+    g = grade1_rotation_axis(ux)
     dev["care_parallel_vs_mixed"] = worst(  # parallel pair
-        care_rotate(m, p, ux, 0.5 * ux, theta)[:, CARE_VECTOR_SLOTS],
-        mixed_apply(v, theta * (p[:, 0] + p[:, 1]), grade1_rotation_axis(ux)),
+        care(m, *angles, ux, unit_axis(0.5 * ux))[:, CARE_VECTOR_SLOTS], mixed(v, *angles, g, g)
     )
     p, theta, ab = draw(10, (2,))
-    sx = 1.3  # not 1, so an angle formed from an unscaled p_x shows
+    angles = position_angles(p, theta, 1.3, 0.0)  # s_x not 1, so an unscaled p_x shows
+    e3 = np.array([0.0, 0.0, 1.0])
     dev["mixed_e3_vs_rope1d"] = worst(
-        mixed_rotate(np.insert(ab, 2, 0.0, axis=-1), p, (0.0, 0.0, 2.0), theta, sx, 0.0),
-        np.insert(rope1d_rotate(ab, p[:, 0], theta, sx), 2, 0.0, axis=-1),
+        mixed(np.insert(ab, 2, 0.0, axis=-1), *angles, e3, e3),
+        np.insert(ORACLES["rope1d"](ab, *angles, None, None), 2, 0.0, axis=-1),
     )
     return dev
 
@@ -449,7 +446,8 @@ def _suite_encoder_oracles(seed: int) -> str:
         back = rotate_rows(out, method, maps, inverse=True)
         sub_in, sub_out = (a[:, :, :body].reshape(2, -1, bands, width) for a in (data, out))
         angles = position_angles(pos[:, None, :], method.schedule.band_angles, sx, sy)
-        expected = ORACLES[tag](sub_in, *angles, axes_x, axes_y)
+        units = (None, None) if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
+        expected = ORACLES[tag](sub_in, *angles, *units)
         devs[tag] = float(np.max(np.abs(sub_out - expected)))
         worst_round = max(worst_round, float(np.max(np.abs(back - data))))
         copied &= bool(np.array_equal(out[:, :, body:], data[:, :, body:]))

@@ -38,15 +38,19 @@ tests of ``block_maps``, ``apply_maps``, ``rotate_rows``), and the
 builders and applies behind these entries trust their inputs:
 ``ROTATIONS[tag].build`` has two callers, ``block_maps`` and the
 gradient check, and both pass angles from ``position_angles`` and unit
-axes. The single sub-vector ``*_rotate`` functions (grid positions) and
-``*_apply`` variants (resolved angles) compute the same rotations
-independently and serve as its oracles: spherical takes two of rope1d's
-planar turns, and care's rotors are quatro's quaternion rotors placed in
-the even subalgebra (``cl3.mv8_from_quaternion``). ``ORACLES``
-lists them at resolved angles, called like the map builders, and
-``rotation_gradient(tag, coordinate, v, angle_x, angle_y, axis_x,
-axis_y)`` takes the same arguments after its tag and angle name. The
-oracles and ``rotation_gradient`` broadcast over leading sample axes.
+axes. The single sub-vector ``*_apply`` functions compute the same
+rotations independently and serve as its oracles: spherical takes two of
+rope1d's planar turns, and care's rotors are quatro's quaternion rotors
+placed in the even subalgebra (``cl3.mv8_from_quaternion``). ``ORACLES``
+lists them in the map builders' call shape, (v, angle_x, angle_y,
+unit_x, unit_y): resolved angles and unit axes, where a non-unit axis
+raises rather than being normalized again. ``rotation_gradient(tag,
+coordinate, v, angle_x, angle_y, unit_x, unit_y)`` takes the same
+arguments after its tag and angle name, and derives every method's
+derivative by one rule from ``ORACLES`` and each rotor's generator in
+``GENERATORS``. The oracles and ``rotation_gradient`` broadcast over
+leading sample axes. The ``*_rotate`` wrappers (grid positions, raw
+axes normalized once) are kept only for the benchmark's gates.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .quaternion import (
     hamilton_product,
     quat_rotor,
     quat_sandwich,
+    require_unit_axis,
     require_unit_norm,
 )
 
@@ -346,7 +351,8 @@ def rope1d_apply(v, angle) -> np.ndarray:
 
 
 def rope1d_rotate(v, p, theta, scale_x: float = 1.0) -> np.ndarray:
-    """Planar rotation of a 2-vector by theta (s_x p), p being p_x alone."""
+    """Planar rotation of a 2-vector by theta (s_x p), p being p_x alone.
+    The ``*_rotate`` wrappers are kept only for the benchmark's gates."""
     p = np.asarray(p, dtype=np.float64)
     angle, _ = position_angles(np.stack([p, np.zeros_like(p)], axis=-1), theta, scale_x, 1.0)
     return rope1d_apply(v, angle)
@@ -368,23 +374,23 @@ def spherical_rotate(v, p, theta, scale_x: float = 1.0, scale_y: float = 1.0) ->
     return spherical_apply(v, ax, ay)
 
 
-def quatro_apply(v, angle_x, angle_y, axis_x, axis_y) -> np.ndarray:
-    ux, uy = unit_axis(axis_x), unit_axis(axis_y)
-    rotor = hamilton_product(quat_rotor(ux, angle_x / 2.0), quat_rotor(uy, angle_y / 2.0))
+def quatro_apply(v, angle_x, angle_y, unit_x, unit_y) -> np.ndarray:
+    rotor = hamilton_product(quat_rotor(unit_x, angle_x / 2.0), quat_rotor(unit_y, angle_y / 2.0))
     return quat_sandwich(rotor, v)
 
 
 def quatro_rotate(
     v, p, axis_x, axis_y, theta, scale_x: float = 1.0, scale_y: float = 1.0
 ) -> np.ndarray:
-    """Two-rotor quaternion rotation of a 3-vector; the x rotor conjugates
-    outermost, so the composite rotor is r_x * r_y."""
+    """Two-rotor quaternion rotation of a 3-vector about raw axes,
+    normalized here once; the x rotor conjugates outermost, so the
+    composite rotor is r_x * r_y."""
     ax, ay = position_angles(p, theta, scale_x, scale_y)
-    return quatro_apply(v, ax, ay, axis_x, axis_y)
+    return quatro_apply(v, ax, ay, unit_axis(axis_x), unit_axis(axis_y))
 
 
-def mixed_apply(v, angle, axis) -> np.ndarray:
-    u = unit_axis(axis)
+def mixed_apply(v, angle, unit) -> np.ndarray:
+    u = require_unit_axis(unit)
     v = np.asarray(v, dtype=np.float64)
     angle = np.asarray(angle, dtype=np.float64)[..., None]  # one angle per carrier
     c, s = np.cos(angle), np.sin(angle)
@@ -394,13 +400,14 @@ def mixed_apply(v, angle, axis) -> np.ndarray:
 def mixed_rotate(
     v, p, axis, theta, scale_x: float = 1.0, scale_y: float = 1.0
 ) -> np.ndarray:
-    """Shared-axis rotation by the combined angle theta * (s_x p_x + s_y p_y).
+    """Shared-axis rotation by the combined angle theta * (s_x p_x + s_y p_y)
+    about a raw axis, normalized here once.
 
     Closed form (axis-angle); identical to quatro_rotate with both axes set
     to the shared axis, because same-plane rotors compose additively.
     """
     ax, ay = position_angles(p, theta, scale_x, scale_y)
-    return mixed_apply(v, ax + ay, axis)
+    return mixed_apply(v, ax + ay, unit_axis(axis))
 
 
 def mv8_bivector(axis) -> np.ndarray:
@@ -409,15 +416,16 @@ def mv8_bivector(axis) -> np.ndarray:
     return cl3.mv8_from_quaternion(np.insert(axis, 0, 0.0, axis=-1))
 
 
-def mv8_rotor(axis, half_angle) -> np.ndarray:
-    """quat_rotor's unit rotor cos(h) + sin(h) B(axis), as mv8 slots."""
-    return cl3.mv8_from_quaternion(quat_rotor(unit_axis(axis), half_angle))
+def mv8_rotor(unit, half_angle) -> np.ndarray:
+    """quat_rotor's unit rotor cos(h) + sin(h) B(unit), as mv8 slots; the
+    axis must be a unit axis."""
+    return cl3.mv8_from_quaternion(quat_rotor(unit, half_angle))
 
 
-def care_apply(m, angle_x, angle_y, axis_x, axis_y) -> np.ndarray:
+def care_apply(m, angle_x, angle_y, unit_x, unit_y) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
-    rx = mv8_rotor(axis_x, np.asarray(angle_x) / 2.0)
-    ry = mv8_rotor(axis_y, np.asarray(angle_y) / 2.0)
+    rx = mv8_rotor(unit_x, np.asarray(angle_x) / 2.0)
+    ry = mv8_rotor(unit_y, np.asarray(angle_y) / 2.0)
     out = cl3.mv8_rotor_sandwich(cl3.mv8_product(ry, rx), m)
     # scalar and e123 commute with every rotor, so these channels are
     # exactly invariant; copy them through instead of keeping the
@@ -430,20 +438,20 @@ def care_rotate(
     m, p, axis_x, axis_y, theta, scale_x: float = 1.0, scale_y: float = 1.0
 ) -> np.ndarray:
     """Conjugate an 8-slot multivector by the composite rotor R_y R_x (the
-    y rotor outermost, unlike quatro). Scalar and e123 slots are invariant;
-    every grade's norm is preserved."""
+    y rotor outermost, unlike quatro) about raw axes, normalized here once.
+    Scalar and e123 slots are invariant; every grade's norm is preserved."""
     ax, ay = position_angles(p, theta, scale_x, scale_y)
-    return care_apply(m, ax, ay, axis_x, axis_y)
+    return care_apply(m, ax, ay, unit_axis(axis_x), unit_axis(axis_y))
 
 
 # Each method's rotor oracle at resolved angles, in METHODS order, called
-# like the map builders: (v, angle_x, angle_y, axis_x, axis_y), raw axes
-# (fixed methods ignore them, mixed reads axis_x). Apart from ROTATIONS, so
-# the oracles stay independent of the maps.
+# like the map builders: (v, angle_x, angle_y, unit_x, unit_y), unit axes
+# (fixed methods ignore them, mixed reads unit_x; a non-unit axis raises).
+# Apart from ROTATIONS, so the oracles stay independent of the maps.
 ORACLES: dict[str, Callable[..., np.ndarray]] = {
-    "rope1d": lambda v, angle_x, angle_y, axis_x, axis_y: rope1d_apply(v, angle_x),
-    "mixed": lambda v, angle_x, angle_y, axis_x, axis_y: mixed_apply(v, angle_x + angle_y, axis_x),
-    "spherical": lambda v, angle_x, angle_y, axis_x, axis_y: spherical_apply(v, angle_x, angle_y),
+    "rope1d": lambda v, angle_x, angle_y, unit_x, unit_y: rope1d_apply(v, angle_x),
+    "mixed": lambda v, angle_x, angle_y, unit_x, unit_y: mixed_apply(v, angle_x + angle_y, unit_x),
+    "spherical": lambda v, angle_x, angle_y, unit_x, unit_y: spherical_apply(v, angle_x, angle_y),
     "quatro": quatro_apply,
     "care": care_apply,
 }
@@ -457,58 +465,49 @@ def _mv8_commutator_half(b: np.ndarray, m: np.ndarray) -> np.ndarray:
     return 0.5 * (cl3.mv8_product(b, m) - cl3.mv8_product(m, b))
 
 
+# Each oracle's rotors, in METHODS order: the angle whose rotor conjugates
+# outermost, and the generator G(w, unit_x, unit_y, wrt_x) of the rotor
+# whose angle moves (angle_x when wrt_x), d/dt (R_t w ~R_t) at t = 0: the
+# rotor commutator (B w - w B) / 2, on 3-vector carriers the cross product
+# with the rotor's axis, and for rope1d a quarter turn (p_y turns nothing).
+GENERATORS: dict[str, tuple[str, Callable[..., np.ndarray]]] = {
+    "rope1d": ("angle_x", lambda w, ux, uy, wrt_x: (
+        np.stack([-w[..., 1], w[..., 0]], axis=-1) if wrt_x else np.zeros_like(w))),
+    "mixed": ("angle_x", lambda w, ux, uy, wrt_x: np.cross(ux, w)),
+    "spherical": ("angle_x", lambda w, ux, uy, wrt_x: (
+        np.cross(SPHERICAL_AXIS_X if wrt_x else SPHERICAL_AXIS_Y, w))),
+    "quatro": ("angle_x", lambda w, ux, uy, wrt_x: np.cross(ux if wrt_x else uy, w)),
+    "care": ("angle_y", lambda w, ux, uy, wrt_x: (
+        _mv8_commutator_half(mv8_bivector(ux if wrt_x else uy), w))),
+}
+
+
 def rotation_gradient(
-    tag: str, coordinate: str, v, angle_x, angle_y, axis_x=None, axis_y=None
+    tag: str, coordinate: str, v, angle_x, angle_y, unit_x=None, unit_y=None
 ) -> np.ndarray:
     """Derivative of the rotated sub-vector w.r.t. one resolved angle.
 
     After ``tag`` and ``coordinate`` it is called like ``ORACLES[tag]``,
-    ``(v, angle_x, angle_y, axis_x, axis_y)``, at angles resolved by
-    ``position_angles``. ``coordinate`` picks angle_x or angle_y (the
-    angle after the schedule and speed scaling, so d angle/d p is not
-    included). Uses the rotor derivative
-    d/dt (R a ~R) = (B (R a ~R) - (R a ~R) B) / 2 for the rotor whose
-    angle moves, conjugated through the remaining outer rotor; for
-    3-vector carriers that commutator is the cross product with the axis.
+    ``(v, angle_x, angle_y, unit_x, unit_y)``, at angles resolved by
+    ``position_angles`` and unit axes. ``coordinate`` picks angle_x or
+    angle_y (the angle after the schedule and speed scaling, so
+    d angle/d p is not included). One rule over ``GENERATORS``: for the
+    outer rotor's angle the derivative is G(R v), R the oracle's whole
+    rotation; for the inner one it is R_out(G(R_in v)), where R_in and
+    R_out are the oracle with the outer or the moving angle set to zero
+    (a zero angle's rotor is exactly the identity).
     """
     if coordinate not in ("angle_x", "angle_y"):
         raise ValueError("coordinate must be angle_x or angle_y")
-    wrt_x = coordinate == "angle_x"
-
-    if tag == "rope1d":
-        if not wrt_x:
-            return np.zeros(np.shape(np.asarray(v, dtype=np.float64)))
-        out = rope1d_apply(v, angle_x)
-        return np.stack([-out[..., 1], out[..., 0]], axis=-1)
-
-    if tag == "mixed":
-        u = unit_axis(axis_x)
-        return np.cross(u, mixed_apply(v, angle_x + angle_y, u))
-
-    if tag == "spherical":
-        axis_x, axis_y = SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y
-        tag = "quatro"
-
-    if tag == "quatro":
-        ux, uy = unit_axis(axis_x), unit_axis(axis_y)
-        if wrt_x:  # outer rotor
-            return np.cross(ux, quatro_apply(v, angle_x, angle_y, ux, uy))
-        rx = quat_rotor(ux, angle_x / 2.0)
-        ry = quat_rotor(uy, angle_y / 2.0)
-        return quat_sandwich(rx, np.cross(uy, quat_sandwich(ry, v)))
-
-    if tag == "care":
-        ux, uy = unit_axis(axis_x), unit_axis(axis_y)
-        bx, by = mv8_bivector(ux), mv8_bivector(uy)
-        rx = mv8_rotor(ux, angle_x / 2.0)
-        ry = mv8_rotor(uy, angle_y / 2.0)
-        if not wrt_x:  # outer rotor
-            out = cl3.mv8_rotor_sandwich(cl3.mv8_product(ry, rx), v)
-            return _mv8_commutator_half(by, out)
-        inner = cl3.mv8_rotor_sandwich(rx, v)
-        return cl3.mv8_rotor_sandwich(ry, _mv8_commutator_half(bx, inner))
-
-    raise ValueError(f"unknown encoding method {tag!r}")
+    if tag not in GENERATORS:
+        raise ValueError(f"unknown encoding method {tag!r}")
+    outer, generator = GENERATORS[tag]
+    oracle, wrt_x = ORACLES[tag], coordinate == "angle_x"
+    if coordinate == outer:
+        return generator(oracle(v, angle_x, angle_y, unit_x, unit_y), unit_x, unit_y, wrt_x)
+    without = {"angle_x": (0.0, angle_y), "angle_y": (angle_x, 0.0)}  # that angle set to zero
+    w = generator(oracle(v, *without[outer], unit_x, unit_y), unit_x, unit_y, wrt_x)
+    return oracle(w, *without[coordinate], unit_x, unit_y)
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,8 @@ class TestOracleTable:
         theta = enc.FrequencySchedule.for_bands(5).band_angles
         ux, uy = rng.standard_normal((2, 5, 3))  # raw per-band axes
         v = rng.standard_normal((2, 12, 5, enc.ROTATIONS[tag].width))
-        got = enc.ORACLES[tag](v, *enc.position_angles(pos, theta, 1.3, 0.7), ux, uy)
+        angles = enc.position_angles(pos, theta, 1.3, 0.7)
+        got = enc.ORACLES[tag](v, *angles, enc.unit_axis(ux), enc.unit_axis(uy))
         assert got.tobytes() == rotate(v, pos, theta, ux, uy).tobytes()
 
 
@@ -618,8 +619,11 @@ class TestApplyEncoding:
                 theta = float(method.schedule.band_angles[band])
                 seg = slice(band * w, (band + 1) * w)
                 angles = enc.position_angles(p, theta, 1.1, 0.6)
+                units = (None, None)
+                if method.axes is not None:
+                    units = (method.axes.unit_x[band], method.axes.unit_y[band])
                 for c in range(block.batch):
-                    ref = enc.ORACLES[tag](block.data[c, t, seg], *angles, axes_x, axes_y)
+                    ref = enc.ORACLES[tag](block.data[c, t, seg], *angles, *units)
                     assert np.max(np.abs(out.data[c, t, seg] - ref)) < 1e-12
         if remainder:
             tail = slice(nb * w, None)
@@ -836,7 +840,7 @@ def _rotate_one(method, v, p, band):
     """One sub-vector through its rotor oracle, at the encoder's angles."""
     theta = float(method.schedule.band_angles[band])
     angles = enc.position_angles(p, theta, method.scale_x, method.scale_y)
-    axes = (None, None) if method.axes is None else (method.axes.axes_x[band], method.axes.axes_y[band])
+    axes = (None, None) if method.axes is None else (method.axes.unit_x[band], method.axes.unit_y[band])
     return enc.ORACLES[method.tag](v, *angles, *axes)
 
 
@@ -1297,6 +1301,23 @@ class TestRotationGradient:
     def test_unknown_coordinate_rejected(self):
         with pytest.raises(ValueError):
             enc.rotation_gradient("rope1d", "angle_z", np.zeros(2), 0.0, 0.0)
+
+    def test_generator_table_lists_the_methods_in_order(self):
+        assert tuple(enc.GENERATORS) == enc.METHODS
+        assert {outer for outer, _ in enc.GENERATORS.values()} == {"angle_x", "angle_y"}
+
+    @pytest.mark.parametrize("tag", ["mixed", "quatro", "care"])
+    @pytest.mark.parametrize("coordinate", ["angle_x", "angle_y"])
+    def test_non_unit_axis_rejected(self, tag, coordinate):
+        # the oracles and the gradient take unit axes and normalize none
+        v = np.ones(enc.METHOD_WIDTHS[tag])
+        axis = np.array([0.0, 2.0, 0.0])
+        for call in (
+            lambda: enc.ORACLES[tag](v, 0.3, 0.5, axis, axis),
+            lambda: enc.rotation_gradient(tag, coordinate, v, 0.3, 0.5, axis, axis),
+        ):
+            with pytest.raises(ValueError, match="^rotation axis must be a unit 3-vector$"):
+                call()
 
 
 @settings(max_examples=60, deadline=None)
