@@ -42,7 +42,7 @@ class AttentionScores:
     scores: np.ndarray  # (batch, tokens, tokens)
 
     def __post_init__(self):
-        scores = _read_only(self.scores)
+        scores = _read_only(self.scores, "scores")
         if scores.ndim != 3 or scores.shape[1] != scores.shape[2]:
             raise ValueError("scores must be batch x tokens x tokens")
         if not np.all(np.isfinite(scores)):
@@ -130,6 +130,8 @@ def commutator_norm(method: EncodingMethod, p_a, p_b, band: int = 0) -> float:
     carrier space. Zero iff the band's rotations at the two positions
     commute (always true for rope1d/mixed, generically false otherwise).
     """
+    if isinstance(band, bool) or not isinstance(band, (int, np.integer)):
+        raise ValueError(f"band must be an integer, got {band!r}")
     if not 0 <= band < method.schedule.num_bands:
         raise ValueError("band index out of range")
     p_a, p_b = _finite_position(p_a, "p_a"), _finite_position(p_b, "p_b")

@@ -221,6 +221,8 @@ class EncodingMethod:
         """
         if tag not in METHODS:
             raise ValueError(f"unknown encoding method {tag!r}")
+        if isinstance(head_dim, bool) or not isinstance(head_dim, (int, np.integer)):
+            raise ValueError(f"head_dim must be an integer, got {head_dim!r}")
         width, free_axes = ROTATIONS[tag].width, ROTATIONS[tag].free_axes
         num_bands = head_dim // width
         if num_bands < 1:
@@ -249,10 +251,15 @@ def _per_band(axes, num_bands: int, name: str) -> np.ndarray:
     return arr
 
 
-def _read_only(values) -> np.ndarray:
-    """values as float64, frozen through a view so that an array the
-    caller passed in keeps its own flags; read-only input is kept as is."""
-    arr = np.asarray(values, dtype=np.float64)
+def _read_only(values, name: str) -> np.ndarray:
+    """Real ``values`` as float64, frozen through a view so that an array
+    the caller passed in keeps its own flags; read-only input is kept as
+    is. Complex values raise, named, rather than losing their imaginary
+    part in the cast."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, not {arr.dtype}")
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.flags.writeable:
         arr = arr.view()
         arr.flags.writeable = False
@@ -267,8 +274,8 @@ class TokenBlock:
     positions: np.ndarray
 
     def __post_init__(self):
-        data = _read_only(self.data)
-        pos = _read_only(self.positions)
+        data = _read_only(self.data, "block data")
+        pos = _read_only(self.positions, "positions")
         if data.ndim != 3:
             raise ValueError("block data must be batch x tokens x head_dim")
         if pos.shape != (data.shape[1], 2):
@@ -304,8 +311,12 @@ class TokenBlock:
 
 def grid_positions(grid_h: int, grid_w: int, origin=(0.0, 0.0)) -> np.ndarray:
     """Row-major (tokens, 2) positions of a unit-spaced grid whose first
-    token sits at ``origin`` (which may be fractional); p_x runs along
-    columns."""
+    token sits at ``origin``, a 2-vector (which may be fractional); p_x
+    runs along columns. A negative size raises."""
+    if grid_h < 0 or grid_w < 0:
+        raise ValueError(f"grid size must not be negative, got {grid_h} x {grid_w}")
+    if np.shape(origin) != (2,):
+        raise ValueError(f"origin must be a 2-vector (p_x, p_y), got shape {np.shape(origin)}")
     rows, cols = np.meshgrid(np.arange(grid_h), np.arange(grid_w), indexing="ij")
     pos = np.stack([cols.ravel() + origin[0], rows.ravel() + origin[1]], axis=-1)
     return pos.astype(np.float64)
@@ -700,13 +711,26 @@ METHODS = tuple(ROTATIONS)
 METHOD_WIDTHS = {tag: rotation.width for tag, rotation in ROTATIONS.items()}  # perfbench reads it
 
 
+def _require_map_kind(tag: str, rotation: Rotation, maps: np.ndarray) -> None:
+    """Maps of ``rotation``'s kind, by their attributes alone: complex128
+    phases (rank 0), or float64 with (3, 3) leading component axes (rank 2).
+    Maps of another method of the same kind pass, as they rotate the same
+    carriers (any 3x3 maps, care's too, turn 3-wide ones)."""
+    kind = np.dtype(np.complex128 if rotation.map_rank == 0 else np.float64)
+    if maps.dtype != kind:
+        raise ValueError(f"{tag} maps must be {kind}, not {maps.dtype}")
+    if maps.shape[: rotation.map_rank] != (3, 3)[: rotation.map_rank]:
+        raise ValueError(f"{tag} maps need (3, 3) leading component axes, got shape {maps.shape}")
+
+
 def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
-    """Rotate (..., width) carriers by maps whose per-map shape broadcasts
-    against v's leading axes; for the inverse rotation pass
-    ``ROTATIONS[tag].invert(maps)``."""
+    """Rotate (..., width) carriers by maps of the method's kind whose
+    per-map shape broadcasts against v's leading axes; for the inverse
+    rotation pass ``ROTATIONS[tag].invert(maps)``."""
     rotation = ROTATIONS.get(tag)
     if rotation is None:
         raise ValueError(f"unknown encoding method {tag!r}")
+    _require_map_kind(tag, rotation, maps)
     v = np.asarray(v, dtype=np.float64, order="C")  # rope1d views each (x, y) as one complex
     width = rotation.width
     if v.shape[-1:] != (width,):
@@ -778,7 +802,8 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
 def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Rotate every sub-vector of (batch, tokens, head_dim) ``data`` by
     its (token, band) map from ``block_maps`` into a new array of
-    ``data``'s dtype; ``inverse=True`` applies the inverse maps.
+    ``data``'s dtype; ``inverse=True`` applies the inverse maps. Maps of
+    another kind raise (``apply_maps``' test of dtype and component axes).
 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
     leftover trailing dims pass through untouched. ``data`` may be float32
@@ -812,6 +837,7 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
             f"schedule has {method.schedule.num_bands} bands, block needs {bands}"
         )
     rotation = ROTATIONS[method.tag]
+    _require_map_kind(method.tag, rotation, maps)
     if maps.shape[rotation.map_rank :] != (tokens, bands):
         raise ValueError(
             f"maps of shape {maps.shape} do not cover {tokens} tokens x {bands} bands"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garope import encodings as enc
+from garope.attention import AttentionScores, commutator_norm
 from garope.quaternion import hamilton_product, quat_rotor, quat_sandwich
 
 rng = np.random.default_rng(31337)
@@ -219,6 +220,15 @@ def _rope1d_rows(data, tokens):
     return enc.rotate_rows(np.asarray(data), method, enc.block_maps(method, np.zeros((tokens, 2))))
 
 
+_SPHERICAL_6 = enc.EncodingMethod.configure("spherical", 6)
+
+
+def _rows_with_maps(tag, maps):
+    """rotate_rows on a (1, 3, 6) block (3 tokens) with the given maps."""
+    method = enc.EncodingMethod.configure(tag, 6)
+    return enc.rotate_rows(np.ones((1, 3, 6)), method, maps)
+
+
 class TestRefusals:
     """Each guard on outside input refuses with its own message."""
 
@@ -259,6 +269,44 @@ class TestRefusals:
                 lambda: _rope1d_rows(np.zeros((1, 3, 4)), 2),
                 "maps of shape (2, 2) do not cover 3 tokens x 2 bands",
             ),
+            (
+                lambda: _rows_with_maps("rope1d", np.full((3, 3), 0.5)),
+                "rope1d maps must be complex128, not float64",
+            ),
+            (
+                lambda: _rows_with_maps("quatro", np.ones((3, 3, 3, 2), dtype=np.float32)),
+                "quatro maps must be float64, not float32",
+            ),
+            (
+                lambda: _rows_with_maps("mixed", np.ones((3, 3, 3, 2), dtype=np.complex128)),
+                "mixed maps must be float64, not complex128",
+            ),
+            (
+                lambda: enc.apply_maps("quatro", np.ones(3), np.ones(3)),
+                "quatro maps need (3, 3) leading component axes, got shape (3,)",
+            ),
+            (
+                lambda: commutator_norm(_SPHERICAL_6, (0, 0), (1, 1), band=1.5),
+                "band must be an integer, got 1.5",
+            ),
+            (
+                lambda: commutator_norm(_SPHERICAL_6, (0, 0), (1, 1), band=True),
+                "band must be an integer, got True",
+            ),
+            (lambda: enc.EncodingMethod.configure("rope1d", 2.5), "head_dim must be an integer, got 2.5"),
+            (
+                lambda: enc.grid_positions(2, 2, origin=(1, 2, 3)),
+                "origin must be a 2-vector (p_x, p_y), got shape (3,)",
+            ),
+            (lambda: enc.grid_positions(-1, 3), "grid size must not be negative, got -1 x 3"),
+            (
+                lambda: enc.TokenBlock(np.full((1, 2, 4), 1 + 2j), np.zeros((2, 2))),
+                "block data must be real, not complex128",
+            ),
+            (
+                lambda: AttentionScores(np.full((1, 2, 2), 1j)),
+                "scores must be real, not complex128",
+            ),
         ],
         ids=[
             "axis_params_shape",
@@ -272,11 +320,34 @@ class TestRefusals:
             "rows_rank",
             "rows_head_dim_below_width",
             "rows_maps_cover",
+            "rows_real_maps_for_rope1d",
+            "rows_float32_maps",
+            "rows_complex_maps_for_mixed",
+            "apply_maps_without_component_axes",
+            "commutator_fractional_band",
+            "commutator_bool_band",
+            "configure_fractional_head_dim",
+            "grid_origin_shape",
+            "grid_negative_size",
+            "block_complex_data",
+            "scores_complex",
         ],
     )
     def test_refusal_names_its_cause(self, call, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("source", ["mixed", "spherical", "quatro", "care"])
+    def test_maps_of_another_method_of_the_same_kind_are_accepted(self, source):
+        # the kind test reads dtype and component axes only: any 3x3 maps turn 3-wide carriers
+        maps = enc.block_maps(enc.EncodingMethod.configure(source, 24), enc.grid_positions(2, 3))
+        data = rng.standard_normal((2, 6, 6))
+        quatro = enc.EncodingMethod.configure("quatro", 6)
+        want = enc.apply_maps("quatro", maps[..., :2], data.reshape(2, 6, 2, 3))
+        assert np.array_equal(enc.rotate_rows(data, quatro, maps[..., :2]), want.reshape(2, 6, 6))
 
     @pytest.mark.parametrize("shape", [(5,), (4, 1), (5, 3), (2, 2, 2)])
     @pytest.mark.parametrize("tag", enc.METHODS)
