@@ -29,7 +29,10 @@ shape and ``checksum`` columns, which show any change in the bytes the
 encoder produces.
 
 ``compare`` prints every run whose record differs or exists on one side
-only, and exits 1 if there is any, else 0.
+only, then one line per command (record class): how many of its runs
+differ, and in which fields (``exit``, ``stdout_sha256``,
+``stderr_sha256``, ``output_sha256``, ``warnings``). It exits 1 if any
+run differs, else 0.
 
 Two source trees are compared by recording each in its own process.
 """
@@ -175,20 +178,29 @@ def _run_order(key: str):
     return (0, int(key), "") if key.isdigit() else (1, 0, key)
 
 
-def compare(a: dict, b: dict) -> list[str]:
-    """One line per run whose records differ."""
-    lines = []
+def compare(a: dict, b: dict) -> tuple[list[str], list[str]]:
+    """One line per run whose records differ, and one per command: its
+    differing runs out of all, and the fields that differ in them."""
+    lines, classes = [], []
     for command in sorted(set(a["results"]) | set(b["results"])):
         runs_a, runs_b = a["results"].get(command, {}), b["results"].get(command, {})
-        for key in sorted(set(runs_a) | set(runs_b), key=_run_order):
+        keys = sorted(set(runs_a) | set(runs_b), key=_run_order)
+        differing, fields = 0, {}
+        for key in keys:
             run = f"{command} --seed {key}" if key.isdigit() else f"{command} {key}"
             ra, rb = runs_a.get(key), runs_b.get(key)
             if ra is None or rb is None:
+                differing += 1
+                fields["recorded on one side only"] = None
                 lines.append(f"{run}: recorded on one side only")
             elif ra != rb:
-                keys = ", ".join(k for k in ra if ra[k] != rb.get(k))
-                lines.append(f"{run}: {keys} differ")
-    return lines
+                differing += 1
+                names = [k for k in ra if ra[k] != rb.get(k)]
+                fields.update(dict.fromkeys(names))
+                lines.append(f"{run}: {', '.join(names)} differ")
+        where = f" in {', '.join(fields)}" if fields else ""
+        classes.append(f"{command}: {differing} of {len(keys)} runs differ{where}")
+    return lines, classes
 
 
 def main(argv=None) -> int:
@@ -215,8 +227,8 @@ def main(argv=None) -> int:
         a = json.load(fh)
     with open(args.b, encoding="utf-8") as fh:
         b = json.load(fh)
-    lines = compare(a, b)
-    for line in lines:
+    lines, classes = compare(a, b)
+    for line in lines + classes:
         print(line)
     runs = len({(c, s) for r in (a, b) for c, seeds in r["results"].items() for s in seeds})
     print(f"{len(lines)} of {runs} run records differ")
