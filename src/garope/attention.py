@@ -20,6 +20,7 @@ from .encodings import (
     _read_only,
     apply_maps,
     block_maps,
+    require_integer,
     rotate_rows,
 )
 
@@ -130,8 +131,7 @@ def commutator_norm(method: EncodingMethod, p_a, p_b, band: int = 0) -> float:
     carrier space. Zero iff the band's rotations at the two positions
     commute (always true for rope1d/mixed, generically false otherwise).
     """
-    if isinstance(band, bool) or not isinstance(band, (int, np.integer)):
-        raise ValueError(f"band must be an integer, got {band!r}")
+    require_integer(band, "band")
     if not 0 <= band < method.schedule.num_bands:
         raise ValueError("band index out of range")
     p_a, p_b = _finite_position(p_a, "p_a"), _finite_position(p_b, "p_b")

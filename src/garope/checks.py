@@ -240,9 +240,10 @@ def reduction_deviations(
         care(m, *angles, ux, uy)[:, CARE_VECTOR_SLOTS],
         quat_sandwich(hamilton_product(ry, rx), v),
     )
-    g = grade1_rotation_axis(ux)
+    grade1_x = grade1_rotation_axis(ux)
     dev["care_parallel_vs_mixed"] = worst(  # parallel pair
-        care(m, *angles, ux, unit_axis(0.5 * ux))[:, CARE_VECTOR_SLOTS], mixed(v, *angles, g, g)
+        care(m, *angles, ux, unit_axis(0.5 * ux))[:, CARE_VECTOR_SLOTS],
+        mixed(v, *angles, grade1_x, grade1_x),
     )
     p, theta, ab = draw(10, (2,))
     angles = position_angles(p, theta, 1.3, 0.0)  # s_x not 1, so an unscaled p_x shows

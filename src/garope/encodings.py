@@ -221,8 +221,7 @@ class EncodingMethod:
         """
         if tag not in METHODS:
             raise ValueError(f"unknown encoding method {tag!r}")
-        if isinstance(head_dim, bool) or not isinstance(head_dim, (int, np.integer)):
-            raise ValueError(f"head_dim must be an integer, got {head_dim!r}")
+        require_integer(head_dim, "head_dim")
         width, free_axes = ROTATIONS[tag].width, ROTATIONS[tag].free_axes
         num_bands = head_dim // width
         if num_bands < 1:
@@ -237,6 +236,12 @@ class EncodingMethod:
                 axes_y = axes_x if free_axes == 1 else SPHERICAL_AXIS_Y
             axes = AxisParams(axes_x, _per_band(axes_y, num_bands, "axes_y"))
         return cls(tag=tag, schedule=schedule, axes=axes, scale_x=float(scale_x), scale_y=float(scale_y))
+
+
+def require_integer(value, name: str) -> None:
+    """Refuse a ``value`` that is not a Python or numpy integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _per_band(axes, num_bands: int, name: str) -> np.ndarray:
