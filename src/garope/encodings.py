@@ -317,7 +317,9 @@ class TokenBlock:
 def grid_positions(grid_h: int, grid_w: int, origin=(0.0, 0.0)) -> np.ndarray:
     """Row-major (tokens, 2) positions of a unit-spaced grid whose first
     token sits at ``origin``, a 2-vector (which may be fractional); p_x
-    runs along columns. A negative size raises."""
+    runs along columns. A size that is not an integer, or is negative, raises."""
+    require_integer(grid_h, "grid_h")
+    require_integer(grid_w, "grid_w")
     if grid_h < 0 or grid_w < 0:
         raise ValueError(f"grid size must not be negative, got {grid_h} x {grid_w}")
     if np.shape(origin) != (2,):

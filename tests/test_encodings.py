@@ -299,6 +299,7 @@ class TestRefusals:
                 "origin must be a 2-vector (p_x, p_y), got shape (3,)",
             ),
             (lambda: enc.grid_positions(-1, 3), "grid size must not be negative, got -1 x 3"),
+            (lambda: enc.grid_positions(2.5, 2), "grid_h must be an integer, got 2.5"),
             (
                 lambda: enc.TokenBlock(np.full((1, 2, 4), 1 + 2j), np.zeros((2, 2))),
                 "block data must be real, not complex128",
@@ -329,6 +330,7 @@ class TestRefusals:
             "configure_fractional_head_dim",
             "grid_origin_shape",
             "grid_negative_size",
+            "grid_fractional_size",
             "block_complex_data",
             "scores_complex",
         ],
