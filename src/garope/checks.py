@@ -25,11 +25,11 @@ import numpy as np
 
 from . import cl3
 from .attention import commutator_norm, shift_invariance_gap
+from .cl3 import ORACLES, mv8_rotor, rotation_gradient
 from .encodings import (
     CARE_INVARIANT_SLOTS,
     CARE_VECTOR_SLOTS,
     METHODS,
-    ORACLES,
     ROTATIONS,
     SPHERICAL_AXIS_X,
     SPHERICAL_AXIS_Y,
@@ -39,11 +39,9 @@ from .encodings import (
     block_maps,
     grade1_rotation_axis,
     grid_positions,
-    mv8_rotor,
     position_angles,
     random_block,
     rotate_rows,
-    rotation_gradient,
     rotor_matrix,
     unit_axis,
 )

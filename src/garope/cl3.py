@@ -16,11 +16,14 @@ sub-vector oracles, the analytic gradients and the checks, while
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import _cl3_numpy  # loaded for perfbench's Tracer.install; ROADMAP item 1 removes it
+from .encodings import CARE_INVARIANT_SLOTS, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y
 from .ga import Algebra, UNIT_TOL
-from .quaternion import even_cl3_coeffs
+from .quaternion import even_cl3_coeffs, hamilton_product, quat_rotor, quat_sandwich, require_unit_axis
 
 REVERSE_SIGNS = _cl3_numpy.REVERSE_SIGNS
 _SLOT_ORIENTATION = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
@@ -109,3 +112,121 @@ def derive_product_terms() -> tuple[tuple[int, int, int, int], ...]:
     return tuple(
         sorted((int(k), int(i), int(j), int(prods[i, j, k])) for i, j, k in zip(*np.nonzero(prods)))
     )
+
+
+def rope1d_apply(v, angle) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([c * v[..., 0] - s * v[..., 1], s * v[..., 0] + c * v[..., 1]], axis=-1)
+
+
+def spherical_apply(v, angle_x, angle_y) -> np.ndarray:
+    """Two rope1d_apply turns: the xy-plane by angle_y, then the yz-plane by angle_x."""
+    lead = np.broadcast_shapes(np.shape(v)[:-1], np.shape(angle_x), np.shape(angle_y))
+    out = np.array(np.broadcast_to(v, lead + (3,)), dtype=np.float64)
+    out[..., 0:2] = rope1d_apply(out[..., 0:2], angle_y)
+    out[..., 1:3] = rope1d_apply(out[..., 1:3], angle_x)
+    return out
+
+
+def quatro_apply(v, angle_x, angle_y, unit_x, unit_y) -> np.ndarray:
+    rotor = hamilton_product(quat_rotor(unit_x, angle_x / 2.0), quat_rotor(unit_y, angle_y / 2.0))
+    return quat_sandwich(rotor, v)
+
+
+def mixed_apply(v, angle, unit) -> np.ndarray:
+    u = require_unit_axis(unit)
+    v = np.asarray(v, dtype=np.float64)
+    angle = np.asarray(angle, dtype=np.float64)[..., None]  # one angle per carrier
+    c, s = np.cos(angle), np.sin(angle)
+    return c * v + s * np.cross(u, v) + (1.0 - c) * np.sum(u * v, axis=-1, keepdims=True) * u
+
+
+def mv8_bivector(axis) -> np.ndarray:
+    """mv8 bivector slots for an axis (a_i, a_j, a_k): the pure quaternion
+    (0, axis) in the even subalgebra, a_i e12 + a_j e23 + a_k e13."""
+    return mv8_from_quaternion(np.insert(axis, 0, 0.0, axis=-1))
+
+
+def mv8_rotor(unit, half_angle) -> np.ndarray:
+    """quat_rotor's unit rotor cos(h) + sin(h) B(unit), as mv8 slots; the
+    axis must be a unit axis."""
+    return mv8_from_quaternion(quat_rotor(unit, half_angle))
+
+
+def care_apply(m, angle_x, angle_y, unit_x, unit_y) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    rx = mv8_rotor(unit_x, np.asarray(angle_x) / 2.0)
+    ry = mv8_rotor(unit_y, np.asarray(angle_y) / 2.0)
+    out = mv8_rotor_sandwich(mv8_product(ry, rx), m)
+    # scalar and e123 commute with every rotor, so these channels are
+    # exactly invariant; copy them through instead of keeping the
+    # products' re-accumulated (round-off-bearing) values
+    out[..., CARE_INVARIANT_SLOTS] = m[..., CARE_INVARIANT_SLOTS]
+    return out
+
+
+# Each method's rotor oracle at resolved angles, in METHODS order, called
+# like the map builders: (v, angle_x, angle_y, unit_x, unit_y), unit axes
+# (fixed methods ignore them, mixed reads unit_x; a non-unit axis raises).
+# Apart from ROTATIONS, so the oracles stay independent of the maps.
+ORACLES: dict[str, Callable[..., np.ndarray]] = {
+    "rope1d": lambda v, angle_x, angle_y, unit_x, unit_y: rope1d_apply(v, angle_x),
+    "mixed": lambda v, angle_x, angle_y, unit_x, unit_y: mixed_apply(v, angle_x + angle_y, unit_x),
+    "spherical": lambda v, angle_x, angle_y, unit_x, unit_y: spherical_apply(v, angle_x, angle_y),
+    "quatro": quatro_apply,
+    "care": care_apply,
+}
+
+
+# ---------------------------------------------------------------------------
+# analytic angle gradients
+
+
+def _mv8_commutator_half(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return 0.5 * (mv8_product(b, m) - mv8_product(m, b))
+
+
+# Each oracle's rotors, in METHODS order: the angle whose rotor conjugates
+# outermost, and the generator G(w, unit_x, unit_y, wrt_x) of the rotor
+# whose angle moves (angle_x when wrt_x), d/dt (R_t w ~R_t) at t = 0: the
+# rotor commutator (B w - w B) / 2, on 3-vector carriers the cross product
+# with the rotor's axis, and for rope1d a quarter turn (p_y turns nothing).
+GENERATORS: dict[str, tuple[str, Callable[..., np.ndarray]]] = {
+    "rope1d": ("angle_x", lambda w, ux, uy, wrt_x: (
+        np.stack([-w[..., 1], w[..., 0]], axis=-1) if wrt_x else np.zeros_like(w))),
+    "mixed": ("angle_x", lambda w, ux, uy, wrt_x: np.cross(ux, w)),
+    "spherical": ("angle_x", lambda w, ux, uy, wrt_x: (
+        np.cross(SPHERICAL_AXIS_X if wrt_x else SPHERICAL_AXIS_Y, w))),
+    "quatro": ("angle_x", lambda w, ux, uy, wrt_x: np.cross(ux if wrt_x else uy, w)),
+    "care": ("angle_y", lambda w, ux, uy, wrt_x: (
+        _mv8_commutator_half(mv8_bivector(ux if wrt_x else uy), w))),
+}
+
+
+def rotation_gradient(
+    tag: str, coordinate: str, v, angle_x, angle_y, unit_x=None, unit_y=None
+) -> np.ndarray:
+    """Derivative of the rotated sub-vector w.r.t. one resolved angle.
+
+    After ``tag`` and ``coordinate`` it is called like ``ORACLES[tag]``,
+    ``(v, angle_x, angle_y, unit_x, unit_y)``, at angles resolved by
+    ``position_angles`` and unit axes. ``coordinate`` picks angle_x or
+    angle_y (the angle after the schedule and speed scaling, so
+    d angle/d p is not included). One rule over ``GENERATORS``: for the
+    outer rotor's angle the derivative is G(R v), R the oracle's whole
+    rotation; for the inner one it is R_out(G(R_in v)), where R_in and
+    R_out are the oracle with the outer or the moving angle set to zero
+    (a zero angle's rotor is exactly the identity).
+    """
+    if coordinate not in ("angle_x", "angle_y"):
+        raise ValueError("coordinate must be angle_x or angle_y")
+    if tag not in GENERATORS:
+        raise ValueError(f"unknown encoding method {tag!r}")
+    outer, generator = GENERATORS[tag]
+    oracle, wrt_x = ORACLES[tag], coordinate == "angle_x"
+    if coordinate == outer:
+        return generator(oracle(v, angle_x, angle_y, unit_x, unit_y), unit_x, unit_y, wrt_x)
+    without = {"angle_x": (0.0, angle_y), "angle_y": (angle_x, 0.0)}  # that angle set to zero
+    w = generator(oracle(v, *without[outer], unit_x, unit_y), unit_x, unit_y, wrt_x)
+    return oracle(w, *without[coordinate], unit_x, unit_y)

@@ -10,19 +10,17 @@ import numpy as np
 
 from garope import bench, checks, cl3, cli
 from garope.attention import shift_invariance_gap
+from garope.cl3 import ORACLES, mv8_rotor, rotation_gradient
 from garope.encodings import (
     METHOD_WIDTHS,
     METHODS,
-    ORACLES,
     ROTATIONS,
     EncodingMethod,
     TokenBlock,
     apply_encoding,
     grid_positions,
-    mv8_rotor,
     position_angles,
     random_block,
-    rotation_gradient,
     rotor_matrix,
     unit_axis,
 )

@@ -97,7 +97,7 @@ class TestGenericEngineAgreement:
         half = rng.standard_normal(5)
         axis = rng.standard_normal((5, 3))
         axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-        from garope.encodings import mv8_rotor
+        from garope.cl3 import mv8_rotor
 
         rotors = mv8_rotor(axis, half)
         rows = rng.standard_normal((5, 8))

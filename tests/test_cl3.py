@@ -13,7 +13,6 @@ import pytest
 import garope
 from garope import cl3
 from garope.ga import Algebra
-from garope.encodings import mv8_rotor
 from garope.quaternion import even_cl3_coeffs
 
 rng = np.random.default_rng(5150)
@@ -241,4 +240,4 @@ class TestConversions:
         slots = even_cl3_coeffs(q) * ORIENT
         assert slots[0] == q[0] and slots[3] == q[1]
         assert np.all(slots[[1, 2, 4, 7]] == 0.0)
-        assert np.array_equal(slots, mv8_rotor([1.0, 0.0, 0.0], 0.4))
+        assert np.array_equal(slots, cl3.mv8_rotor([1.0, 0.0, 0.0], 0.4))

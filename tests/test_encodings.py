@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from garope import cl3
 from garope import encodings as enc
 from garope.attention import AttentionScores, commutator_norm
 from garope.quaternion import hamilton_product, quat_rotor, quat_sandwich
@@ -256,7 +257,7 @@ class TestRefusals:
                 "axes_x must be one 3-vector or shape (4, 3)",
             ),
             (
-                lambda: enc.rotation_gradient("axial", "angle_x", np.ones(3), 0.0, 0.0),
+                lambda: cl3.rotation_gradient("axial", "angle_x", np.ones(3), 0.0, 0.0),
                 "unknown encoding method 'axial'",
             ),
             (
@@ -434,7 +435,7 @@ class TestOracleTable:
     order, equal to its ``*_rotate`` oracle at ``position_angles``' angles."""
 
     def test_lists_the_methods_in_order(self):
-        assert tuple(enc.ORACLES) == enc.METHODS
+        assert tuple(cl3.ORACLES) == enc.METHODS
 
     @pytest.mark.parametrize(
         "tag,rotate",
@@ -452,7 +453,7 @@ class TestOracleTable:
         ux, uy = rng.standard_normal((2, 5, 3))  # raw per-band axes
         v = rng.standard_normal((2, 12, 5, enc.ROTATIONS[tag].width))
         angles = enc.position_angles(pos, theta, 1.3, 0.7)
-        got = enc.ORACLES[tag](v, *angles, enc.unit_axis(ux), enc.unit_axis(uy))
+        got = cl3.ORACLES[tag](v, *angles, enc.unit_axis(ux), enc.unit_axis(uy))
         assert got.tobytes() == rotate(v, pos, theta, ux, uy).tobytes()
 
 
@@ -497,8 +498,8 @@ class TestScalarOps:
         for sx in (1.3, 0.7, -2.5, 1e-3):
             got = enc.rope1d_rotate(v, p, theta, sx)
             assert got.tobytes() == enc.rope1d_rotate(v, sx * p, theta).tobytes()
-            assert got.tobytes() == enc.rope1d_apply(v, theta * (sx * p)).tobytes()
-            assert got.tobytes() == enc.rope1d_apply(v, enc.position_angles(
+            assert got.tobytes() == cl3.rope1d_apply(v, theta * (sx * p)).tobytes()
+            assert got.tobytes() == cl3.rope1d_apply(v, enc.position_angles(
                 np.stack([p, p], axis=-1), theta, sx, 1.0)[0]).tobytes()
         assert enc.rope1d_rotate(v, p, theta).tobytes() == enc.rope1d_rotate(v, p, theta, 1.0).tobytes()
 
@@ -513,8 +514,8 @@ class TestScalarOps:
         out = enc.spherical_rotate(v, (np.pi / 2, np.pi / 2), 1.0)
         # Rxy sends e_x -> e_y, then Ryz sends e_y -> e_z
         assert np.max(np.abs(out - [0.0, 0.0, 1.0])) < 1e-15
-        swapped = enc.spherical_apply(v, 0.0, np.pi / 2)
-        swapped = enc.spherical_apply(swapped, np.pi / 2, 0.0)
+        swapped = cl3.spherical_apply(v, 0.0, np.pi / 2)
+        swapped = cl3.spherical_apply(swapped, np.pi / 2, 0.0)
         assert np.max(np.abs(out - swapped)) < 1e-15
 
     def test_spherical_noncommutativity_witness(self):
@@ -522,7 +523,7 @@ class TestScalarOps:
         p = (np.pi / 2, np.pi / 2)
         forward = enc.spherical_rotate(v, p, 1.0)
         # applying the two plane rotations in the opposite order
-        other = enc.spherical_apply(enc.spherical_apply(v, np.pi / 2, 0.0), 0.0, np.pi / 2)
+        other = cl3.spherical_apply(cl3.spherical_apply(v, np.pi / 2, 0.0), 0.0, np.pi / 2)
         assert np.linalg.norm(forward - other) > 0.5
 
     def test_quatro_x_rotor_is_outermost(self):
@@ -555,8 +556,8 @@ class TestScalarOps:
         v = rng.standard_normal((n, 3))
         angle = rng.uniform(-5, 5, n)
         u = enc.unit_axis(rng.standard_normal((n, 3)))
-        batch = enc.mixed_apply(v, angle, u)
-        single = np.array([enc.mixed_apply(v[i], float(angle[i]), u[i]) for i in range(n)])
+        batch = cl3.mixed_apply(v, angle, u)
+        single = np.array([cl3.mixed_apply(v[i], float(angle[i]), u[i]) for i in range(n)])
         assert batch.shape == (n, 3)
         assert np.array_equal(batch, single)
 
@@ -593,8 +594,8 @@ class TestScalarOps:
         m, p, theta = rng.standard_normal(8), (0.9, -1.4), 0.8
         ux, uy = unit3(), unit3()
         out = enc.care_rotate(m, p, ux, uy, theta)
-        inner = enc.care_apply(m, theta * p[0], 0.0, ux, uy)
-        nested = enc.care_apply(inner, 0.0, theta * p[1], ux, uy)
+        inner = cl3.care_apply(m, theta * p[0], 0.0, ux, uy)
+        nested = cl3.care_apply(inner, 0.0, theta * p[1], ux, uy)
         assert np.max(np.abs(out - nested)) < 1e-13
 
 
@@ -654,7 +655,7 @@ class TestReductionChain:
             m = np.zeros(8)
             m[[1, 2, 4]] = v
             out = enc.care_rotate(m, p, u, 0.25 * u, theta)
-            ref = enc.mixed_apply(v, theta * (p[0] + p[1]), enc.grade1_rotation_axis(u))
+            ref = cl3.mixed_apply(v, theta * (p[0] + p[1]), enc.grade1_rotation_axis(u))
             worst = max(worst, float(np.max(np.abs(out[[1, 2, 4]] - ref))))
         assert worst <= 1e-10
 
@@ -696,7 +697,7 @@ class TestApplyEncoding:
                 if method.axes is not None:
                     units = (method.axes.unit_x[band], method.axes.unit_y[band])
                 for c in range(block.batch):
-                    ref = enc.ORACLES[tag](block.data[c, t, seg], *angles, *units)
+                    ref = cl3.ORACLES[tag](block.data[c, t, seg], *angles, *units)
                     assert np.max(np.abs(out.data[c, t, seg] - ref)) < 1e-12
         if remainder:
             tail = slice(nb * w, None)
@@ -914,7 +915,7 @@ def _rotate_one(method, v, p, band):
     theta = float(method.schedule.band_angles[band])
     angles = enc.position_angles(p, theta, method.scale_x, method.scale_y)
     axes = (None, None) if method.axes is None else (method.axes.unit_x[band], method.axes.unit_y[band])
-    return enc.ORACLES[method.tag](v, *angles, *axes)
+    return cl3.ORACLES[method.tag](v, *angles, *axes)
 
 
 class TestRotationMaps:
@@ -929,14 +930,12 @@ class TestRotationMaps:
         )
 
     def test_care_map_equals_the_mv8_sandwich_on_all_slots(self):
-        from garope import cl3
-
         n = 500
         ux, uy = enc.unit_axis(rng.standard_normal((2, n, 3)))
         ax, ay = rng.uniform(-4.0, 4.0, (2, n))
         m = rng.standard_normal((n, 8))
         got = enc.apply_maps("care", enc.ROTATIONS["care"].build(ax, ay, ux, uy), m)
-        rotor = cl3.mv8_product(enc.mv8_rotor(uy, ay / 2.0), enc.mv8_rotor(ux, ax / 2.0))
+        rotor = cl3.mv8_product(cl3.mv8_rotor(uy, ay / 2.0), cl3.mv8_rotor(ux, ax / 2.0))
         want = cl3.mv8_rotor_sandwich(rotor, m)
         assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -946,7 +945,7 @@ class TestRotationMaps:
         ax, ay = rng.uniform(-4.0, 4.0, 2)
         ux = unit3()
         uy = ux if enc.ROTATIONS[tag].free_axes == 1 else unit3()
-        want = enc.ORACLES[tag](v, ax, ay, ux, uy)
+        want = cl3.ORACLES[tag](v, ax, ay, ux, uy)
         maps = enc.ROTATIONS[tag].build(ax, ay, ux, uy)
         got = enc.apply_maps(tag, maps, v)
         assert got.shape == v.shape
@@ -1180,7 +1179,7 @@ class TestAngleFormula:
         got = enc.quatro_rotate(
             v, self.POS, ux, uy, method.schedule.band_angles[5], *self.SCALES
         )
-        assert np.array_equal(got, enc.quatro_apply(v, ax[:, 5], ay[:, 5], ux, uy))
+        assert np.array_equal(got, cl3.quatro_apply(v, ax[:, 5], ay[:, 5], ux, uy))
 
     def test_grad_differences_use_the_encoder_angles(self, monkeypatch):
         from garope import checks
@@ -1313,7 +1312,7 @@ class TestTwoRotorMatrix:
 class TestRotationGradient:
     def fd(self, tag, v, ax, ay, ux, uy, coordinate, h=1e-5):
         def f(dx, dy):
-            return enc.ORACLES[tag](v, ax + dx, ay + dy, ux, uy)
+            return cl3.ORACLES[tag](v, ax + dx, ay + dy, ux, uy)
 
         if coordinate == "angle_x":
             return (f(h, 0) - f(-h, 0)) / (2 * h)
@@ -1329,7 +1328,7 @@ class TestRotationGradient:
             theta = float(10 ** rng.uniform(-2, 0))
             ux = unit3()
             uy = ux if enc.ROTATIONS[tag].free_axes == 1 else unit3()
-            g = enc.rotation_gradient(tag, coordinate, v, *enc.position_angles(p, theta, 1.2, 0.8), ux, uy)
+            g = cl3.rotation_gradient(tag, coordinate, v, *enc.position_angles(p, theta, 1.2, 0.8), ux, uy)
             fd = self.fd(tag, v, theta * 1.2 * p[0], theta * 0.8 * p[1], ux, uy, coordinate)
             rel = float(np.max(np.abs(g - fd))) / max(1.0, float(np.max(np.abs(fd))))
             worst = max(worst, rel)
@@ -1345,9 +1344,9 @@ class TestRotationGradient:
         ux = enc.unit_axis(rng.standard_normal((n, 3)))
         uy = ux if enc.ROTATIONS[tag].free_axes == 1 else enc.unit_axis(rng.standard_normal((n, 3)))
         ax, ay = enc.position_angles(p, theta, 1.2, 0.8)
-        batch = enc.rotation_gradient(tag, coordinate, v, ax, ay, ux, uy)
+        batch = cl3.rotation_gradient(tag, coordinate, v, ax, ay, ux, uy)
         single = np.array(
-            [enc.rotation_gradient(tag, coordinate, v[i], ax[i], ay[i], ux[i], uy[i]) for i in range(n)]
+            [cl3.rotation_gradient(tag, coordinate, v[i], ax[i], ay[i], ux[i], uy[i]) for i in range(n)]
         )
         assert batch.shape == v.shape
         assert np.array_equal(batch, single)  # same arithmetic, element by element
@@ -1356,28 +1355,28 @@ class TestRotationGradient:
         # rotating e1 in the e12-style plane: derivative at angle 0 points
         # along the second axis with unit magnitude
         angles = enc.position_angles((0.0, 0.0), 1.0, 1.0, 1.0)
-        g = enc.rotation_gradient("rope1d", "angle_x", np.array([1.0, 0.0]), *angles)
+        g = cl3.rotation_gradient("rope1d", "angle_x", np.array([1.0, 0.0]), *angles)
         assert np.max(np.abs(g - [0.0, 1.0])) < 1e-15
 
     def test_rope1d_has_no_y_sensitivity(self):
         v = rng.standard_normal(2)
-        g = enc.rotation_gradient("rope1d", "angle_y", v, *enc.position_angles((1.0, 2.0), 0.7, 1.0, 1.0))
+        g = cl3.rotation_gradient("rope1d", "angle_y", v, *enc.position_angles((1.0, 2.0), 0.7, 1.0, 1.0))
         assert np.array_equal(g, np.zeros(2))
 
     def test_care_invariant_slots_have_zero_gradient(self):
         for coordinate in ("angle_x", "angle_y"):
             m = rng.standard_normal(8)
             angles = enc.position_angles((1.3, -0.8), 0.9, 1.0, 1.0)
-            g = enc.rotation_gradient("care", coordinate, m, *angles, unit3(), unit3())
+            g = cl3.rotation_gradient("care", coordinate, m, *angles, unit3(), unit3())
             assert np.max(np.abs(g[[0, 7]])) <= 1e-10
 
     def test_unknown_coordinate_rejected(self):
         with pytest.raises(ValueError):
-            enc.rotation_gradient("rope1d", "angle_z", np.zeros(2), 0.0, 0.0)
+            cl3.rotation_gradient("rope1d", "angle_z", np.zeros(2), 0.0, 0.0)
 
     def test_generator_table_lists_the_methods_in_order(self):
-        assert tuple(enc.GENERATORS) == enc.METHODS
-        assert {outer for outer, _ in enc.GENERATORS.values()} == {"angle_x", "angle_y"}
+        assert tuple(cl3.GENERATORS) == enc.METHODS
+        assert {outer for outer, _ in cl3.GENERATORS.values()} == {"angle_x", "angle_y"}
 
     @pytest.mark.parametrize("tag", ["mixed", "quatro", "care"])
     @pytest.mark.parametrize("coordinate", ["angle_x", "angle_y"])
@@ -1386,8 +1385,8 @@ class TestRotationGradient:
         v = np.ones(enc.METHOD_WIDTHS[tag])
         axis = np.array([0.0, 2.0, 0.0])
         for call in (
-            lambda: enc.ORACLES[tag](v, 0.3, 0.5, axis, axis),
-            lambda: enc.rotation_gradient(tag, coordinate, v, 0.3, 0.5, axis, axis),
+            lambda: cl3.ORACLES[tag](v, 0.3, 0.5, axis, axis),
+            lambda: cl3.rotation_gradient(tag, coordinate, v, 0.3, 0.5, axis, axis),
         ):
             with pytest.raises(ValueError, match="^rotation axis must be a unit 3-vector$"):
                 call()
@@ -1413,6 +1412,6 @@ def test_mixed_angle_additivity_property(px, py, shift, theta):
 @given(angle=st.floats(-10, 10))
 def test_rope1d_composition_property(angle):
     v = np.array([1.3, -0.4])
-    once = enc.rope1d_apply(enc.rope1d_apply(v, angle), angle)
-    twice = enc.rope1d_apply(v, 2 * angle)
+    once = cl3.rope1d_apply(cl3.rope1d_apply(v, angle), angle)
+    twice = cl3.rope1d_apply(v, 2 * angle)
     assert np.max(np.abs(once - twice)) < 1e-12

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garope import cl3
-from garope.encodings import mv8_bivector, mv8_rotor
+from garope.cl3 import mv8_bivector, mv8_rotor
 from garope.ga import Algebra
 
 rng = np.random.default_rng(2024)
