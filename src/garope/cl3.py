@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from . import _cl3_numpy  # loaded for perfbench's Tracer.install; ROADMAP item 1 removes it
-from .encodings import CARE_INVARIANT_SLOTS, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y
-from .ga import Algebra, UNIT_TOL
+from .encodings import CARE_INVARIANT_SLOTS, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y, require_unit_norm
+from .ga import Algebra
 from .quaternion import even_cl3_coeffs, hamilton_product, quat_rotor, quat_sandwich, require_unit_axis
 
 REVERSE_SIGNS = _cl3_numpy.REVERSE_SIGNS
@@ -87,9 +87,7 @@ def _validate_rotor(rotor: np.ndarray) -> None:
     for slot in _ODD_SLOTS:
         if np.any(rotor[..., slot] != 0.0):
             raise ValueError("mv8 rotor has nonzero odd-grade slots")
-    mag = np.einsum("...i,...i->...", rotor, rotor)
-    if not np.all(np.abs(mag - 1.0) <= UNIT_TOL):  # written so NaN fails too
-        raise ValueError("mv8 rotor is not unit norm")
+    require_unit_norm(np.einsum("...i,...i->...", rotor, rotor), "mv8 rotor is not unit norm")
 
 
 def mv8_rotor_sandwich(rotor, a) -> np.ndarray:

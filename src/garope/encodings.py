@@ -61,9 +61,8 @@ from typing import Callable
 
 import numpy as np
 
-from .quaternion import require_unit_norm
-
 AXIS_MIN_NORM = 1e-8  # raw learnable axes below this are degenerate
+UNIT_TOL = 1e-9  # tolerance on |<R ~R>_0 - 1| before rejecting a rotor
 
 # Fixed axis pair that makes the two-rotor methods reproduce the
 # fixed-axis spherical method: the p_x rotor about i generates the
@@ -460,6 +459,12 @@ def _mixed_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
     return mats
 
 
+def require_unit_norm(sq_norm, message: str) -> None:
+    """Refuse, with ``message``, squared norms that are not 1 within UNIT_TOL."""
+    if not np.all(np.abs(sq_norm - 1.0) <= UNIT_TOL):  # written so NaN fails too
+        raise ValueError(message)
+
+
 def rotor_matrix(w, x, y, z) -> np.ndarray:
     """(3, 3, ...) matrices M, M v = quat_sandwich(q, v), of unit quaternions
     q = w + x i + y j + z k given as components of one shape; a non-unit q raises."""
@@ -467,7 +472,8 @@ def rotor_matrix(w, x, y, z) -> np.ndarray:
     xx, yy, zz = x * x2, y * y2, z * z2
     xy, xz, yz = x * y2, x * z2, y * z2
     wx, wy, wz = w * x2, w * y2, w * z2
-    require_unit_norm(w * w + 0.5 * (xx + yy + zz))  # also rejects NaN components
+    # also rejects NaN components
+    require_unit_norm(w * w + 0.5 * (xx + yy + zz), "quaternion rotor is not unit norm")
     mats = np.empty((3, 3) + w.shape)
     np.subtract(1.0, yy + zz, out=mats[0, 0, ...])
     np.subtract(xy, wz, out=mats[0, 1, ...])

@@ -19,7 +19,6 @@ import numbers
 import numpy as np
 
 MAX_DIM = 12  # 4096 blades; keeps the dense representation bounded
-UNIT_TOL = 1e-9  # tolerance on |<R ~R>_0 - 1| before rejecting a rotor
 
 
 def _popcount(x):

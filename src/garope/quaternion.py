@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ga import UNIT_TOL
+from .encodings import require_unit_norm
 
 PURE_RESIDUE_TOL = 1e-12  # scalar residue allowed after a sandwich, then truncated
 
@@ -46,21 +46,12 @@ def conjugate(q) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def require_unit_norm(sq_norm) -> None:
-    """Reject rotors whose squared norms w^2 + x^2 + y^2 + z^2 are not 1
-    within UNIT_TOL."""
-    if not np.all(np.abs(sq_norm - 1.0) <= UNIT_TOL):  # written so NaN fails too
-        raise ValueError("quaternion rotor is not unit norm")
-
-
 def require_unit_axis(axis) -> np.ndarray:
     """(..., 3) rotation axes as float64, rejecting any not of unit length
     within UNIT_TOL (normalize upstream; a zero axis is an error, not a
     convention)."""
     axis = np.asarray(axis, dtype=np.float64)
-    mag = np.sum(axis * axis, axis=-1)
-    if not np.all(np.abs(mag - 1.0) <= UNIT_TOL):  # written so NaN fails too
-        raise ValueError("rotation axis must be a unit 3-vector")
+    require_unit_norm(np.sum(axis * axis, axis=-1), "rotation axis must be a unit 3-vector")
     return axis
 
 
@@ -86,7 +77,7 @@ def quat_sandwich(r, v) -> np.ndarray:
     """
     r = np.asarray(r, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    require_unit_norm(np.sum(r * r, axis=-1))
+    require_unit_norm(np.sum(r * r, axis=-1), "quaternion rotor is not unit norm")
     vq = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
     out = hamilton_product(hamilton_product(r, vq), conjugate(r))
     scale = max(1.0, float(np.max(np.sqrt(np.sum(v * v, axis=-1)), initial=0.0)))
