@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import METHODS, EncodingMethod, TokenBlock, apply_encoding
+from .encodings import METHODS, EncodingMethod, TokenBlock, apply_encoding, require_integer
 
 MIN_REPS = 30
 WARMUP_RUNS = 5
@@ -70,6 +70,8 @@ def run_bench(
 
     5 warm-up runs are discarded; the median is the headline number.
     """
+    for name, value in (("batch", batch), ("head_dim", head_dim), ("reps", reps)):
+        require_integer(value, name)
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
     tokens = len(positions)

@@ -87,9 +87,11 @@ def _axis_norms(axis: np.ndarray, what: str, degenerate: str) -> np.ndarray:
 
 
 def unit_axis(axis) -> np.ndarray:
-    """Normalize (..., 3) axes, rejecting raw norms below AXIS_MIN_NORM or
-    non-finite ones."""
+    """Normalize (..., 3) axes, rejecting any other shape and raw norms
+    below AXIS_MIN_NORM or non-finite ones."""
     axis = np.asarray(axis, dtype=np.float64)
+    if axis.shape[-1:] != (3,):
+        raise ValueError(f"rotation axes need a trailing axis of 3, got shape {axis.shape}")
     return axis / _axis_norms(
         axis, "rotation axis", "degenerate rotation axis (norm below 1e-8 or not finite)"
     )
@@ -118,6 +120,7 @@ class FrequencySchedule:
 
     @classmethod
     def for_bands(cls, num_bands: int, base: float = 10000.0) -> "FrequencySchedule":
+        require_integer(num_bands, "num_bands")
         if num_bands < 1:
             raise ValueError("schedule needs at least one band")
         if not math.isfinite(base):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garope import cl3
+from garope import bench, cl3
 from garope import encodings as enc
 from garope.attention import AttentionScores, commutator_norm
 from garope.quaternion import hamilton_product, quat_rotor, quat_sandwich
@@ -309,6 +309,25 @@ class TestRefusals:
                 lambda: AttentionScores(np.full((1, 2, 2), 1j)),
                 "scores must be real, not complex128",
             ),
+            (lambda: enc.unit_axis([3.0, 4.0]), "rotation axes need a trailing axis of 3, got shape (2,)"),
+            (lambda: quat_rotor([0.6, 0.8], 0.3), "rotation axes need a trailing axis of 3, got shape (2,)"),
+            (
+                lambda: quat_rotor([0.5, 0.5, 0.5, 0.5], 0.3),
+                "rotation axes need a trailing axis of 3, got shape (4,)",
+            ),
+            (
+                lambda: cl3.ORACLES["quatro"](np.ones(3), 0.3, 0.5, [0.6, 0.8], [0.6, 0.8]),
+                "rotation axes need a trailing axis of 3, got shape (2,)",
+            ),
+            (lambda: cl3.mv8_rotor([0.6, 0.8], 0.3), "rotation axes need a trailing axis of 3, got shape (2,)"),
+            (lambda: enc.FrequencySchedule.for_bands(2.5), "num_bands must be an integer, got 2.5"),
+            (lambda: enc.FrequencySchedule.for_bands(True), "num_bands must be an integer, got True"),
+            (
+                lambda: bench.run_bench(enc.grid_positions(2, 2), head_dim=6.0),
+                "head_dim must be an integer, got 6.0",
+            ),
+            (lambda: bench.run_bench(enc.grid_positions(2, 2), batch=True), "batch must be an integer, got True"),
+            (lambda: bench.run_bench(enc.grid_positions(2, 2), reps=30.0), "reps must be an integer, got 30.0"),
         ],
         ids=[
             "axis_params_shape",
@@ -334,6 +353,16 @@ class TestRefusals:
             "grid_fractional_size",
             "block_complex_data",
             "scores_complex",
+            "unit_axis_two_vector",
+            "quat_rotor_two_vector_axis",
+            "quat_rotor_four_vector_axis",
+            "quatro_oracle_two_vector_axes",
+            "mv8_rotor_two_vector_axis",
+            "schedule_fractional_bands",
+            "schedule_bool_bands",
+            "bench_fractional_head_dim",
+            "bench_bool_batch",
+            "bench_fractional_reps",
         ],
     )
     def test_refusal_names_its_cause(self, call, message):
