@@ -184,9 +184,19 @@ PERFBENCH_READS = {
 }
 
 
+def _child_json(script: str):
+    """What ``script`` prints as JSON, run in a fresh interpreter on this source tree."""
+    src = str(Path(garope.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return json.loads(done.stdout)
+
+
 @functools.cache
 def _perfbench_reads() -> dict:
-    script = (
+    return _child_json(
         "import json, sys\n"
         "import garope.cli\n"
         "from garope import cl3\n"
@@ -197,12 +207,20 @@ def _perfbench_reads() -> dict:
         "        return False\n"
         f"print(json.dumps({{expr: found(expr) for expr in {list(PERFBENCH_READS)!r}}}))\n"
     )
-    src = str(Path(garope.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=src),
+
+
+# The oracles stay independent of the maps by the import graph, not by a
+# comment: no module of the map path loads an oracle module.
+ORACLE_MODULES = ("garope.cl3", "garope.quaternion", "garope.ga", "garope._cl3_numpy")
+
+
+@pytest.mark.parametrize("module", ["garope.encodings", "garope.attention", "garope.formats", "garope.bench"])
+def test_the_map_path_loads_no_oracle_module(module):
+    loaded = _child_json(
+        f"import json, sys\nimport {module}\n"
+        f"print(json.dumps([m for m in {ORACLE_MODULES!r} if m in sys.modules]))\n"
     )
-    return json.loads(done.stdout)
+    assert loaded == [], f"import {module} loads {loaded}"
 
 
 class TestBackends:
