@@ -5,7 +5,7 @@ Each suite re-derives its expected values independently: the blade-table
 engine, which is also the one Cl(3,0) product behind ``cl3.mv8_product``,
 meets its algebra laws and the Hamilton product; rotors meet rotation
 matrices (``rotor_matrix``) and closed-form identities; the encoder meets
-the rotor oracles of ``encodings.ORACLES``, as a wrong orthogonal map
+the rotor oracles of ``cl3.ORACLES``, as a wrong orthogonal map
 keeps norms and round trips; and two frozen witness configurations
 (``witness_gaps``) show the non-commuting methods losing shift equivariance.
 The gradient check turns each drawn case set into angles once, through

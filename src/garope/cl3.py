@@ -1,4 +1,6 @@
-"""Fixed-size Cl(3,0) elements ("mv8") on the generic engine.
+"""The one oracle module: fixed-size Cl(3,0) elements ("mv8") on the
+generic engine, and the single sub-vector rotor oracles built on them and
+on the quaternion algebra.
 
 An 8-slot element stores coefficients in the order
 (1, e1, e2, e12, e3, e31, e23, e123). This matches the generic engine's
@@ -9,9 +11,25 @@ applies to place quaternions by the even-subalgebra embedding.
 
 ``mv8_product`` is ``Algebra(3).gp`` with that flip on its operands and
 its result: the one Cl(3,0) product, and the rotor sandwich is two of its
-products. The encodings' block path does not use it; it serves the single
-sub-vector oracles, the analytic gradients and the checks, while
-``quaternion.hamilton_product`` stays the independent quaternion oracle.
+products. The encodings' map path does not use it, and ``encodings``
+imports no garope module; this module serves the oracles, the analytic
+gradients and the checks, while ``quaternion.hamilton_product`` stays
+the independent quaternion oracle.
+
+Every method is a rotor in Cl(3,0), and the single sub-vector ``*_apply``
+functions compute each rotation independently of the maps: spherical
+takes two of rope1d's planar turns, quatro sandwiches by a product of
+two quaternion rotors, mixed is the axis-angle closed form, and care's
+rotors are quatro's quaternion rotors placed in the even subalgebra
+(``mv8_from_quaternion``). ``ORACLES`` lists them in the map builders'
+call shape, (v, angle_x, angle_y, unit_x, unit_y): resolved angles and
+unit axes, where a non-unit axis, or one whose last dimension is not 3,
+raises rather than being normalized again. ``rotation_gradient(tag,
+coordinate, v, angle_x, angle_y, unit_x, unit_y)`` takes the same
+arguments after its tag and angle name, and derives every method's
+derivative by one rule from ``ORACLES`` and each rotor's generator in
+``GENERATORS``. The oracles and ``rotation_gradient`` broadcast over
+leading sample axes.
 """
 
 from __future__ import annotations

@@ -38,19 +38,14 @@ tests of ``block_maps``, ``apply_maps``, ``rotate_rows``), and the
 builders and applies behind these entries trust their inputs:
 ``ROTATIONS[tag].build`` has two callers, ``block_maps`` and the
 gradient check, and both pass angles from ``position_angles`` and unit
-axes. The single sub-vector ``*_apply`` functions compute the same
-rotations independently and serve as its oracles: spherical takes two of
-rope1d's planar turns, and care's rotors are quatro's quaternion rotors
-placed in the even subalgebra (``cl3.mv8_from_quaternion``). ``ORACLES``
-lists them in the map builders' call shape, (v, angle_x, angle_y,
-unit_x, unit_y): resolved angles and unit axes, where a non-unit axis
-raises rather than being normalized again. ``rotation_gradient(tag,
-coordinate, v, angle_x, angle_y, unit_x, unit_y)`` takes the same
-arguments after its tag and angle name, and derives every method's
-derivative by one rule from ``ORACLES`` and each rotor's generator in
-``GENERATORS``. The oracles and ``rotation_gradient`` broadcast over
-leading sample axes. The ``*_rotate`` wrappers (grid positions, raw
-axes normalized once) are kept only for the benchmark's gates.
+axes. ``require_unit_norm`` is the one unit-norm guard, for
+``rotor_matrix`` here and for the quaternion and mv8 sandwiches.
+This module imports numpy and no garope module. The rotor oracles that
+compute the same rotations independently, ``ORACLES`` and
+``rotation_gradient``, live in ``cl3``, which imports this module. The
+``*_rotate`` wrappers (grid positions, raw axes normalized once) are
+kept only for the benchmark's gates, and each imports its oracle from
+``cl3`` when it is called.
 """
 
 from __future__ import annotations
