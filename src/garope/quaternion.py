@@ -48,8 +48,8 @@ def conjugate(q) -> np.ndarray:
 
 def require_unit_axis(axis) -> np.ndarray:
     """(..., 3) rotation axes as float64, rejecting any other shape and any
-    not of unit length within UNIT_TOL (normalize upstream; a zero axis is
-    an error, not a convention)."""
+    not of unit length within ``encodings.UNIT_TOL`` (normalize upstream; a
+    zero axis is an error, not a convention)."""
     axis = np.asarray(axis, dtype=np.float64)
     if axis.shape[-1:] != (3,):
         raise ValueError(f"rotation axes need a trailing axis of 3, got shape {axis.shape}")
