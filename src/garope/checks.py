@@ -336,7 +336,8 @@ def _suite_rotary_norms(seed: int) -> str:
     worst_channel = 0.0
     worst_round = 0.0
     for tag, head_dim in (("rope1d", 10), ("mixed", 9), ("spherical", 10), ("quatro", 10), ("care", 17)):
-        free_axes = ROTATIONS[tag].free_axes  # a shared axis_y defaults to axis_x
+        rotation = ROTATIONS[tag]
+        free_axes = rotation.free_axes  # a shared axis_y defaults to axis_x
         axes_x = rng.standard_normal(3) if free_axes else None
         axes_y = rng.standard_normal(3) if free_axes == 2 else None
         method = EncodingMethod.configure(
@@ -351,15 +352,15 @@ def _suite_rotary_norms(seed: int) -> str:
             np.linalg.norm(sub_out, axis=-1) - np.linalg.norm(sub_in, axis=-1)
         )
         worst_norm = max(worst_norm, float(np.max(norms)))
-        if tag == "care":
-            for slots in ((0,), (1, 2, 4), (3, 5, 6), (7,)):  # per-grade slot groups
-                g = np.abs(
-                    np.linalg.norm(sub_out[..., slots], axis=-1)
-                    - np.linalg.norm(sub_in[..., slots], axis=-1)
-                )
-                worst_norm = max(worst_norm, float(np.max(g)))
-            drift = np.max(np.abs(sub_out[..., CARE_INVARIANT_SLOTS] - sub_in[..., CARE_INVARIANT_SLOTS]))
-            worst_channel = max(worst_channel, float(drift))
+        for group in rotation.groups:  # each turned group keeps its norm
+            slots = sorted(group)
+            g = np.abs(
+                np.linalg.norm(sub_out[..., slots], axis=-1) - np.linalg.norm(sub_in[..., slots], axis=-1)
+            )
+            worst_norm = max(worst_norm, float(np.max(g)))
+        copied = rotation.copied
+        drift = np.max(np.abs(sub_out[..., copied] - sub_in[..., copied]), initial=0.0)
+        worst_channel = max(worst_channel, float(drift))
         back = apply_encoding(out, method, inverse=True)
         worst_round = max(worst_round, float(np.max(np.abs(back.data - block.data))))
     _require(worst_norm <= 1e-10, f"norm preservation deviation {worst_norm:.3e} > 1e-10")
@@ -450,9 +451,8 @@ def _suite_encoder_oracles(seed: int) -> str:
         devs[tag] = float(np.max(np.abs(sub_out - expected)))
         worst_round = max(worst_round, float(np.max(np.abs(back - data))))
         copied &= bool(np.array_equal(out[:, :, body:], data[:, :, body:]))
-        if tag == "care":
-            slots = CARE_INVARIANT_SLOTS
-            copied &= bool(np.array_equal(sub_out[..., slots], sub_in[..., slots]))
+        slots = ROTATIONS[tag].copied
+        copied &= bool(np.array_equal(sub_out[..., slots], sub_in[..., slots]))
     worst = max(devs.values())
     _require(worst <= 1e-13, f"encoder vs rotor oracle deviation {worst:.3e} > 1e-13")
     _require(worst_round <= 1e-13, f"encoder round-trip deviation {worst_round:.3e} > 1e-13")

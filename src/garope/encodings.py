@@ -17,14 +17,13 @@ Mixed and spherical are thus QuatRo with its axes tied or fixed. Angles
 come from a per-band frequency schedule theta_i scaled by per-coordinate
 speed factors; ``position_angles`` forms them and refuses any that
 overflow float64. One method table, ``ROTATIONS``, holds each method's
-width and axis rule (``METHODS`` and ``METHOD_WIDTHS`` are read off it)
-and how it builds one orthogonal map per (token, band), applied to
-every batch row.
-rope1d's map is a complex phase exp(i angle) (rank 0) that multiplies
-each 2-slot carrier read as one complex number; the 3x3 maps (rank 2)
-are applied with explicit multiply-adds. spherical, quatro and care
-build the 3x3 matrix of a two-rotor quaternion product, written out in
-closed form (the entries of a quaternion's matrix: ``rotor_matrix``). A
+carrier layout (the slot groups its maps turn and the slots they copy),
+its axis rule and how it builds one orthogonal map per (token, band),
+applied to every batch row by one ``apply``; ``METHODS``, the widths
+and the map kinds are read off it. A pair is turned by a complex phase
+exp(i angle) (rank 0), a triple by a 3x3 matrix (rank 2) with explicit
+multiply-adds; spherical, quatro and care build the matrix of a
+two-rotor quaternion product in closed form (``rotor_matrix``). A
 block is encoded in two steps, ``block_maps`` (maps from positions; on a
 row-major grid its trig runs once per column and row, not once per token)
 and ``rotate_rows`` (maps applied to a raw float32 or float64 array one
@@ -35,10 +34,8 @@ queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype. Each precondition is proven once, where its
 values enter (``AxisParams``, ``position_angles``, the shape and grid
 tests of ``block_maps``, ``apply_maps``, ``rotate_rows``), and the
-builders and applies behind these entries trust their inputs:
-``ROTATIONS[tag].build`` has two callers, ``block_maps`` and the
-gradient check, and both pass angles from ``position_angles`` and unit
-axes. ``require_unit_norm`` is the one unit-norm guard, for
+builders and applies behind these entries trust their inputs (see
+``Rotation``). ``require_unit_norm`` is the one unit-norm guard, for
 ``rotor_matrix`` here and for the quaternion and mv8 sandwiches.
 This module imports numpy and no garope module. The rotor oracles that
 compute the same rotations independently, ``ORACLES`` and
@@ -408,24 +405,23 @@ def care_rotate(
 # ---------------------------------------------------------------------------
 # rotation-map core
 #
-# Every method is one orthogonal map per (token, band). rope1d's is a planar
-# turn, stored as the unit complex phase exp(i angle) = cos + i sin, which
-# multiplies each 2-slot carrier read as one complex number (RoFormer's
-# complex form of RoPE); mixed, spherical and quatro have a 3x3 matrix.
-# care's composite rotor turns the grade-1 slots (e1, e2, e3) by a 3x3
-# matrix M and, since the pseudoscalar is central, the bivector slots
-# (e23, e31, e12) = (e1, e2, e3) e123 by the same M, while the scalar and
-# e123 slots stay put: its 8x8 map is block-diag(1, M, M, 1). The 3x3
-# matrices of spherical, quatro and care all come from one two-rotor build:
-# the components of q = r_outer r_inner are written out from the two
-# half-angle cosines and sines and the axes' dot and cross products, and
-# rotor_matrix writes the nine entries of q's rotation matrix straight
-# into one (3, 3, ...) array, with no quaternion arrays in between. Maps
-# are built for every (token, band), components first, and applied to
+# Every method is one orthogonal map per (token, band) that turns a few
+# slot groups of its carrier and copies the rest; each ROTATIONS row states
+# that layout once. rope1d turns its one pair by the unit complex phase
+# exp(i angle) = cos + i sin (RoFormer's complex form of RoPE); mixed,
+# spherical and quatro turn their one triple by a 3x3 matrix. care's
+# composite rotor turns the grade-1 slots (e1, e2, e3) by a 3x3 matrix M
+# and, since the pseudoscalar is central, the bivector slots (e23, e31, e12)
+# = (e1, e2, e3) e123 by the same M, and copies the scalar and e123 slots:
+# its 8x8 map is block-diag(1, M, M, 1). The 3x3 matrices of spherical,
+# quatro and care all come from one two-rotor build: the components of
+# q = r_outer r_inner are written out from the two half-angle cosines and
+# sines and the axes' dot and cross products, and rotor_matrix writes the
+# nine entries of q's rotation matrix straight into one (3, 3, ...) array.
+# Maps are built for every (token, band), components first, and applied to
 # every batch row; on a grid, block_maps takes the trig once per column
 # (angle_x) and row (angle_y) and the elementwise steps broadcast them.
-# The inverse map set (the conjugate phase, or the transposed matrices) is
-# formed once per call, before the rows are rotated.
+# The inverse maps are formed once per call, before the rows are rotated.
 
 CARE_VECTOR_SLOTS = (1, 2, 4)  # e1, e2, e3
 CARE_BIVECTOR_SLOTS = (6, 5, 3)  # e23, e31, e12: the duals of e1, e2, e3
@@ -520,14 +516,12 @@ def _care_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
     )
 
 
-def _as_complex(carriers: np.ndarray) -> np.ndarray:
-    """(..., 2) float64 carriers with a contiguous last axis, viewed as
-    (...) complex128 x + i y."""
-    return carriers.view(np.complex128)[..., 0]
-
-
-def _apply_planar(phase, src, dst) -> None:
-    np.multiply(_as_complex(src), phase, out=_as_complex(dst))
+def _turn_pair(phase, src, dst, slots) -> None:
+    """dst[slots] = phase src[slots], each adjacent pair, contiguous in
+    float64, viewed as one complex128 number x + i y."""
+    pair = slice(slots[0], slots[0] + 2)
+    src_z, dst_z = (a[..., pair].view(np.complex128)[..., 0] for a in (src, dst))
+    np.multiply(src_z, phase, out=dst_z)
 
 
 def _matvec3(mats, src, dst, slots) -> None:
@@ -542,61 +536,66 @@ def _matvec3(mats, src, dst, slots) -> None:
         out += np.multiply(row[2], z, out=term)
 
 
-def _apply_3x3(maps, src, dst) -> None:
-    _matvec3(maps, src, dst, (0, 1, 2))
-
-
-def _apply_care(maps, src, dst) -> None:
-    _matvec3(maps, src, dst, CARE_VECTOR_SLOTS)
-    _matvec3(maps, src, dst, CARE_BIVECTOR_SLOTS)
-    for k in CARE_INVARIANT_SLOTS:  # exactly invariant: copied, not recomputed
-        dst[..., k] = src[..., k]
-
-
-def _transpose(maps) -> np.ndarray:
-    """The transposed (3, 3, ...) matrices, as a view: [i] is maps[:, i]."""
-    return maps.swapaxes(0, 1)
-
-
 @dataclass(frozen=True)
 class Rotation:
-    """One method's width and axis rule, and how it builds its
-    per-(token, band) maps and applies them.
+    """One method's carrier layout and axis rule, and how it builds its
+    per-(token, band) maps. The layout is stated once, as ``groups``, the
+    slot groups each map turns (all of one size), and ``copied``, the
+    slots it leaves as they are; ``width`` (the slots covered) and
+    ``map_rank`` are read off it. A 2-slot group, an adjacent pair, takes
+    a complex phase cos + i sin (rank 0); a 3-slot group a 3x3 matrix
+    (rank 2) whose row i lands in the group's i-th slot.
 
     ``build(angles_x, angles_y, unit_x, unit_y)`` takes resolved angles and
     unit axes that broadcast against them (axes carry a trailing 3) and
-    returns the maps components first: a complex (...) phase
-    cos + i sin (rank 0), or (3, 3, ...) for a matrix (rank 2).
-    ``invert(maps)`` returns the inverse maps, and ``apply(maps, src, dst)``
-    writes the rotated (..., width) carriers of src into dst. build and
-    apply trust their inputs (finite angles, unit axes, contiguous float64
-    carriers). build is called by ``block_maps`` and by the gradient
-    check, which pass angles from ``position_angles`` and unit axes;
+    returns the maps components first: (...) phases or (3, 3, ...)
+    matrices. ``apply(maps, src, dst)`` turns every group of src's
+    (..., width) carriers into dst and copies the copied slots;
+    ``invert(maps)`` gives the conjugate phases or the transposed matrices
+    (a view). build and apply trust their inputs (finite angles, unit
+    axes, contiguous float64 carriers): ``block_maps`` and the gradient
+    check pass build angles from ``position_angles`` and unit axes, and
     ``apply_maps`` and ``rotate_rows`` prove apply's. ``slot_major``
     (care) tells ``rotate_rows`` to give apply a slots-first dst, whose
     slot k is one contiguous (tokens, bands) plane, and to copy or cast
     each row from it into the output once.
     """
 
-    width: int  # carrier width
+    groups: tuple[tuple[int, ...], ...]  # slot groups the maps turn
     free_axes: int  # axis rule: 0 fixed, 1 one axis shared by x and y, 2 an x and a y axis
     build: Callable[..., np.ndarray]
-    invert: Callable[[np.ndarray], np.ndarray]
-    apply: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-    map_rank: int  # leading component axes of the maps
     # build takes its trig of angle_x and of angle_y apart, so on a grid it
     # can take (1, columns, bands) and (rows, 1, bands) angles
     separable: bool
+    copied: tuple[int, ...] = ()  # slots the maps leave as they are
     slot_major: bool = False  # apply's per-slot passes want a slots-first dst
+    width: int = field(init=False)  # carrier width: every slot, turned or copied
+    map_rank: int = field(init=False)  # leading component axes of the maps
+
+    def __post_init__(self):
+        object.__setattr__(self, "width", sum(map(len, self.groups)) + len(self.copied))
+        object.__setattr__(self, "map_rank", 0 if len(self.groups[0]) == 2 else 2)
+
+    def invert(self, maps: np.ndarray) -> np.ndarray:
+        return np.conjugate(maps) if self.map_rank == 0 else maps.swapaxes(0, 1)
+
+    def apply(self, maps: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+        turn = _turn_pair if self.map_rank == 0 else _matvec3
+        for slots in self.groups:
+            turn(maps, src, dst, slots)
+        for k in self.copied:  # exactly invariant: copied, not recomputed
+            dst[..., k] = src[..., k]
 
 
 ROTATIONS = {  # in the order METHODS lists and reports them
-    "rope1d": Rotation(2, 0, _planar_maps, np.conjugate, _apply_planar, 0, True),
+    "rope1d": Rotation(((0, 1),), 0, _planar_maps, True),
     # mixed turns by the sum angle_x + angle_y, one trig argument per token
-    "mixed": Rotation(3, 1, _mixed_maps, _transpose, _apply_3x3, 2, False),
-    "spherical": Rotation(3, 0, _spherical_maps, _transpose, _apply_3x3, 2, True),
-    "quatro": Rotation(3, 2, _quatro_maps, _transpose, _apply_3x3, 2, True),
-    "care": Rotation(8, 2, _care_maps, _transpose, _apply_care, 2, True, slot_major=True),
+    "mixed": Rotation(((0, 1, 2),), 1, _mixed_maps, False),
+    "spherical": Rotation(((0, 1, 2),), 0, _spherical_maps, True),
+    "quatro": Rotation(((0, 1, 2),), 2, _quatro_maps, True),
+    "care": Rotation(
+        (CARE_VECTOR_SLOTS, CARE_BIVECTOR_SLOTS), 2, _care_maps, True, CARE_INVARIANT_SLOTS, slot_major=True
+    ),
 }
 METHODS = tuple(ROTATIONS)
 METHOD_WIDTHS = {tag: rotation.width for tag, rotation in ROTATIONS.items()}  # perfbench reads it
