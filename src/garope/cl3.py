@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import _cl3_numpy  # loaded for perfbench's Tracer.install; ROADMAP item 1 removes it
-from .encodings import CARE_INVARIANT_SLOTS, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y, require_unit_norm
+from .encodings import CARE_INVARIANT_SLOTS, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y, as_axes, require_unit_norm
 from .ga import Algebra
 from .quaternion import even_cl3_coeffs, hamilton_product, quat_rotor, quat_sandwich, require_unit_axis
 
@@ -130,29 +130,41 @@ def derive_product_terms() -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-def rope1d_apply(v, angle) -> np.ndarray:
+def _carriers(v, tag: str, width: int) -> np.ndarray:
+    """``v`` as float64 (..., width) carriers of ``tag``; another trailing
+    axis raises, named. The oracles keep their own widths, apart from
+    ``ROTATIONS``."""
     v = np.asarray(v, dtype=np.float64)
+    if v.shape[-1:] != (width,):
+        raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
+    return v
+
+
+def rope1d_apply(v, angle) -> np.ndarray:
+    v = _carriers(v, "rope1d", 2)
     c, s = np.cos(angle), np.sin(angle)
     return np.stack([c * v[..., 0] - s * v[..., 1], s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
 def spherical_apply(v, angle_x, angle_y) -> np.ndarray:
     """Two rope1d_apply turns: the xy-plane by angle_y, then the yz-plane by angle_x."""
-    lead = np.broadcast_shapes(np.shape(v)[:-1], np.shape(angle_x), np.shape(angle_y))
-    out = np.array(np.broadcast_to(v, lead + (3,)), dtype=np.float64)
+    v = _carriers(v, "spherical", 3)
+    lead = np.broadcast_shapes(v.shape[:-1], np.shape(angle_x), np.shape(angle_y))
+    out = np.array(np.broadcast_to(v, lead + (3,)))
     out[..., 0:2] = rope1d_apply(out[..., 0:2], angle_y)
     out[..., 1:3] = rope1d_apply(out[..., 1:3], angle_x)
     return out
 
 
 def quatro_apply(v, angle_x, angle_y, unit_x, unit_y) -> np.ndarray:
+    v = _carriers(v, "quatro", 3)
     rotor = hamilton_product(quat_rotor(unit_x, angle_x / 2.0), quat_rotor(unit_y, angle_y / 2.0))
     return quat_sandwich(rotor, v)
 
 
 def mixed_apply(v, angle, unit) -> np.ndarray:
     u = require_unit_axis(unit)
-    v = np.asarray(v, dtype=np.float64)
+    v = _carriers(v, "mixed", 3)
     angle = np.asarray(angle, dtype=np.float64)[..., None]  # one angle per carrier
     c, s = np.cos(angle), np.sin(angle)
     return c * v + s * np.cross(u, v) + (1.0 - c) * np.sum(u * v, axis=-1, keepdims=True) * u
@@ -160,8 +172,9 @@ def mixed_apply(v, angle, unit) -> np.ndarray:
 
 def mv8_bivector(axis) -> np.ndarray:
     """mv8 bivector slots for an axis (a_i, a_j, a_k): the pure quaternion
-    (0, axis) in the even subalgebra, a_i e12 + a_j e23 + a_k e13."""
-    return mv8_from_quaternion(np.insert(axis, 0, 0.0, axis=-1))
+    (0, axis) in the even subalgebra, a_i e12 + a_j e23 + a_k e13. An
+    axis whose last dimension is not 3 raises (``as_axes``)."""
+    return mv8_from_quaternion(np.insert(as_axes(axis), 0, 0.0, axis=-1))
 
 
 def mv8_rotor(unit, half_angle) -> np.ndarray:

@@ -78,12 +78,18 @@ def _axis_norms(axis: np.ndarray, what: str, degenerate: str) -> np.ndarray:
     return norm
 
 
-def unit_axis(axis) -> np.ndarray:
-    """Normalize (..., 3) axes, rejecting any other shape and raw norms
-    below AXIS_MIN_NORM or non-finite ones."""
+def as_axes(axis) -> np.ndarray:
+    """(..., 3) rotation axes as float64; any other trailing axis raises, named."""
     axis = np.asarray(axis, dtype=np.float64)
     if axis.shape[-1:] != (3,):
         raise ValueError(f"rotation axes need a trailing axis of 3, got shape {axis.shape}")
+    return axis
+
+
+def unit_axis(axis) -> np.ndarray:
+    """Normalize (..., 3) axes, rejecting any other shape and raw norms
+    below AXIS_MIN_NORM or non-finite ones."""
+    axis = as_axes(axis)
     return axis / _axis_norms(
         axis, "rotation axis", "degenerate rotation axis (norm below 1e-8 or not finite)"
     )
@@ -97,8 +103,9 @@ def grade1_rotation_axis(axis) -> np.ndarray:
     rotation about (-a_j, a_k, -a_i): the dual vector of the bivector, with
     orientation fixed by the same convention that sends exp((t/2) e12) e1
     to cos(t) e1 - sin(t) e2. Pinned numerically by a generator test.
+    An axis whose last dimension is not 3 raises (``as_axes``).
     """
-    axis = np.asarray(axis, dtype=np.float64)
+    axis = as_axes(axis)
     return np.stack([-axis[..., 1], axis[..., 2], -axis[..., 0]], axis=-1)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encodings import require_unit_norm
+from .encodings import as_axes, require_unit_norm
 
 PURE_RESIDUE_TOL = 1e-12  # scalar residue allowed after a sandwich, then truncated
 
@@ -50,9 +50,7 @@ def require_unit_axis(axis) -> np.ndarray:
     """(..., 3) rotation axes as float64, rejecting any other shape and any
     not of unit length within ``encodings.UNIT_TOL`` (normalize upstream; a
     zero axis is an error, not a convention)."""
-    axis = np.asarray(axis, dtype=np.float64)
-    if axis.shape[-1:] != (3,):
-        raise ValueError(f"rotation axes need a trailing axis of 3, got shape {axis.shape}")
+    axis = as_axes(axis)
     require_unit_norm(np.sum(axis * axis, axis=-1), "rotation axis must be a unit 3-vector")
     return axis
 

@@ -222,6 +222,7 @@ def _rope1d_rows(data, tokens):
 
 
 _SPHERICAL_6 = enc.EncodingMethod.configure("spherical", 6)
+_E3 = np.array([0.0, 0.0, 1.0])
 
 
 def _rows_with_maps(tag, maps):
@@ -328,6 +329,43 @@ class TestRefusals:
             ),
             (lambda: bench.run_bench(enc.grid_positions(2, 2), batch=True), "batch must be an integer, got True"),
             (lambda: bench.run_bench(enc.grid_positions(2, 2), reps=30.0), "reps must be an integer, got 30.0"),
+            (
+                lambda: cl3.ORACLES["rope1d"](np.ones(3), 0.1, 0.2, None, None),
+                "rope1d carriers need a trailing axis of 2, got shape (3,)",
+            ),
+            (
+                lambda: cl3.ORACLES["mixed"](np.ones(4), 0.1, 0.2, _E3, _E3),
+                "mixed carriers need a trailing axis of 3, got shape (4,)",
+            ),
+            (
+                lambda: cl3.ORACLES["spherical"](np.ones(2), 0.1, 0.2, None, None),
+                "spherical carriers need a trailing axis of 3, got shape (2,)",
+            ),
+            (
+                lambda: cl3.ORACLES["quatro"](np.ones((5, 2)), 0.1, 0.2, _E3, _E3),
+                "quatro carriers need a trailing axis of 3, got shape (5, 2)",
+            ),
+            (
+                lambda: cl3.ORACLES["care"](np.ones(3), 0.1, 0.2, _E3, _E3),
+                "mv8 values need a trailing axis of 8, got shape (3,)",
+            ),
+            (
+                lambda: cl3.rotation_gradient("quatro", "angle_x", np.ones(2), 0.1, 0.2, _E3, _E3),
+                "quatro carriers need a trailing axis of 3, got shape (2,)",
+            ),
+            (
+                lambda: cl3.rotation_gradient("rope1d", "angle_y", np.ones(3), 0.1, 0.2),
+                "rope1d carriers need a trailing axis of 2, got shape (3,)",
+            ),
+            (
+                lambda: enc.grade1_rotation_axis(np.ones(4)),
+                "rotation axes need a trailing axis of 3, got shape (4,)",
+            ),
+            (
+                lambda: enc.grade1_rotation_axis([0.6, 0.8]),
+                "rotation axes need a trailing axis of 3, got shape (2,)",
+            ),
+            (lambda: cl3.mv8_bivector([0.6, 0.8]), "rotation axes need a trailing axis of 3, got shape (2,)"),
         ],
         ids=[
             "axis_params_shape",
@@ -363,6 +401,16 @@ class TestRefusals:
             "bench_fractional_head_dim",
             "bench_bool_batch",
             "bench_fractional_reps",
+            "rope1d_oracle_three_vector",
+            "mixed_oracle_four_vector",
+            "spherical_oracle_two_vector",
+            "quatro_oracle_two_vectors",
+            "care_oracle_three_vector",
+            "gradient_quatro_two_vector",
+            "gradient_rope1d_inner_three_vector",
+            "grade1_axis_four_vector",
+            "grade1_axis_two_vector",
+            "mv8_bivector_two_vector",
         ],
     )
     def test_refusal_names_its_cause(self, call, message):
