@@ -489,6 +489,33 @@ class TestMethodTable:
         assert enc.EncodingMethod.configure(tag, 24).width == enc.ROTATIONS[tag].width
 
     @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_carrier_layout_is_stated_once(self, tag):
+        # the turned groups and the copied slots cover the carrier once each;
+        # the groups' one size gives the map kind: a pair a phase, a triple a matrix
+        rotation = enc.ROTATIONS[tag]
+        slots = [k for group in rotation.groups for k in group] + list(rotation.copied)
+        assert sorted(slots) == list(range(rotation.width))
+        assert enc.METHOD_WIDTHS[tag] == rotation.width == len(slots)
+        sizes = {len(group) for group in rotation.groups}
+        assert sizes in ({2}, {3})
+        assert rotation.map_rank == {2: 0, 3: 2}[sizes.pop()]
+        if rotation.map_rank == 0:  # a phase turns one adjacent pair, viewed as complex
+            assert all(group[1] == group[0] + 1 for group in rotation.groups)
+        # rotate_rows keeps each turned group's norm and copies each copied slot bit for bit
+        axes_x, axes_y = draw_axes(tag)
+        method = enc.EncodingMethod.configure(tag, 5 * rotation.width + 1, axes_x=axes_x, axes_y=axes_y)
+        data = rng.standard_normal((2, 12, 5 * rotation.width + 1))
+        body = data[..., :-1].reshape(2, 12, 5, rotation.width)
+        maps = enc.block_maps(method, enc.grid_positions(3, 4, origin=(0.5, -2.0)))
+        for inverse in (False, True):
+            out = enc.rotate_rows(data, method, maps, inverse)[..., :-1].reshape(body.shape)
+            for group in rotation.groups:
+                norm_in, norm_out = (np.linalg.norm(a[..., group], axis=-1) for a in (body, out))
+                assert np.max(np.abs(norm_out - norm_in)) <= 1e-12
+            for k in rotation.copied:
+                assert np.array_equal(out[..., k], body[..., k])
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
     def test_configure_follows_the_axis_rule(self, tag):
         x, y = np.array([1.0, 2.0, 0.5]), np.array([-0.3, 0.9, 1.1])
         free_axes = enc.ROTATIONS[tag].free_axes
