@@ -524,8 +524,8 @@ def _care_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
 
 
 def _turn_pair(phase, src, dst, slots) -> None:
-    """dst[slots] = phase src[slots], each adjacent pair, contiguous in
-    float64, viewed as one complex128 number x + i y."""
+    """dst[slots] = phase src[slots], the adjacent pair of float64 slots
+    viewed as one complex128 number x + i y."""
     pair = slice(slots[0], slots[0] + 2)
     src_z, dst_z = (a[..., pair].view(np.complex128)[..., 0] for a in (src, dst))
     np.multiply(src_z, phase, out=dst_z)
