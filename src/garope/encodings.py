@@ -524,11 +524,10 @@ def _care_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
 
 
 def _turn_pair(phase, src, dst, slots) -> None:
-    """dst[slots] = phase src[slots], the adjacent pair of float64 slots
-    viewed as one complex128 number x + i y."""
-    pair = slice(slots[0], slots[0] + 2)
-    src_z, dst_z = (a[..., pair].view(np.complex128)[..., 0] for a in (src, dst))
-    np.multiply(src_z, phase, out=dst_z)
+    """dst[slots] = phase src[slots], the carriers viewed as complex128
+    numbers x + i y: the pair (2j, 2j + 1) is number j."""
+    j = slots[0] // 2
+    np.multiply(src.view(np.complex128)[..., j], phase, out=dst.view(np.complex128)[..., j])
 
 
 def _matvec3(mats, src, dst, slots) -> None:
@@ -549,8 +548,8 @@ class Rotation:
     per-(token, band) maps. The layout is stated once, as ``groups``, the
     slot groups each map turns (all of one size), and ``copied``, the
     slots it leaves as they are; ``width`` (the slots covered) and
-    ``map_rank`` are read off it. A 2-slot group, an adjacent pair, takes
-    a complex phase cos + i sin (rank 0); a 3-slot group a 3x3 matrix
+    ``map_rank`` are read off it. A 2-slot group, a pair (2j, 2j + 1),
+    takes a complex phase cos + i sin (rank 0); a 3-slot group a 3x3 matrix
     (rank 2) whose row i lands in the group's i-th slot.
 
     ``build(angles_x, angles_y, unit_x, unit_y)`` takes resolved angles and
@@ -578,18 +577,20 @@ class Rotation:
     slot_major: bool = False  # apply's per-slot passes want a slots-first dst
     width: int = field(init=False)  # carrier width: every slot, turned or copied
     map_rank: int = field(init=False)  # leading component axes of the maps
+    _turn: Callable[..., None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        pair = len(self.groups[0]) == 2
         object.__setattr__(self, "width", sum(map(len, self.groups)) + len(self.copied))
-        object.__setattr__(self, "map_rank", 0 if len(self.groups[0]) == 2 else 2)
+        object.__setattr__(self, "map_rank", 0 if pair else 2)
+        object.__setattr__(self, "_turn", _turn_pair if pair else _matvec3)
 
     def invert(self, maps: np.ndarray) -> np.ndarray:
         return np.conjugate(maps) if self.map_rank == 0 else maps.swapaxes(0, 1)
 
     def apply(self, maps: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-        turn = _turn_pair if self.map_rank == 0 else _matvec3
         for slots in self.groups:
-            turn(maps, src, dst, slots)
+            self._turn(maps, src, dst, slots)
         for k in self.copied:  # exactly invariant: copied, not recomputed
             dst[..., k] = src[..., k]
 

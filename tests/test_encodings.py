@@ -499,8 +499,9 @@ class TestMethodTable:
         sizes = {len(group) for group in rotation.groups}
         assert sizes in ({2}, {3})
         assert rotation.map_rank == {2: 0, 3: 2}[sizes.pop()]
-        if rotation.map_rank == 0:  # a phase turns one adjacent pair, viewed as complex
-            assert all(group[1] == group[0] + 1 for group in rotation.groups)
+        if rotation.map_rank == 0:  # a phase turns the pair (2j, 2j + 1), complex number j
+            assert rotation.width % 2 == 0
+            assert all(group[0] % 2 == 0 and group[1] == group[0] + 1 for group in rotation.groups)
         # rotate_rows keeps each turned group's norm and copies each copied slot bit for bit
         axes_x, axes_y = draw_axes(tag)
         method = enc.EncodingMethod.configure(tag, 5 * rotation.width + 1, axes_x=axes_x, axes_y=axes_y)
