@@ -10,6 +10,7 @@ shift of all positions moves their scores by a measurable gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,13 @@ from .encodings import (
 )
 
 DIRECTIONS = 128  # unit directions commutator_norm probes on a band
-# Q K^T is formed in query-row chunks of at most this many multiply-adds
-# per matrix product. OpenBLAS runs products this small on the calling
-# thread; larger ones wake its worker threads, where a library caller's
-# numpy has them, and on a 2-vCPU VM such wake-ups stalled single score
-# requests for ~30 ms. (A garope process starts none; see cli.) The
-# chunks cost about 0.5 ms on the largest scores measured (2 x 256
-# tokens, head_dim 64).
+# Q K^T is formed in square tiles of side isqrt(this // head_dim), so that
+# no matrix product does more than this many multiply-adds. OpenBLAS runs
+# products this small on the calling thread; larger ones wake its worker
+# threads, where a library caller's numpy has them, and on a 2-vCPU VM
+# such wake-ups stalled single score requests for ~30 ms. (A garope
+# process starts none; see cli.) At head_dim 64 a tile is 64 x 64 and
+# reads a 64-column block of K^T, where a query-row strip read all of it.
 PRODUCT_CHUNK_MULADDS = 1 << 18
 _DIRECTION_SEED = 20240915  # fixed so commutator sampling is reproducible
 
@@ -73,11 +74,17 @@ def score_matrix(
     batch, tokens, head_dim = q.shape
     scores = np.empty((batch, tokens, tokens))
     k_t = k.transpose(0, 2, 1)
-    step = max(1, PRODUCT_CHUNK_MULADDS // max(1, tokens * head_dim))
-    for start in range(0, tokens, step):
-        rows = slice(start, start + step)
-        np.matmul(q[:, rows], k_t, out=scores[:, rows])
-    scores /= np.sqrt(head_dim)
+    side = max(1, math.isqrt(PRODUCT_CHUNK_MULADDS // max(1, head_dim)))
+    for r in range(0, tokens, side):
+        rows = slice(r, r + side)
+        for c in range(0, tokens, side):
+            cols = slice(c, c + side)
+            np.matmul(q[:, rows], k_t[..., cols], out=scores[:, rows, cols])
+    root = math.isqrt(head_dim)
+    if root * root == head_dim and root & (root - 1) == 0:
+        scores *= 1.0 / root  # a power of two: the exact reciprocal makes this the division
+    else:
+        scores /= np.sqrt(head_dim)
     return AttentionScores(scores=scores)
 
 

@@ -84,6 +84,14 @@ _INT_KEYS = ("head_dim", "grid_h", "grid_w", "seed")
 _FLOAT_KEYS = ("base", "coord_scale_x", "coord_scale_y", "tolerance", "origin_x", "origin_y")
 _BOOL_KEYS = ("invert",)
 _AXIS_KEYS = ("axes_x", "axes_y")
+_RANGES = {  # numeric key: (the bound its value must exceed, the rule)
+    "head_dim": (0, "must be positive"),
+    "grid_h": (0, "must be positive"),
+    "grid_w": (0, "must be positive"),
+    "seed": (-1, "must be non-negative"),
+    "base": (1.0, "must exceed 1"),
+    "tolerance": (0.0, "must be positive"),
+}
 _ALL_KEYS = ("method",) + _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _AXIS_KEYS
 
 
@@ -174,22 +182,9 @@ def parse_run_config(text: str) -> RunConfig:
             raise
         except ValueError:
             raise ConfigError(f"bad value {value!r} for {key!r}", lineno) from None
-    config = RunConfig(explicit_keys=frozenset(values), **values)
-    _validate_config(config)
-    return config
-
-
-def _validate_config(config: RunConfig) -> None:
-    if config.head_dim < 1:
-        raise ConfigError("head_dim must be positive")
-    if config.grid_h < 1 or config.grid_w < 1:
-        raise ConfigError("grid dimensions must be positive")
-    if config.base <= 1.0:
-        raise ConfigError("base must exceed 1")
-    if config.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if config.tolerance is not None and not config.tolerance > 0.0:
-        raise ConfigError("tolerance must be positive")
+        if key in _RANGES and not values[key] > _RANGES[key][0]:
+            raise ConfigError(f"{key} {_RANGES[key][1]}, got {value!r}", lineno)
+    return RunConfig(explicit_keys=frozenset(values), **values)
 
 
 def load_run_config(path) -> RunConfig:
