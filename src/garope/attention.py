@@ -80,11 +80,11 @@ def score_matrix(
         for c in range(0, tokens, side):
             cols = slice(c, c + side)
             np.matmul(q[:, rows], k_t[..., cols], out=scores[:, rows, cols])
-    root = math.isqrt(head_dim)
-    if root * root == head_dim and root & (root - 1) == 0:
-        scores *= 1.0 / root  # a power of two: the exact reciprocal makes this the division
+    scale = math.sqrt(head_dim)
+    if math.frexp(scale)[0] == 0.5:  # a power of two: its exact reciprocal makes this the division
+        scores *= 1.0 / scale
     else:
-        scores /= np.sqrt(head_dim)
+        scores /= scale
     return AttentionScores(scores=scores)
 
 

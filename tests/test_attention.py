@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from garope import attention as att
 from garope import encodings as enc
@@ -35,6 +37,52 @@ class TestScoreMatrix:
         method = EncodingMethod.configure("rope1d", head_dim)
         got = att.score_matrix(block, block, method).scores
         assert np.max(np.abs(got - np.eye(head_dim) / np.sqrt(head_dim))) < 1e-15
+
+    def test_power_of_four_head_dim_scales_by_the_exact_reciprocal(self):
+        pos = np.zeros((7, 2))
+        q = random_block(2, 16, pos, seed=1)
+        k = random_block(2, 16, pos, seed=2)
+        got = att.score_matrix(q, k, EncodingMethod.configure("quatro", 16)).scores
+        assert np.array_equal(got, (q.data @ k.data.transpose(0, 2, 1)) / 4.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.floats(allow_nan=False, allow_infinity=False),
+        r=st.sampled_from([2, 4, 8, 16]),
+    )
+    @example(x=float(np.finfo(np.float64).max), r=2)
+    @example(x=-float(np.finfo(np.float64).max), r=16)
+    @example(x=5e-324, r=2)  # the least subnormal: the quotient rounds to zero
+    @example(x=3 * 5e-324, r=4)
+    @example(x=float(np.finfo(np.float64).smallest_normal), r=16)  # normal in, subnormal out
+    def test_power_of_two_reciprocal_multiply_is_the_division(self, x, r):
+        values = np.array([x, -x])
+        assert (values * (1.0 / r)).tobytes() == (values / r).tobytes()
+
+    @pytest.mark.parametrize("grid", [(14, 14), (16, 16)])
+    @pytest.mark.parametrize("head_dim", [64, 66])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_every_product_stays_under_the_cap(self, monkeypatch, grid, head_dim, batch):
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            calls.append((a.shape, b.shape))
+            return matmul(a, b, **kwargs)
+
+        block = random_block(batch, head_dim, grid_positions(*grid), seed=6)
+        method = EncodingMethod.configure("rope1d", head_dim)
+        monkeypatch.setattr(att.np, "matmul", spy)
+        att.score_matrix(block, block, method)
+        monkeypatch.undo()
+        tokens = block.tokens
+        assert calls
+        covered = 0
+        for (b_a, m, k_a), (b_b, k_b, n) in calls:
+            assert b_a == b_b == batch and k_a == k_b == head_dim
+            assert m * n * head_dim <= att.PRODUCT_CHUNK_MULADDS  # per batch row, one BLAS call
+            covered += m * n
+        assert covered == tokens * tokens  # the tiles cover each batch row's scores once
 
     def test_shape_mismatch_rejected(self):
         pos = np.zeros((3, 2))
@@ -100,14 +148,14 @@ class TestScoreMatrixReference:
         self_got = att.score_matrix(q, q, method).scores
         assert np.max(np.abs(self_got - self_want)) <= 1e-13 * np.max(np.abs(self_want))
 
-    @pytest.mark.parametrize("rows_per_chunk", [1, 7])
-    def test_chunked_product_matches_einsum(self, monkeypatch, rows_per_chunk):
+    @pytest.mark.parametrize("side", [1, 4, 7])  # 4 and 7 leave ragged tiles of the 30 tokens
+    def test_chunked_product_matches_einsum(self, monkeypatch, side):
         method = self.method("quatro", 66, seed=2)
         q = random_block(2, 66, self.POS, seed=3)
         k = random_block(2, 66, self.POS, seed=4)
         qe, ke = apply_encoding(q, method).data, apply_encoding(k, method).data
         want = np.einsum("btd,bsd->bts", qe, ke) / np.sqrt(66)
-        monkeypatch.setattr(att, "PRODUCT_CHUNK_MULADDS", rows_per_chunk * q.tokens * 66)
+        monkeypatch.setattr(att, "PRODUCT_CHUNK_MULADDS", side * side * 66)
         got = att.score_matrix(q, k, method).scores
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

@@ -198,6 +198,11 @@ class TestConfigParsing:
             ("axes_x = shared:1,0,0;0,1,0", 1, "exactly one"),
             ("axes_x = ;", 1, "empty axes"),
             ("\n\nmethod = care\nbogus = 1", 4, "unknown key"),
+            ("grid_h = 0", 1, "grid_h must be positive"),
+            ("method = care\nhead_dim = 0", 2, "head_dim must be positive"),
+            ("seed = 3\nbase = 1.0", 2, "base must exceed 1"),
+            ("# a comment\n\nseed = -1", 3, "seed must be non-negative"),
+            ("tolerance = 0", 1, "tolerance must be positive"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
