@@ -16,6 +16,11 @@ imports no garope module; this module serves the oracles, the analytic
 gradients and the checks, while ``quaternion.hamilton_product`` stays
 the independent quaternion oracle.
 
+The flip is the only table of the algebra stated here. ``mv8_reverse``
+is ``Algebra(3).reverse`` (a sign per grade, which the flip leaves
+alone), the rotor check reads the odd slots off ``Algebra(3).grades``,
+and ``PRODUCT_TERMS`` is derived from ``mv8_product`` at import.
+
 Every method is a rotor in Cl(3,0), and the single sub-vector ``*_apply``
 functions compute each rotation independently of the maps: spherical
 takes two of rope1d's planar turns, quatro sandwiches by a product of
@@ -38,37 +43,14 @@ from typing import Callable
 
 import numpy as np
 
-from . import _cl3_numpy  # loaded for perfbench's Tracer.install; ROADMAP item 1 removes it
+from . import _cl3_numpy  # noqa: F401  (perfbench's Tracer.install reads it; ROADMAP item 1 removes it)
 from .encodings import CARE_INVARIANT_SLOTS, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y, as_axes, require_unit_norm
 from .ga import Algebra
 from .quaternion import even_cl3_coeffs, hamilton_product, quat_rotor, quat_sandwich, require_unit_axis
 
-REVERSE_SIGNS = _cl3_numpy.REVERSE_SIGNS
 _SLOT_ORIENTATION = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
 _SLOT_ORIENTATION.flags.writeable = False
-_ODD_SLOTS = (1, 2, 4, 7)
-
-# The 64 terms of the mv8 product: (out_slot, a_slot, b_slot, sign), as
-# derive_product_terms recomputes them. Read by perfbench/spans.py (flop
-# counts) and perfbench/test_perfbench.py; ROADMAP item 1 removes it.
-PRODUCT_TERMS = (
-    (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, -1),
-    (0, 4, 4, 1), (0, 5, 5, -1), (0, 6, 6, -1), (0, 7, 7, -1),
-    (1, 0, 1, 1), (1, 1, 0, 1), (1, 2, 3, -1), (1, 3, 2, 1),
-    (1, 4, 5, 1), (1, 5, 4, -1), (1, 6, 7, -1), (1, 7, 6, -1),
-    (2, 0, 2, 1), (2, 1, 3, 1), (2, 2, 0, 1), (2, 3, 1, -1),
-    (2, 4, 6, -1), (2, 5, 7, -1), (2, 6, 4, 1), (2, 7, 5, -1),
-    (3, 0, 3, 1), (3, 1, 2, 1), (3, 2, 1, -1), (3, 3, 0, 1),
-    (3, 4, 7, 1), (3, 5, 6, 1), (3, 6, 5, -1), (3, 7, 4, 1),
-    (4, 0, 4, 1), (4, 1, 5, -1), (4, 2, 6, 1), (4, 3, 7, -1),
-    (4, 4, 0, 1), (4, 5, 1, 1), (4, 6, 2, -1), (4, 7, 3, -1),
-    (5, 0, 5, 1), (5, 1, 4, -1), (5, 2, 7, 1), (5, 3, 6, -1),
-    (5, 4, 1, 1), (5, 5, 0, 1), (5, 6, 3, 1), (5, 7, 2, 1),
-    (6, 0, 6, 1), (6, 1, 7, 1), (6, 2, 4, 1), (6, 3, 5, 1),
-    (6, 4, 2, -1), (6, 5, 3, -1), (6, 6, 0, 1), (6, 7, 1, 1),
-    (7, 0, 7, 1), (7, 1, 6, 1), (7, 2, 5, 1), (7, 3, 4, 1),
-    (7, 4, 3, 1), (7, 5, 2, 1), (7, 6, 1, 1), (7, 7, 0, 1),
-)
+_ODD_SLOTS = np.flatnonzero(Algebra(3).grades % 2)  # an even rotor holds 0 in each
 
 
 # Read by perfbench/run.py (environment); ROADMAP item 1 removes it.
@@ -97,14 +79,13 @@ def mv8_product(a, b) -> np.ndarray:
     return Algebra(3).gp(a, b) * _SLOT_ORIENTATION
 
 
-def mv8_reverse(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64) * REVERSE_SIGNS
+# reversion scales each slot by its grade's sign, so the e31 flip commutes with it
+mv8_reverse = Algebra(3).reverse
 
 
 def _validate_rotor(rotor: np.ndarray) -> None:
-    for slot in _ODD_SLOTS:
-        if np.any(rotor[..., slot] != 0.0):
-            raise ValueError("mv8 rotor has nonzero odd-grade slots")
+    if np.any(rotor[..., _ODD_SLOTS] != 0.0):
+        raise ValueError("mv8 rotor has nonzero odd-grade slots")
     require_unit_norm(np.einsum("...i,...i->...", rotor, rotor), "mv8 rotor is not unit norm")
 
 
@@ -122,12 +103,18 @@ def mv8_rotor_sandwich(rotor, a) -> np.ndarray:
 
 
 def derive_product_terms() -> tuple[tuple[int, int, int, int], ...]:
-    """Recompute PRODUCT_TERMS from the products of the mv8 basis elements."""
+    """The 64 terms of the mv8 product, (out_slot, a_slot, b_slot, sign),
+    sorted, from the products of the mv8 basis elements."""
     basis = np.eye(8)
     prods = mv8_product(basis[:, None], basis[None, :])  # [i, j] = e_i e_j
     return tuple(
         sorted((int(k), int(i), int(j), int(prods[i, j, k])) for i, j, k in zip(*np.nonzero(prods)))
     )
+
+
+# Read by perfbench/spans.py (flop counts) and perfbench/test_perfbench.py;
+# ROADMAP item 1 removes it.
+PRODUCT_TERMS = derive_product_terms()
 
 
 def _carriers(v, tag: str, width: int) -> np.ndarray:
