@@ -61,15 +61,21 @@ class Algebra:
         for table in (self.grades, self.sign, self.xor_perm, self.reverse_signs):
             table.flags.writeable = False
 
-    def gp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Geometric product on raw coefficient arrays of shape (..., 2^n)."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape[-1:] != (self.size,) or b.shape[-1:] != (self.size,):
+    def _operands(self, *arrays) -> tuple[np.ndarray, ...]:
+        """``arrays`` as float64; any trailing axis but 2^n raises, named,
+        instead of broadcasting against the tables."""
+        arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
+        if any(a.shape[-1:] != (self.size,) for a in arrays):
+            shapes = " and ".join(str(a.shape) for a in arrays)
             raise ValueError(
                 f"Cl({self.dim},0) operands need a trailing axis of {self.size}, "
-                f"got shapes {a.shape} and {b.shape}"
+                f"got shape{'s' if len(arrays) > 1 else ''} {shapes}"
             )
+        return arrays
+
+    def gp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Geometric product on raw coefficient arrays of shape (..., 2^n)."""
+        a, b = self._operands(a, b)
         shape = np.broadcast_shapes(a.shape, b.shape)
         out = np.zeros(shape, dtype=np.float64)
         for i in range(self.size):
@@ -79,10 +85,12 @@ class Algebra:
 
     def reverse(self, a: np.ndarray) -> np.ndarray:
         """Reversion anti-automorphism: grade g scaled by (-1)^(g(g-1)/2)."""
-        return np.asarray(a, dtype=np.float64) * self.reverse_signs
+        (a,) = self._operands(a)
+        return a * self.reverse_signs
 
     def grade_project(self, a: np.ndarray, g: int) -> np.ndarray:
         """Keep only the grade-g coefficients of a."""
         if not 0 <= g <= self.dim:
             raise ValueError(f"grade {g} out of range for Cl({self.dim},0)")
-        return np.where(self.grades == g, np.asarray(a, dtype=np.float64), 0.0)
+        (a,) = self._operands(a)
+        return np.where(self.grades == g, a, 0.0)

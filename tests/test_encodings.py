@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from garope import bench, cl3
 from garope import encodings as enc
 from garope.attention import AttentionScores, commutator_norm
+from garope.ga import Algebra
 from garope.quaternion import hamilton_product, quat_rotor, quat_sandwich
 
 rng = np.random.default_rng(31337)
@@ -366,6 +367,17 @@ class TestRefusals:
                 "rotation axes need a trailing axis of 3, got shape (2,)",
             ),
             (lambda: cl3.mv8_bivector([0.6, 0.8]), "rotation axes need a trailing axis of 3, got shape (2,)"),
+            (lambda: Algebra(3).reverse(np.ones(1)), "Cl(3,0) operands need a trailing axis of 8, got shape (1,)"),
+            (lambda: Algebra(3).reverse(np.ones(5)), "Cl(3,0) operands need a trailing axis of 8, got shape (5,)"),
+            (
+                lambda: Algebra(3).grade_project(np.ones(1), 2),
+                "Cl(3,0) operands need a trailing axis of 8, got shape (1,)",
+            ),
+            (
+                lambda: Algebra(3).grade_project(np.ones((2, 7)), 2),
+                "Cl(3,0) operands need a trailing axis of 8, got shape (2, 7)",
+            ),
+            (lambda: cl3.mv8_reverse(np.ones(1)), "Cl(3,0) operands need a trailing axis of 8, got shape (1,)"),
         ],
         ids=[
             "axis_params_shape",
@@ -411,6 +423,11 @@ class TestRefusals:
             "grade1_axis_four_vector",
             "grade1_axis_two_vector",
             "mv8_bivector_two_vector",
+            "reverse_one_wide",
+            "reverse_five_wide",
+            "grade_project_one_wide",
+            "grade_project_seven_wide",
+            "mv8_reverse_one_wide",
         ],
     )
     def test_refusal_names_its_cause(self, call, message):
