@@ -205,10 +205,16 @@ def cmd_grad(args) -> int:
     for name, coordinate, h, value, bound in rows:
         lines.append(f"{name},{coordinate},{h:g},{value!r},{'true' if value <= bound else 'false'}")
     _emit("\n".join(lines) + "\n", args)
-    if not all(value <= bound for *_, value, bound in rows):
+    if not all(value <= tol for value in errors.values()):
         tag, coordinate, h = worst = max(errors, key=errors.get)
         worst_label = f"{tag}/{coordinate} at h={h:g}"
         print(f"gradient check failed: {worst_label} rel err {errors[worst]!r}", file=sys.stderr)
+        return EXIT_PROPERTY
+    if not channels <= channel_tol:
+        print(
+            f"gradient check failed: care_invariant_channels {channels!r} above its bound {channel_tol!r}",
+            file=sys.stderr,
+        )
         return EXIT_PROPERTY
     return EXIT_OK
 

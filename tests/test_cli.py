@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garope import cl3, cli, encodings
+from garope import checks, cl3, cli, encodings
 from garope.encodings import (
     METHOD_WIDTHS,
     METHODS,
@@ -205,6 +205,23 @@ class TestGrad:
         code, out, err = run(capsys, ["grad", "--seed", "0", "--tolerance", "1e-16"])
         assert code == cli.EXIT_PROPERTY
         assert "gradient check failed" in err
+
+    def test_failed_channel_row_is_the_one_named(self, capsys, monkeypatch):
+        # every gradient case passes; only care's invariant-channel row fails
+        _, want, _ = run(capsys, ["grad", "--seed", "0"])
+        gradient_errors = checks.gradient_errors
+
+        def leaking_channels(*args, **kwargs):
+            errors, _ = gradient_errors(*args, **kwargs)
+            return errors, 0.25
+
+        monkeypatch.setattr(checks, "gradient_errors", leaking_channels)
+        code, out, err = run(capsys, ["grad", "--seed", "0"])
+        assert code == cli.EXIT_PROPERTY
+        assert err == "gradient check failed: care_invariant_channels 0.25 above its bound 1e-10\n"
+        *cases, channel_row = out.splitlines()
+        assert cases == want.splitlines()[:-1]
+        assert channel_row == "care_invariant_channels,both,1e-05,0.25,false"
 
     def test_angle_overflow_is_named(self, capsys, tmp_path):
         # encode's message, from the one angle formula; a leaked numpy
