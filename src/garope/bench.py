@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import METHODS, EncodingMethod, TokenBlock, apply_encoding, require_integer
+from .encodings import METHODS, EncodingMethod, apply_encoding, random_block, require_integer
 
 MIN_REPS = 30
 WARMUP_RUNS = 5
@@ -87,10 +87,7 @@ def run_bench(
         if name in names[:i]:
             raise ValueError(f"kernel {name!r} is listed twice")
 
-    rng = np.random.default_rng(seed)
-    block = TokenBlock(
-        data=rng.standard_normal((batch, tokens, head_dim)), positions=positions
-    )
+    block = random_block(batch, head_dim, positions, seed)
 
     rows = []
     for name in names:
