@@ -29,7 +29,9 @@ class TensorFileError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Malformed run config; message carries the offending line number."""
+    """Malformed run config. An error found while parsing a line carries
+    its line number; ``build_method``'s refusals, which check keys
+    together, carry none (``line`` is None)."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -198,7 +200,9 @@ def config_positions(config: RunConfig) -> np.ndarray:
 
 def build_method(config: RunConfig) -> EncodingMethod:
     """EncodingMethod from a config; the method's own checks fail as
-    ConfigError."""
+    ConfigError without a line number (a degenerate axis, a per-band axis
+    count that does not match, axes for a method with fixed axes, a
+    head_dim below the method's width)."""
     try:
         return EncodingMethod.configure(
             config.method,
