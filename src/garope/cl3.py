@@ -79,7 +79,6 @@ def mv8_product(a, b) -> np.ndarray:
     return Algebra(3).gp(a, b) * _SLOT_ORIENTATION
 
 
-# reversion scales each slot by its grade's sign, so the e31 flip commutes with it
 mv8_reverse = Algebra(3).reverse
 
 

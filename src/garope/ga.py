@@ -7,9 +7,9 @@ blades lands at the XOR of their masks with a sign from counting
 basis-vector transpositions (every e_k squares to +1).
 
 All operations are pure and take raw coefficient arrays of shape
-(..., 2^n). Each ``Algebra`` is built once per n and shared, so its
-tables are frozen: an in-place edit raises instead of corrupting every
-later product.
+(..., 2^n); another trailing axis raises, named. Each ``Algebra`` is
+built once per n and shared, so its tables are frozen: an in-place edit
+raises instead of corrupting every later product.
 """
 
 from __future__ import annotations
