@@ -423,7 +423,7 @@ def _suite_harness_equivariance(seed: int) -> str:
 def _suite_encoder_oracles(seed: int) -> str:
     # the path garope encode runs (block_maps + rotate_rows) against the rotor
     # oracles at the same angles; per-band random axes, unequal scales, an
-    # off-origin grid and pass-through dims make a transposed map or swapped
+    # off-origin grid and pass-through dims make an inverted map or swapped
     # coordinates or axes show
     rng = np.random.default_rng([seed, 9])
     head_dim, sx, sy = 67, 1.3, 0.7  # 1, 1, 1, 1 and 3 pass-through dims

@@ -21,12 +21,15 @@ carrier layout (the slot groups its maps turn and the slots they copy),
 its axis rule and how it builds one orthogonal map per (token, band),
 applied to every batch row by one ``apply``; ``METHODS``, the widths
 and the map kinds are read off it. A pair is turned by a complex phase
-exp(i angle) (rank 0), a triple by a 3x3 matrix (rank 2) with explicit
-multiply-adds; spherical, quatro and care build the matrix of a
-two-rotor quaternion product in closed form (``rotor_matrix``). A
-block is encoded in two steps, ``block_maps`` (maps from positions; on a
-row-major grid its trig runs once per column and row, not once per token)
-and ``rotate_rows`` (maps applied to a raw float32 or float64 array one
+exp(i angle) (rank 0). A 3-wide carrier is turned as Rz(alpha) Rx(beta)
+Rz(gamma), by three phases (rank 1) that each multiply an adjacent slot
+pair in place, read off the method's quaternion with no trig
+(``_euler_phases``). care's two triples, at slots that are not
+adjacent, are turned by a 3x3 matrix (rank 2) with explicit
+multiply-adds, the closed-form matrix of a two-rotor quaternion product
+(``rotor_matrix``). A block is encoded in two steps, ``block_maps``
+(maps from positions; on a row-major grid its trig runs once per column
+and row, not once per token) and ``rotate_rows`` (maps applied to a raw float32 or float64 array one
 batch row at a time, each row checked once, on the values written; care
 rotates each row into a slots-first scratch and copies it out once);
 ``apply_encoding`` runs both, attention scores reuse one build for
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -415,13 +419,18 @@ def care_rotate(
 # Every method is one orthogonal map per (token, band) that turns a few
 # slot groups of its carrier and copies the rest; each ROTATIONS row states
 # that layout once. rope1d turns its one pair by the unit complex phase
-# exp(i angle) = cos + i sin (RoFormer's complex form of RoPE); mixed,
-# spherical and quatro turn their one triple by a 3x3 matrix. care's
-# composite rotor turns the grade-1 slots (e1, e2, e3) by a 3x3 matrix M
-# and, since the pseudoscalar is central, the bivector slots (e23, e31, e12)
+# exp(i angle) = cos + i sin (RoFormer's complex form of RoPE). mixed,
+# spherical and quatro turn their one triple as Rz(alpha) Rx(beta) Rz(gamma):
+# three phases e^{i gamma}, e^{i beta}, e^{i alpha}, each an in-place complex
+# multiply on the adjacent pair (0, 1), (1, 2), then (0, 1), 48 bytes per
+# map. spherical's phases are its oracle's two turns and 1; mixed's and
+# quatro's come from their quaternion q (for mixed cos(t/2) + sin(t/2) u)
+# by the formulas of _euler_phases, with no trig. care's composite rotor
+# turns the grade-1 slots (e1, e2, e3) by a 3x3 matrix M and, since the
+# pseudoscalar is central, the bivector slots (e23, e31, e12)
 # = (e1, e2, e3) e123 by the same M, and copies the scalar and e123 slots:
-# its 8x8 map is block-diag(1, M, M, 1). The 3x3 matrices of spherical,
-# quatro and care all come from one two-rotor build: the components of
+# its 8x8 map is block-diag(1, M, M, 1). quatro's quaternion and care's
+# matrix come from one two-rotor build: the components of
 # q = r_outer r_inner are written out from the two half-angle cosines and
 # sines and the axes' dot and cross products, and rotor_matrix writes the
 # nine entries of q's rotation matrix straight into one (3, 3, ...) array.
@@ -440,24 +449,6 @@ def _planar_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
     np.cos(angles_x, out=phase.real)
     np.sin(angles_x, out=phase.imag)
     return phase
-
-
-def _mixed_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
-    """Rodrigues matrix c I + s [u]x + (1 - c) u u^T of the summed angle."""
-    angle = angles_x + angles_y
-    c, s = np.cos(angle), np.sin(angle)
-    k = 1.0 - c
-    u = np.moveaxis(np.asarray(unit_x, dtype=np.float64), -1, 0)  # (3, ...)
-    mats = np.empty((3, 3) + np.broadcast_shapes(c.shape, u.shape[1:]))
-    for i in range(3):
-        for j in range(3):
-            np.multiply(k, u[i] * u[j], out=mats[i, j, ...])
-        mats[i, i] += c
-    for i, j, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # [u]x holds -u_n at (i, j), u_n at (j, i)
-        term = s * u[n]
-        mats[i, j] -= term
-        mats[j, i] += term
-    return mats
 
 
 def require_unit_norm(sq_norm, message: str) -> None:
@@ -488,10 +479,10 @@ def rotor_matrix(w, x, y, z) -> np.ndarray:
     return mats
 
 
-def _two_rotor_matrix(axis_outer, angle_outer, axis_inner, angle_inner) -> np.ndarray:
-    """Rotation matrix of the quaternion q = r_outer r_inner, components
-    first, for rotors r = cos(a/2) + sin(a/2) u about unit axes u (outer)
-    and v (inner). With c, s the half-angle cosines and sines,
+def _two_rotor_quaternion(axis_outer, angle_outer, axis_inner, angle_inner):
+    """Components (w, x, y, z) of the quaternion q = r_outer r_inner, for
+    rotors r = cos(a/2) + sin(a/2) u about unit axes u (outer) and v
+    (inner). With c, s the half-angle cosines and sines,
     w = c1 c2 - s1 s2 (u.v) and xyz = c1 s2 v + s1 c2 u + s1 s2 (u x v).
     """
     u = np.moveaxis(axis_outer, -1, 0)  # (3, ...)
@@ -504,15 +495,80 @@ def _two_rotor_matrix(axis_outer, angle_outer, axis_inner, angle_inner) -> np.nd
         cs * v[i] + sc * u[i] + ss * (u[j] * v[k] - u[k] * v[j])
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     )
-    return rotor_matrix(w, x, y, z)
+    return w, x, y, z
 
 
-def _spherical_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
-    return _two_rotor_matrix(SPHERICAL_AXIS_X, angles_x, SPHERICAL_AXIS_Y, angles_y)
+def _two_rotor_matrix(axis_outer, angle_outer, axis_inner, angle_inner) -> np.ndarray:
+    """Rotation matrix of the quaternion q = r_outer r_inner, components first."""
+    return rotor_matrix(*_two_rotor_quaternion(axis_outer, angle_outer, axis_inner, angle_inner))
 
 
-def _quatro_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
-    return _two_rotor_matrix(unit_x, angles_x, unit_y, angles_y)  # r_x outermost
+_FLAT = math.sqrt(np.finfo(np.float64).tiny)  # |A||B| below this counts as 0
+
+
+def _euler_phases(w, x, y, z) -> np.ndarray:
+    """(3, ...) phases (e^{i gamma}, e^{i beta}, e^{i alpha}) of the
+    rotations Rz(alpha) Rx(beta) Rz(gamma) of unit quaternions
+    q = w + x i + y j + z k given as components of one shape; a non-unit
+    q raises.
+
+    With A = w + i z = cos(beta/2) e^{i(alpha+gamma)/2} and
+    B = x + i y = sin(beta/2) e^{i(alpha-gamma)/2}, in real arithmetic and
+    one reciprocal: e^{i beta} = |A|^2 - |B|^2 + 2i |A||B|,
+    e^{i alpha} = A B / (|A||B|) and e^{i gamma} = A conj(B) / (|A||B|).
+    Both outer phases come from the same A and B, so an error in B's phase
+    moves R by about that error times sin(beta), and beta near 0 stays
+    well conditioned. Where |A||B| is 0 to float64 precision (beta = 0 or
+    pi, |A| or |B| below 1e-154) only alpha + gamma or alpha - gamma is
+    defined, and the smaller number counts as 1: the phases are then
+    A/|A| (beta = 0) or B/|B| and its conjugate (beta = pi), and R moves
+    by less than the dropped modulus. No numpy warning is raised.
+    """
+    aa, bb = w * w + z * z, x * x + y * y  # |A|^2, |B|^2
+    require_unit_norm(aa + bb, "quaternion rotor is not unit norm")  # also rejects NaN components
+    r = np.sqrt(aa * bb)  # |A||B|
+    phases = np.empty((3,) + r.shape, dtype=np.complex128)
+    re, im = phases.real, phases.imag
+    np.subtract(aa, bb, out=re[1, ...])
+    np.multiply(r, 2.0, out=im[1, ...])
+    inv = 1.0 / np.maximum(r, _FLAT)  # finite everywhere; the flat entries are redone below
+    wx, zy, wy, zx = w * x, z * y, w * y, z * x
+    np.multiply(wx + zy, inv, out=re[0, ...])
+    np.multiply(zx - wy, inv, out=im[0, ...])
+    np.multiply(wx - zy, inv, out=re[2, ...])
+    np.multiply(wy + zx, inv, out=im[2, ...])
+    flat = np.flatnonzero(r < _FLAT)
+    if flat.size:  # the smaller of A and B counts as 1
+        w, x, y, z, aa, bb = (np.broadcast_to(c, r.shape).ravel()[flat] for c in (w, x, y, z, aa, bb))
+        keep_a = bb <= aa
+        unit = np.where(keep_a, w + 1j * z, x + 1j * y) / np.sqrt(np.maximum(aa, bb))
+        rows = phases.reshape(3, -1)  # a view: phases is contiguous
+        rows[2, flat] = unit
+        rows[0, flat] = np.where(keep_a, unit, np.conjugate(unit))
+    return phases
+
+
+def _mixed_phases(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
+    """Phases of q = cos(t/2) + sin(t/2) u for the summed angle t."""
+    half = 0.5 * (angles_x + angles_y)
+    c, s = np.cos(half), np.sin(half)
+    u = np.moveaxis(unit_x, -1, 0)  # (3, ...)
+    return _euler_phases(c, s * u[0], s * u[1], s * u[2])
+
+
+def _spherical_phases(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
+    """Its oracle's two turns, (0, 1) by angle_y then (1, 2) by angle_x;
+    the third phase is exactly 1."""
+    phases = np.empty((3,) + np.broadcast_shapes(angles_x.shape, angles_y.shape), dtype=np.complex128)
+    for turn, angle in ((0, angles_y), (1, angles_x)):
+        phases.real[turn, ...] = np.cos(angle)
+        phases.imag[turn, ...] = np.sin(angle)
+    phases[2] = 1.0
+    return phases
+
+
+def _quatro_phases(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
+    return _euler_phases(*_two_rotor_quaternion(unit_x, angles_x, unit_y, angles_y))  # r_x outermost
 
 
 def _care_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
@@ -542,29 +598,53 @@ def _matvec3(mats, src, dst, slots) -> None:
         out += np.multiply(row[2], z, out=term)
 
 
+def _turn_sequence(turns, phases, src, dst, slots) -> None:
+    """dst[slots] = src[slots] turned by one phase per turn, in order:
+    phase n multiplies the adjacent pair that starts at the group's slot
+    turns[n], viewed as one complex128 number x + i y, in place in dst.
+    The group's slots are adjacent in dst, whose last axis is contiguous
+    float64; src, only read, may be any real array that broadcasts to dst."""
+    group = slice(slots[0], slots[-1] + 1)
+    np.copyto(dst[..., group], src[..., group])
+    for phase, k in zip(phases, turns):
+        pair = dst[..., slots[k] : slots[k] + 2].view(np.complex128)[..., 0]
+        np.multiply(pair, phase, out=pair)
+
+
+# Rz(gamma) on (0, 1), then Rx(beta) on (1, 2), then Rz(alpha) on (0, 1):
+# a palindrome, so the conjugate phases in reverse order undo it
+EULER_TURNS = (0, 1, 0)
+
+
 @dataclass(frozen=True)
 class Rotation:
     """One method's carrier layout and axis rule, and how it builds its
     per-(token, band) maps. The layout is stated once, as ``groups``, the
-    slot groups each map turns (all of one size), and ``copied``, the
-    slots it leaves as they are; ``width`` (the slots covered) and
-    ``map_rank`` are read off it. A 2-slot group, a pair (2j, 2j + 1),
-    takes a complex phase cos + i sin (rank 0); a 3-slot group a 3x3 matrix
-    (rank 2) whose row i lands in the group's i-th slot.
+    slot groups each map turns (all of one size), ``turns``, the pairs a
+    triple is turned by in sequence, and ``copied``, the slots it leaves
+    as they are; ``width`` (the slots covered) and ``map_rank`` are read
+    off it. A 2-slot group, a pair (2j, 2j + 1), takes one complex phase
+    cos + i sin (rank 0). A 3-slot group with ``turns`` takes one phase
+    per turn (rank 1), each multiplying the adjacent pair that starts at
+    the group's slot turns[n]; one without takes a 3x3 matrix (rank 2)
+    whose row i lands in the group's i-th slot.
 
     ``build(angles_x, angles_y, unit_x, unit_y)`` takes resolved angles and
     unit axes that broadcast against them (axes carry a trailing 3) and
-    returns the maps components first: (...) phases or (3, 3, ...)
-    matrices. ``apply(maps, src, dst)`` turns every group of src's
-    (..., width) carriers into dst and copies the copied slots;
-    ``invert(maps)`` gives the conjugate phases or the transposed matrices
-    (a view). build and apply trust their inputs (finite angles, unit
-    axes, contiguous float64 carriers): ``block_maps`` and the gradient
-    check pass build angles from ``position_angles`` and unit axes, and
-    ``apply_maps`` and ``rotate_rows`` prove apply's. ``slot_major``
-    (care) tells ``rotate_rows`` to give apply a slots-first dst, whose
-    slot k is one contiguous (tokens, bands) plane, and to copy or cast
-    each row from it into the output once.
+    returns the maps components first: (...) or (turns, ...) phases, or
+    (3, 3, ...) matrices. ``apply(maps, src, dst)`` turns every group of
+    src's (..., width) carriers into dst and copies the copied slots; a
+    turn sequence copies its group into dst and turns it there, so it
+    reads src only and takes any real src. ``invert(maps)`` gives the
+    conjugate phases (in reverse turn order, a palindrome) or the
+    transposed matrices (a view). build and apply trust their inputs
+    (finite angles, unit axes, contiguous float64 carriers):
+    ``block_maps`` and the gradient check pass build angles from
+    ``position_angles`` and unit axes, and ``apply_maps`` and
+    ``rotate_rows`` prove apply's. ``slot_major`` (care) tells
+    ``rotate_rows`` to give apply a slots-first dst, whose slot k is one
+    contiguous (tokens, bands) plane, and to copy or cast each row from it
+    into the output once.
     """
 
     groups: tuple[tuple[int, ...], ...]  # slot groups the maps turn
@@ -574,19 +654,28 @@ class Rotation:
     # can take (1, columns, bands) and (rows, 1, bands) angles
     separable: bool
     copied: tuple[int, ...] = ()  # slots the maps leave as they are
+    turns: tuple[int, ...] = ()  # a triple's turn sequence: the first slot of each pair
     slot_major: bool = False  # apply's per-slot passes want a slots-first dst
     width: int = field(init=False)  # carrier width: every slot, turned or copied
     map_rank: int = field(init=False)  # leading component axes of the maps
     _turn: Callable[..., None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pair = len(self.groups[0]) == 2
+        if len(self.groups[0]) == 2:
+            rank, turn = 0, _turn_pair
+        elif self.turns:
+            rank, turn = 1, partial(_turn_sequence, self.turns)
+        else:
+            rank, turn = 2, _matvec3
         object.__setattr__(self, "width", sum(map(len, self.groups)) + len(self.copied))
-        object.__setattr__(self, "map_rank", 0 if pair else 2)
-        object.__setattr__(self, "_turn", _turn_pair if pair else _matvec3)
+        object.__setattr__(self, "map_rank", rank)
+        object.__setattr__(self, "_turn", turn)
 
     def invert(self, maps: np.ndarray) -> np.ndarray:
-        return np.conjugate(maps) if self.map_rank == 0 else maps.swapaxes(0, 1)
+        if self.map_rank == 2:
+            return maps.swapaxes(0, 1)
+        phases = np.conjugate(maps)
+        return phases[::-1] if self.map_rank else phases
 
     def apply(self, maps: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
         for slots in self.groups:
@@ -598,9 +687,9 @@ class Rotation:
 ROTATIONS = {  # in the order METHODS lists and reports them
     "rope1d": Rotation(((0, 1),), 0, _planar_maps, True),
     # mixed turns by the sum angle_x + angle_y, one trig argument per token
-    "mixed": Rotation(((0, 1, 2),), 1, _mixed_maps, False),
-    "spherical": Rotation(((0, 1, 2),), 0, _spherical_maps, True),
-    "quatro": Rotation(((0, 1, 2),), 2, _quatro_maps, True),
+    "mixed": Rotation(((0, 1, 2),), 1, _mixed_phases, False, turns=EULER_TURNS),
+    "spherical": Rotation(((0, 1, 2),), 0, _spherical_phases, True, turns=EULER_TURNS),
+    "quatro": Rotation(((0, 1, 2),), 2, _quatro_phases, True, turns=EULER_TURNS),
     "care": Rotation(
         (CARE_VECTOR_SLOTS, CARE_BIVECTOR_SLOTS), 2, _care_maps, True, CARE_INVARIANT_SLOTS, slot_major=True
     ),
@@ -611,20 +700,26 @@ METHOD_WIDTHS = {tag: rotation.width for tag, rotation in ROTATIONS.items()}  # 
 
 def _require_map_kind(tag: str, rotation: Rotation, maps: np.ndarray) -> None:
     """Maps of ``rotation``'s kind, by their attributes alone: complex128
-    phases (rank 0), or float64 with (3, 3) leading component axes (rank 2).
+    phases (rank 0), complex128 with a leading axis of one phase per turn
+    (rank 1), or float64 with (3, 3) leading component axes (rank 2).
     Maps of another method of the same kind pass, as they rotate the same
-    carriers (any 3x3 maps, care's too, turn 3-wide ones)."""
-    kind = np.dtype(np.complex128 if rotation.map_rank == 0 else np.float64)
+    carriers (the phases of any 3-wide method turn any 3-wide carrier)."""
+    kind = np.dtype(np.float64 if rotation.map_rank == 2 else np.complex128)
     if maps.dtype != kind:
         raise ValueError(f"{tag} maps must be {kind}, not {maps.dtype}")
-    if maps.shape[: rotation.map_rank] != (3, 3)[: rotation.map_rank]:
+    turns = len(rotation.turns)
+    if turns and maps.shape[:1] != (turns,):
+        raise ValueError(f"{tag} maps need a leading axis of {turns} turns, got shape {maps.shape}")
+    if rotation.map_rank == 2 and maps.shape[:2] != (3, 3):
         raise ValueError(f"{tag} maps need (3, 3) leading component axes, got shape {maps.shape}")
 
 
 def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
-    """Rotate (..., width) carriers by maps of the method's kind whose
-    per-map shape broadcasts against v's leading axes; for the inverse
-    rotation pass ``ROTATIONS[tag].invert(maps)``."""
+    """Rotate (..., width) carriers by maps of the method's kind (phases,
+    phases with a leading turn axis, or matrices with two leading
+    component axes; ``_require_map_kind``) whose per-map shape broadcasts
+    against v's leading axes; for the inverse rotation pass
+    ``ROTATIONS[tag].invert(maps)``."""
     rotation = ROTATIONS.get(tag)
     if rotation is None:
         raise ValueError(f"unknown encoding method {tag!r}")
@@ -702,6 +797,7 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     its (token, band) map from ``block_maps`` into a new array of
     ``data``'s dtype; ``inverse=True`` applies the inverse maps. Maps of
     another kind raise (``apply_maps``' test of dtype and component axes).
+    ``data`` is only read: every turn lands in the output or a scratch.
 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
     leftover trailing dims pass through untouched. ``data`` may be float32
@@ -711,7 +807,8 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     per-slot multiply-adds each write one contiguous (tokens, bands) plane;
     the row is then copied or cast into the output in one pass. The others
     rotate a float64 row without pass-through dims straight into the
-    output, and any other row through an interleaved scratch.
+    output, and any other row through an interleaved scratch; a 3-wide
+    method copies or casts the input row there and turns it in place.
 
     Each row is checked once, on the values written: the maps are
     orthogonal, so a rotated value is non-finite only if an input value
@@ -764,13 +861,15 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
         scratch = None if direct else np.empty(carriers)
     with np.errstate(over="ignore", invalid="ignore"):  # a failed row is named below
         for c in range(batch):
-            row = np.ascontiguousarray(data[c, :, :body], dtype=np.float64).reshape(carriers)
+            row = data[c, :, :body].reshape(carriers)
+            if not rotation.turns:  # a turn sequence copies any real row into dst itself
+                row = np.ascontiguousarray(row, dtype=np.float64)
             dst = out[c].reshape(carriers) if direct else scratch
             rotation.apply(maps, row, dst)
             if not direct:
                 np.copyto(out[c, :, :body].reshape(carriers), scratch)
             if not np.isfinite(out[c, :, :body] if narrow else dst).all():
-                if np.isfinite(row).all():  # finite input turned past the dtype's limit
+                if np.isfinite(data[c, :, :body]).all():  # finite input turned past the dtype's limit
                     raise ValueError(f"rotated values in batch row {c} overflow {data.dtype}")
                 raise ValueError("block contains non-finite values")
     return out
@@ -781,8 +880,8 @@ def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = Fa
 
     Builds the maps at the block's positions (``block_maps``) and applies
     them (``rotate_rows``). ``inverse=True`` applies the inverse rotations
-    (conjugate phases or transposed matrices), recovering the input of a
-    forward pass up to round-off.
+    (conjugate phases, in reverse turn order, or transposed matrices),
+    recovering the input of a forward pass up to round-off.
     """
     maps = block_maps(method, block.positions)
     data = rotate_rows(block.data, method, maps, inverse)

@@ -89,7 +89,10 @@ class Algebra:
         return a * self.reverse_signs
 
     def grade_project(self, a: np.ndarray, g: int) -> np.ndarray:
-        """Keep only the grade-g coefficients of a."""
+        """Keep only the grade-g coefficients of a; a grade that is not an
+        integer (a bool is not one) or is out of range raises, named."""
+        if isinstance(g, bool) or not isinstance(g, numbers.Integral):
+            raise ValueError(f"grade must be an integer, got {g!r}")
         if not 0 <= g <= self.dim:
             raise ValueError(f"grade {g} out of range for Cl({self.dim},0)")
         (a,) = self._operands(a)

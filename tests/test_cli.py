@@ -86,7 +86,7 @@ class TestCheck:
     # angle_x reads its one p_y, the first column's angle_y its one p_x),
     # so the equivariance witness gap closes and that suite fails as well.
     MAP_MUTATIONS = {
-        "quatro_transposed": ("quatro", lambda b: lambda *a: b(*a).swapaxes(0, 1)),
+        "quatro_transposed": ("quatro", lambda b: lambda *a: encodings.ROTATIONS["quatro"].invert(b(*a))),
         "quatro_axes_swapped": ("quatro", lambda b: lambda ax, ay, ux, uy: b(ax, ay, uy, ux)),
         "care_in_quatro_order": (
             "care",

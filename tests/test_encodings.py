@@ -232,6 +232,10 @@ def _rows_with_maps(tag, maps):
     return enc.rotate_rows(np.ones((1, 3, 6)), method, maps)
 
 
+# care's (3, 3, tokens, bands) matrices for the 3 tokens and 2 bands of _rows_with_maps
+_CARE_MATRICES = enc.block_maps(enc.EncodingMethod.configure("care", 16), enc.grid_positions(1, 3))
+
+
 class TestRefusals:
     """Each guard on outside input refuses with its own message."""
 
@@ -277,16 +281,30 @@ class TestRefusals:
                 "rope1d maps must be complex128, not float64",
             ),
             (
-                lambda: _rows_with_maps("quatro", np.ones((3, 3, 3, 2), dtype=np.float32)),
-                "quatro maps must be float64, not float32",
+                lambda: _rows_with_maps("quatro", np.ones((3, 3, 2), dtype=np.float32)),
+                "quatro maps must be complex128, not float32",
             ),
             (
-                lambda: _rows_with_maps("mixed", np.ones((3, 3, 3, 2), dtype=np.complex128)),
-                "mixed maps must be float64, not complex128",
+                lambda: enc.apply_maps("care", np.ones((3, 3, 2), dtype=np.complex128), np.ones(8)),
+                "care maps must be float64, not complex128",
             ),
             (
-                lambda: enc.apply_maps("quatro", np.ones(3), np.ones(3)),
-                "quatro maps need (3, 3) leading component axes, got shape (3,)",
+                lambda: enc.apply_maps("care", np.ones(3), np.ones(8)),
+                "care maps need (3, 3) leading component axes, got shape (3,)",
+            ),
+            (lambda: _rows_with_maps("mixed", _CARE_MATRICES), "mixed maps must be complex128, not float64"),
+            (
+                lambda: _rows_with_maps("spherical", _CARE_MATRICES),
+                "spherical maps must be complex128, not float64",
+            ),
+            (lambda: _rows_with_maps("quatro", _CARE_MATRICES), "quatro maps must be complex128, not float64"),
+            (
+                lambda: _rows_with_maps("quatro", np.ones((2, 3, 2), dtype=np.complex128)),
+                "quatro maps need a leading axis of 3 turns, got shape (2, 3, 2)",
+            ),
+            (
+                lambda: enc.apply_maps("spherical", np.ones(5, dtype=np.complex128), np.ones(3)),
+                "spherical maps need a leading axis of 3 turns, got shape (5,)",
             ),
             (
                 lambda: commutator_norm(_SPHERICAL_6, (0, 0), (1, 1), band=1.5),
@@ -378,6 +396,8 @@ class TestRefusals:
                 "Cl(3,0) operands need a trailing axis of 8, got shape (2, 7)",
             ),
             (lambda: cl3.mv8_reverse(np.ones(1)), "Cl(3,0) operands need a trailing axis of 8, got shape (1,)"),
+            (lambda: Algebra(3).grade_project(np.ones(8), 1.5), "grade must be an integer, got 1.5"),
+            (lambda: Algebra(3).grade_project(np.ones(8), True), "grade must be an integer, got True"),
         ],
         ids=[
             "axis_params_shape",
@@ -393,8 +413,13 @@ class TestRefusals:
             "rows_maps_cover",
             "rows_real_maps_for_rope1d",
             "rows_float32_maps",
-            "rows_complex_maps_for_mixed",
+            "apply_maps_complex_maps_for_care",
             "apply_maps_without_component_axes",
+            "rows_matrices_for_mixed",
+            "rows_matrices_for_spherical",
+            "rows_matrices_for_quatro",
+            "rows_two_turns_for_quatro",
+            "apply_maps_one_phase_for_spherical",
             "commutator_fractional_band",
             "commutator_bool_band",
             "configure_fractional_head_dim",
@@ -428,6 +453,8 @@ class TestRefusals:
             "grade_project_one_wide",
             "grade_project_seven_wide",
             "mv8_reverse_one_wide",
+            "grade_project_fractional_grade",
+            "grade_project_bool_grade",
         ],
     )
     def test_refusal_names_its_cause(self, call, message):
@@ -437,9 +464,10 @@ class TestRefusals:
                 call()
         assert [str(w.message) for w in caught] == []
 
-    @pytest.mark.parametrize("source", ["mixed", "spherical", "quatro", "care"])
+    @pytest.mark.parametrize("source", ["mixed", "spherical", "quatro"])
     def test_maps_of_another_method_of_the_same_kind_are_accepted(self, source):
-        # the kind test reads dtype and component axes only: any 3x3 maps turn 3-wide carriers
+        # the kind test reads dtype and turn axis only: the phases of any
+        # 3-wide method turn 3-wide carriers (care's matrices are refused)
         maps = enc.block_maps(enc.EncodingMethod.configure(source, 24), enc.grid_positions(2, 3))
         data = rng.standard_normal((2, 6, 6))
         quatro = enc.EncodingMethod.configure("quatro", 6)
@@ -508,17 +536,23 @@ class TestMethodTable:
     @pytest.mark.parametrize("tag", enc.METHODS)
     def test_carrier_layout_is_stated_once(self, tag):
         # the turned groups and the copied slots cover the carrier once each;
-        # the groups' one size gives the map kind: a pair a phase, a triple a matrix
+        # the groups' one size and the turns give the map kind: a pair a
+        # phase, a triple a phase per turn or else a matrix
         rotation = enc.ROTATIONS[tag]
         slots = [k for group in rotation.groups for k in group] + list(rotation.copied)
         assert sorted(slots) == list(range(rotation.width))
         assert enc.METHOD_WIDTHS[tag] == rotation.width == len(slots)
         sizes = {len(group) for group in rotation.groups}
         assert sizes in ({2}, {3})
-        assert rotation.map_rank == {2: 0, 3: 2}[sizes.pop()]
+        size = sizes.pop()
+        assert rotation.map_rank == (0 if size == 2 else 1 if rotation.turns else 2)
         if rotation.map_rank == 0:  # a phase turns the pair (2j, 2j + 1), complex number j
             assert rotation.width % 2 == 0
             assert all(group[0] % 2 == 0 and group[1] == group[0] + 1 for group in rotation.groups)
+        if rotation.map_rank == 1:  # each turn a pair adjacent in the group, which is adjacent
+            assert all(list(group) == list(range(group[0], group[0] + size)) for group in rotation.groups)
+            assert all(0 <= k <= size - 2 for k in rotation.turns)
+            assert rotation.turns == rotation.turns[::-1]  # so invert may reverse the phases
         # rotate_rows keeps each turned group's norm and copies each copied slot bit for bit
         axes_x, axes_y = draw_axes(tag)
         method = enc.EncodingMethod.configure(tag, 5 * rotation.width + 1, axes_x=axes_x, axes_y=axes_y)
@@ -984,6 +1018,36 @@ class TestRotateRows:
                 with pytest.raises(ValueError, match="^rotated values in batch row 1 overflow float64$"):
                     enc.rotate_rows(data, method, maps, inverse)
 
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_the_input_is_never_written(self, tag, dtype, padded):
+        # with one token, a row's carriers are a contiguous slice of the
+        # input, which numpy hands over as a view; every turn must land in
+        # the output or a scratch, and a failed row is named from the input
+        width = enc.METHOD_WIDTHS[tag]
+        head_dim = 64 // width * width + padded  # with and without a pass-through dim
+        method = self.configure(tag, head_dim)
+        pos = np.array([[2.5, -1.5]])
+        maps = enc.block_maps(method, pos)
+        data = rng.standard_normal((2, 1, head_dim)).astype(dtype)
+        kept = data.copy()
+        for inverse in (False, True):
+            out = enc.rotate_rows(data, method, maps, inverse)
+            assert np.array_equal(data, kept) and not np.shares_memory(out, data)
+        block = enc.TokenBlock(data=data, positions=pos)  # read-only float64 data
+        kept = block.data.copy()
+        for inverse in (False, True):
+            enc.apply_encoding(block, method, inverse)
+            assert np.array_equal(block.data, kept)
+        if dtype == np.float64:
+            data[1] = 1.6e308  # finite, but turned past the float64 limit
+            kept = data.copy()
+            for inverse in (False, True):
+                with pytest.raises(ValueError, match="^rotated values in batch row 1 overflow float64$"):
+                    enc.rotate_rows(data, method, maps, inverse)
+                assert np.array_equal(data, kept)
+
     @pytest.mark.parametrize("head_dim", [4, 5])
     def test_float32_overflow_raises(self, head_dim):
         # finite float32 input whose rotation exceeds the float32 limit: it
@@ -1111,21 +1175,38 @@ class TestRotationMaps:
             want = enc.apply_encoding(enc.TokenBlock(data=arr.copy(), positions=self.POS), method)
             assert np.array_equal(enc.apply_encoding(block, method).data, want.data)
 
-    @pytest.mark.parametrize("tag", ["mixed", "spherical", "quatro", "care"])
-    def test_matrix_inverse_is_the_transposed_copy(self, tag):
+    def test_matrix_inverse_is_the_transposed_copy(self):
         # invert() returns a view; it must act exactly as the transposed array
-        method = self.configure(tag, 9 if tag != "care" else 16)
+        method = self.configure("care", 16)
         maps = enc.block_maps(method, self.POS)
         v = rng.standard_normal(maps.shape[2:] + (method.width,))
-        got = enc.apply_maps(tag, enc.ROTATIONS[tag].invert(maps), v)
-        want = enc.apply_maps(tag, np.ascontiguousarray(maps.swapaxes(0, 1)), v)
+        got = enc.apply_maps("care", enc.ROTATIONS["care"].invert(maps), v)
+        want = enc.apply_maps("care", np.ascontiguousarray(maps.swapaxes(0, 1)), v)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tag", ["mixed", "spherical", "quatro"])
+    def test_phase_inverse_is_the_reversed_conjugate(self, tag):
+        # the turns are a palindrome: the conjugate phases, last turn first,
+        # undo them, and the reversed view acts as its contiguous copy
+        method = self.configure(tag, 9)
+        maps = enc.block_maps(method, self.POS)
+        inverse = enc.ROTATIONS[tag].invert(maps)
+        assert np.array_equal(inverse, np.conjugate(maps)[::-1])
+        v = rng.standard_normal(maps.shape[1:] + (method.width,))
+        got = enc.apply_maps(tag, inverse, v)
+        assert np.array_equal(got, enc.apply_maps(tag, np.ascontiguousarray(inverse), v))
+        assert np.max(np.abs(enc.apply_maps(tag, maps, got) - v)) <= 1e-14
 
     def test_maps_are_orthogonal(self):
         for tag in ("mixed", "spherical", "quatro", "care"):
             method = self.configure(tag, 9 if tag != "care" else 16)
             maps = enc.block_maps(method, [[2.5, -1.5]])
-            mats = np.moveaxis(maps, (0, 1), (-2, -1))
+            # columns M e_j: each map applied to the unit vectors of a triple
+            basis = np.eye(8)[list(enc.CARE_VECTOR_SLOTS)] if tag == "care" else np.eye(3)
+            turned = enc.apply_maps(tag, maps[..., None], basis)  # (tokens, bands, j, width)
+            if tag == "care":
+                turned = turned[..., list(enc.CARE_VECTOR_SLOTS)]
+            mats = np.swapaxes(turned, -1, -2)
             eye = np.einsum("...ij,...kj->...ik", mats, mats)
             assert np.max(np.abs(eye - np.eye(3))) <= 1e-14
             assert np.max(np.abs(np.linalg.det(mats) - 1.0)) <= 1e-14
@@ -1429,6 +1510,61 @@ class TestTwoRotorMatrix:
             enc._two_rotor_matrix(u, a, v, b)
         with pytest.raises(ValueError, match="not unit norm"):
             enc._two_rotor_matrix(u, b, v, a)
+
+
+def _unit_rows(q) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+class TestEulerPhases:
+    """The three phases of a unit quaternion turn a 3-wide carrier as its
+    rotation matrix does, also where beta is 0 or pi and only alpha + gamma
+    or alpha - gamma is defined."""
+
+    EDGES = _unit_rows(
+        [
+            [1.0, 0.0, 0.0, 0.0],  # identity: B = 0
+            [0.0, 1.0, 0.0, 0.0],  # a half turn about x: A = 0
+            [0.0, 0.0, 0.0, 1.0],  # a half turn about z: B = 0
+            [0.0, 0.0, 1.0, 0.0],  # a half turn about y: A = 0
+            [0.6, 0.0, 0.0, -0.8],  # beta = 0, alpha + gamma only
+            [0.0, -0.28, 0.96, 0.0],  # beta = pi, alpha - gamma only
+            [1.0, 1e-160, 0.0, 0.0],  # |A||B| squared underflows: beta about 2e-160
+            [1e-160, 0.0, -1.0, 1e-170],  # beta about pi
+            [1.0, 1e-9, -2e-9, 0.5],  # a turn of a few 1e-9 in beta
+            [-1.0, 0.0, 0.0, 0.0],  # -q turns as q
+        ]
+    )
+
+    @staticmethod
+    def turned(phases) -> np.ndarray:
+        """(..., 3, 3) matrices whose column j is e_j turned by the phases."""
+        columns = enc.apply_maps("quatro", phases[..., None], np.eye(3))  # [..., j, i]
+        return np.swapaxes(columns, -1, -2)
+
+    def test_matches_the_rotation_matrix(self):
+        q = np.concatenate([self.EDGES, _unit_rows(rng.standard_normal((500, 4)))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phases = enc._euler_phases(*q.T)
+        assert phases.shape == (3, len(q)) and phases.dtype == np.complex128
+        assert np.max(np.abs(np.abs(phases) - 1.0)) <= 1e-15
+        want = np.moveaxis(enc.rotor_matrix(*q.T), (0, 1), (-2, -1))
+        assert np.max(np.abs(self.turned(phases) - want)) <= 2e-15
+
+    def test_zero_b_keeps_only_the_phase_of_a(self):
+        q = self.EDGES[4]  # A = 0.6 - 0.8i, B = 0
+        phases = enc._euler_phases(*q)
+        assert phases[1] == 1.0
+        assert phases[0] == phases[2] == 0.6 - 0.8j
+
+    def test_non_unit_quaternion_rejected(self):
+        q = _unit_rows(rng.standard_normal((5, 4)))
+        q[2, 1] = np.nan
+        for bad in (q, 1.1 * self.EDGES):
+            with pytest.raises(ValueError, match="^quaternion rotor is not unit norm$"):
+                enc._euler_phases(*bad.T)
 
 
 class TestRotationGradient:
