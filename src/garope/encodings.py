@@ -21,17 +21,17 @@ carrier layout (the slot groups its maps turn and the slots they copy),
 its axis rule and how it builds one orthogonal map per (token, band),
 applied to every batch row by one ``apply``; ``METHODS``, the widths
 and the map kinds are read off it. A pair is turned by a complex phase
-exp(i angle) (rank 0). A 3-wide carrier is turned as Rz(alpha) Rx(beta)
-Rz(gamma), by three phases (rank 1) that each multiply an adjacent slot
-pair in place, read off the method's quaternion with no trig
-(``_euler_phases``). care's two triples, at slots that are not
-adjacent, are turned by a 3x3 matrix (rank 2) with explicit
-multiply-adds, the closed-form matrix of a two-rotor quaternion product
-(``rotor_matrix``). A block is encoded in two steps, ``block_maps``
+exp(i angle) (rank 0). Every triple is turned as Rz(alpha) Rx(beta)
+Rz(gamma), by three phases (rank 1) that multiply adjacent slot pairs in
+place, in the order of the method's turn sequence; mixed's, quatro's and
+care's are read off their quaternion with no trig (``_euler_phases``).
+care's two triples sit on adjacent slots once its (e12, e3) pair is
+turned by a quarter turn, which the sequence undoes at its end
+(``CARE_TURNS``). A block is encoded in two steps, ``block_maps``
 (maps from positions; on a row-major grid its trig runs once per column
-and row, not once per token) and ``rotate_rows`` (maps applied to a raw float32 or float64 array one
-batch row at a time, each row checked once, on the values written; care
-rotates each row into a slots-first scratch and copies it out once);
+and row, not once per token) and ``rotate_rows`` (maps applied to a raw
+float32 or float64 array one batch row at a time, each row checked
+once, on the values written);
 ``apply_encoding`` runs both, attention scores reuse one build for
 queries and keys, and ``garope encode`` rotates the file's array into an
 output of its own dtype. Each precondition is proven once, where its
@@ -39,7 +39,8 @@ values enter (``AxisParams``, ``position_angles``, the shape and grid
 tests of ``block_maps``, ``apply_maps``, ``rotate_rows``), and the
 builders and applies behind these entries trust their inputs (see
 ``Rotation``). ``require_unit_norm`` is the one unit-norm guard, for
-``rotor_matrix`` here and for the quaternion and mv8 sandwiches.
+``_euler_phases`` and ``rotor_matrix`` (which ``check`` holds to the
+quaternion sandwich) here and for the quaternion and mv8 sandwiches.
 This module imports numpy and no garope module. The rotor oracles that
 compute the same rotations independently, ``ORACLES`` and
 ``rotation_gradient``, live in ``cl3``, which imports this module. The
@@ -51,6 +52,7 @@ kept only for the benchmark's gates, and each imports its oracle from
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -126,6 +128,7 @@ class FrequencySchedule:
         require_integer(num_bands, "num_bands")
         if num_bands < 1:
             raise ValueError("schedule needs at least one band")
+        require_real(base, "schedule base")
         if not math.isfinite(base):
             raise ValueError(f"schedule base must be finite, got {base!r}")
         if base <= 1.0:
@@ -179,8 +182,10 @@ class EncodingMethod:
         if self.tag not in METHODS:
             raise ValueError(f"unknown encoding method {self.tag!r}")
         for name, scale in (("scale_x", self.scale_x), ("scale_y", self.scale_y)):
+            require_real(scale, name)
             if not math.isfinite(scale):
                 raise ValueError(f"{name} must be finite, got {scale!r}")
+            object.__setattr__(self, name, float(scale))
         free_axes = ROTATIONS[self.tag].free_axes
         if not free_axes:
             if self.axes is not None:
@@ -233,13 +238,20 @@ class EncodingMethod:
             if axes_y is None:
                 axes_y = axes_x if free_axes == 1 else SPHERICAL_AXIS_Y
             axes = AxisParams(axes_x, _per_band(axes_y, num_bands, "axes_y"))
-        return cls(tag=tag, schedule=schedule, axes=axes, scale_x=float(scale_x), scale_y=float(scale_y))
+        return cls(tag=tag, schedule=schedule, axes=axes, scale_x=scale_x, scale_y=scale_y)
 
 
 def require_integer(value, name: str) -> None:
     """Refuse a ``value`` that is not a Python or numpy integer (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(value, name: str) -> None:
+    """Refuse a ``value`` that is not a Python or numpy real number (a bool
+    is not one, nor a string, None or a complex)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _per_band(axes, num_bands: int, name: str) -> np.ndarray:
@@ -254,15 +266,20 @@ def _per_band(axes, num_bands: int, name: str) -> np.ndarray:
     return arr
 
 
-def _read_only(values, name: str) -> np.ndarray:
-    """Real ``values`` as float64, frozen through a view so that an array
-    the caller passed in keeps its own flags; read-only input is kept as
-    is. Complex values raise, named, rather than losing their imaginary
-    part in the cast."""
+def _real_float64(values, name: str) -> np.ndarray:
+    """Real ``values`` as float64. Complex values raise, named, rather than
+    losing their imaginary part in the cast."""
     arr = np.asarray(values)
     if np.iscomplexobj(arr):
         raise ValueError(f"{name} must be real, not {arr.dtype}")
-    arr = np.asarray(arr, dtype=np.float64)
+    return np.asarray(arr, dtype=np.float64)
+
+
+def _read_only(values, name: str) -> np.ndarray:
+    """``_real_float64`` values, frozen through a view so that an array
+    the caller passed in keeps its own flags; read-only input is kept as
+    is."""
+    arr = _real_float64(values, name)
     if arr.flags.writeable:
         arr = arr.view()
         arr.flags.writeable = False
@@ -419,21 +436,21 @@ def care_rotate(
 # Every method is one orthogonal map per (token, band) that turns a few
 # slot groups of its carrier and copies the rest; each ROTATIONS row states
 # that layout once. rope1d turns its one pair by the unit complex phase
-# exp(i angle) = cos + i sin (RoFormer's complex form of RoPE). mixed,
-# spherical and quatro turn their one triple as Rz(alpha) Rx(beta) Rz(gamma):
-# three phases e^{i gamma}, e^{i beta}, e^{i alpha}, each an in-place complex
-# multiply on the adjacent pair (0, 1), (1, 2), then (0, 1), 48 bytes per
-# map. spherical's phases are its oracle's two turns and 1; mixed's and
-# quatro's come from their quaternion q (for mixed cos(t/2) + sin(t/2) u)
-# by the formulas of _euler_phases, with no trig. care's composite rotor
-# turns the grade-1 slots (e1, e2, e3) by a 3x3 matrix M and, since the
+# exp(i angle) = cos + i sin (RoFormer's complex form of RoPE). The other
+# methods turn each triple as Rz(alpha) Rx(beta) Rz(gamma): three phases
+# e^{i gamma}, e^{i beta}, e^{i alpha}, 48 bytes per map, each an in-place
+# complex multiply on adjacent slot pairs of a contiguous float64 row.
+# mixed, spherical and quatro turn the pairs (0, 1), (1, 2), then (0, 1).
+# spherical's phases are its oracle's two turns and 1; mixed's, quatro's
+# and care's come from their quaternion q (for mixed cos(t/2) + sin(t/2) u)
+# by the formulas of _euler_phases, with no trig. quatro's and care's q
+# is a two-rotor product, written out from the two half-angle cosines and
+# sines and the axes' dot and cross products. care's composite rotor turns
+# the grade-1 slots (e1, e2, e3) by q's rotation M and, since the
 # pseudoscalar is central, the bivector slots (e23, e31, e12)
-# = (e1, e2, e3) e123 by the same M, and copies the scalar and e123 slots:
-# its 8x8 map is block-diag(1, M, M, 1). quatro's quaternion and care's
-# matrix come from one two-rotor build: the components of
-# q = r_outer r_inner are written out from the two half-angle cosines and
-# sines and the axes' dot and cross products, and rotor_matrix writes the
-# nine entries of q's rotation matrix straight into one (3, 3, ...) array.
+# = (e1, e2, e3) e123 by the same M, and leaves the scalar and e123 slots:
+# its 8x8 map is block-diag(1, M, M, 1). Its turn sequence, CARE_TURNS,
+# turns the two triples on adjacent slots in place, with no gather.
 # Maps are built for every (token, band), components first, and applied to
 # every batch row; on a grid, block_maps takes the trig once per column
 # (angle_x) and row (angle_y) and the elementwise steps broadcast them.
@@ -459,7 +476,9 @@ def require_unit_norm(sq_norm, message: str) -> None:
 
 def rotor_matrix(w, x, y, z) -> np.ndarray:
     """(3, 3, ...) matrices M, M v = quat_sandwich(q, v), of unit quaternions
-    q = w + x i + y j + z k given as components of one shape; a non-unit q raises."""
+    q = w + x i + y j + z k given as components of one shape; a non-unit q
+    raises. No map calls it: ``check`` holds it to the quaternion sandwich,
+    and the tests hold the Euler phases to it."""
     x2, y2, z2 = 2.0 * x, 2.0 * y, 2.0 * z
     xx, yy, zz = x * x2, y * y2, z * z2
     xy, xz, yz = x * y2, x * z2, y * z2
@@ -496,11 +515,6 @@ def _two_rotor_quaternion(axis_outer, angle_outer, axis_inner, angle_inner):
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     )
     return w, x, y, z
-
-
-def _two_rotor_matrix(axis_outer, angle_outer, axis_inner, angle_inner) -> np.ndarray:
-    """Rotation matrix of the quaternion q = r_outer r_inner, components first."""
-    return rotor_matrix(*_two_rotor_quaternion(axis_outer, angle_outer, axis_inner, angle_inner))
 
 
 _FLAT = math.sqrt(np.finfo(np.float64).tiny)  # |A||B| below this counts as 0
@@ -571,80 +585,113 @@ def _quatro_phases(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
     return _euler_phases(*_two_rotor_quaternion(unit_x, angles_x, unit_y, angles_y))  # r_x outermost
 
 
-def _care_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
-    """M of the rotor R_y R_x on grade 1: the quaternion q_y q_x about the
-    grade-1 axes of the two bivectors (y outermost, unlike quatro)."""
-    return _two_rotor_matrix(
-        grade1_rotation_axis(unit_y), angles_y, grade1_rotation_axis(unit_x), angles_x
+def _care_phases(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
+    """Phases of M, the rotor R_y R_x on grade 1: the quaternion q_y q_x
+    about the grade-1 axes of the two bivectors (y outermost, unlike
+    quatro)."""
+    return _euler_phases(
+        *_two_rotor_quaternion(grade1_rotation_axis(unit_y), angles_y, grade1_rotation_axis(unit_x), angles_x)
     )
 
 
-def _turn_pair(phase, src, dst, slots) -> None:
-    """dst[slots] = phase src[slots], the carriers viewed as complex128
-    numbers x + i y: the pair (2j, 2j + 1) is number j."""
-    j = slots[0] // 2
-    np.multiply(src.view(np.complex128)[..., j], phase, out=dst.view(np.complex128)[..., j])
+def _turn_pair(phase, src, dst) -> None:
+    """dst = phase src, the pair carriers (x, y) viewed as complex128
+    numbers x + i y."""
+    np.multiply(src.view(np.complex128)[..., 0], phase, out=dst.view(np.complex128)[..., 0])
 
 
-def _matvec3(mats, src, dst, slots) -> None:
-    """dst[slots] = M src[slots], one row of M at a time."""
-    x, y, z = (src[..., k] for k in slots)
-    term = np.empty(np.broadcast_shapes(mats.shape[2:], x.shape))
-    for i, k in enumerate(slots):
-        row = mats[i]
-        out = dst[..., k]
-        np.multiply(row[0], x, out=out)
-        out += np.multiply(row[1], y, out=term)
-        out += np.multiply(row[2], z, out=term)
+def _turn_steps(turns, maps) -> list:
+    """The steps of the sequence ``turns`` for ``maps``, formed once per
+    call, each as (first, end, pick, factor): the step's pairs are
+    dst[..., first:end] viewed as complex128 numbers, indexed by ``pick``
+    (one pair, or every other one), and ``factor`` is their phase, stacked
+    on a last axis for several pairs. A conjugate row is formed once."""
+    conjugates = {}
+
+    def phase(ref):
+        if isinstance(ref, complex):
+            return ref
+        if ref >= 0:
+            return maps[ref]
+        if ref not in conjugates:
+            conjugates[ref] = np.conjugate(maps[~ref])
+        return conjugates[ref]
+
+    steps = []
+    for step in turns:
+        first = step[0][0]
+        if len(step) == 1:
+            steps.append((first, first + 2, 0, phase(step[0][1])))
+        else:
+            pick = slice(None, None, (step[1][0] - first) // 2)
+            factor = np.stack([phase(ref) for _, ref in step], axis=-1)
+            steps.append((first, step[-1][0] + 2, pick, factor))
+    return steps
 
 
-def _turn_sequence(turns, phases, src, dst, slots) -> None:
-    """dst[slots] = src[slots] turned by one phase per turn, in order:
-    phase n multiplies the adjacent pair that starts at the group's slot
-    turns[n], viewed as one complex128 number x + i y, in place in dst.
-    The group's slots are adjacent in dst, whose last axis is contiguous
+def _turn_sequence(steps, src, dst) -> None:
+    """dst = src turned by ``_turn_steps``' steps in order. Every slot of
+    src, turned or not, is copied into dst first, and each step is one
+    in-place multiply of its pairs there. dst's last axis is contiguous
     float64; src, only read, may be any real array that broadcasts to dst."""
-    group = slice(slots[0], slots[-1] + 1)
-    np.copyto(dst[..., group], src[..., group])
-    for phase, k in zip(phases, turns):
-        pair = dst[..., slots[k] : slots[k] + 2].view(np.complex128)[..., 0]
-        np.multiply(pair, phase, out=pair)
+    np.copyto(dst, src)
+    for first, end, pick, factor in steps:
+        pairs = dst[..., first:end].view(np.complex128)[..., pick]
+        np.multiply(pairs, factor, out=pairs)
 
 
+# A turn sequence lists its steps in order. A step gives the (k, phase) of
+# each slot pair (k, k + 1) it multiplies in one call, the pairs equally
+# spaced: phase n is row n of the maps, ~n its conjugate, and a complex
+# number a constant.
 # Rz(gamma) on (0, 1), then Rx(beta) on (1, 2), then Rz(alpha) on (0, 1):
 # a palindrome, so the conjugate phases in reverse order undo it
-EULER_TURNS = (0, 1, 0)
+EULER_TURNS = (((0, 0),), ((1, 1),), ((0, 2),))
+# care's triples (e1, e2, e3) and (e23, e31, e12) sit at slots (1, 2, 4)
+# and (6, 5, 3). The quarter turn i (e12 + i e3) = -e3 + i e12 puts them
+# on adjacent slots, (e1, e2, -e3) at 1-3 and (e12, e31, e23) at 4-6.
+# There the pair (1, 2) is e1 + i e2, the first triple's Rz pair, and
+# (2, 3) is conj(e2 + i e3), its Rx pair conjugated; (5, 6) is
+# i conj(e23 + i e31) and (4, 5) is i conj(e31 + i e12), the second
+# triple's Rz and Rx pairs conjugated and times i. So each pair takes its
+# phase or the conjugate, and -i undoes the quarter turn; the scalar and
+# e123 slots are only copied. The steps mirror each other about Rx, so
+# the conjugate phases in reverse order undo the sequence too.
+CARE_TURNS = (
+    ((3, 1j),),
+    ((1, 0), (5, ~0)),  # Rz(gamma) on both triples in one call
+    ((2, ~1),),
+    ((4, ~1),),
+    ((1, 2), (5, ~2)),
+    ((3, -1j),),
+)
 
 
 @dataclass(frozen=True)
 class Rotation:
-    """One method's carrier layout and axis rule, and how it builds its
-    per-(token, band) maps. The layout is stated once, as ``groups``, the
-    slot groups each map turns (all of one size), ``turns``, the pairs a
-    triple is turned by in sequence, and ``copied``, the slots it leaves
-    as they are; ``width`` (the slots covered) and ``map_rank`` are read
-    off it. A 2-slot group, a pair (2j, 2j + 1), takes one complex phase
-    cos + i sin (rank 0). A 3-slot group with ``turns`` takes one phase
-    per turn (rank 1), each multiplying the adjacent pair that starts at
-    the group's slot turns[n]; one without takes a 3x3 matrix (rank 2)
-    whose row i lands in the group's i-th slot.
+    """One method's carrier layout and axis rule, and how it builds and
+    applies its per-(token, band) maps. The layout is stated once, as
+    ``groups``, the slot groups each map turns (all of one size), and
+    ``copied``, the slots it leaves as they are; ``width`` (the slots
+    covered) is read off it. A pair carrier, the one group (0, 1), takes
+    one complex phase cos + i sin (``map_rank`` 0). Triples take the three
+    Euler phases (rank 1) and are turned by ``turns``, a turn sequence
+    (``EULER_TURNS``, ``CARE_TURNS``).
 
     ``build(angles_x, angles_y, unit_x, unit_y)`` takes resolved angles and
     unit axes that broadcast against them (axes carry a trailing 3) and
-    returns the maps components first: (...) or (turns, ...) phases, or
-    (3, 3, ...) matrices. ``apply(maps, src, dst)`` turns every group of
-    src's (..., width) carriers into dst and copies the copied slots; a
-    turn sequence copies its group into dst and turns it there, so it
+    returns the maps components first: (...) or (3, ...) phases.
+    ``turner(maps)`` gives the function (src, dst) that turns src's
+    (..., width) carriers into dst, and forms what every row needs of the
+    maps (conjugate rows, stacked phases) once; ``apply(maps, src, dst)``
+    is one call of it. A pair phase multiplies src into dst; a turn
+    sequence copies the whole carrier into dst and turns it there, so it
     reads src only and takes any real src. ``invert(maps)`` gives the
-    conjugate phases (in reverse turn order, a palindrome) or the
-    transposed matrices (a view). build and apply trust their inputs
-    (finite angles, unit axes, contiguous float64 carriers):
-    ``block_maps`` and the gradient check pass build angles from
-    ``position_angles`` and unit axes, and ``apply_maps`` and
-    ``rotate_rows`` prove apply's. ``slot_major`` (care) tells
-    ``rotate_rows`` to give apply a slots-first dst, whose slot k is one
-    contiguous (tokens, bands) plane, and to copy or cast each row from it
-    into the output once.
+    conjugate phases, in reverse order for a turn sequence, which mirrors
+    itself. build and the turns trust their inputs (finite angles, unit
+    axes, contiguous float64 carriers): ``block_maps`` and the gradient
+    check pass build angles from ``position_angles`` and unit axes, and
+    ``apply_maps`` and ``rotate_rows`` prove the turns'.
     """
 
     groups: tuple[tuple[int, ...], ...]  # slot groups the maps turn
@@ -654,34 +701,25 @@ class Rotation:
     # can take (1, columns, bands) and (rows, 1, bands) angles
     separable: bool
     copied: tuple[int, ...] = ()  # slots the maps leave as they are
-    turns: tuple[int, ...] = ()  # a triple's turn sequence: the first slot of each pair
-    slot_major: bool = False  # apply's per-slot passes want a slots-first dst
+    turns: tuple = ()  # a triple method's turn sequence
     width: int = field(init=False)  # carrier width: every slot, turned or copied
     map_rank: int = field(init=False)  # leading component axes of the maps
-    _turn: Callable[..., None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.groups[0]) == 2:
-            rank, turn = 0, _turn_pair
-        elif self.turns:
-            rank, turn = 1, partial(_turn_sequence, self.turns)
-        else:
-            rank, turn = 2, _matvec3
         object.__setattr__(self, "width", sum(map(len, self.groups)) + len(self.copied))
-        object.__setattr__(self, "map_rank", rank)
-        object.__setattr__(self, "_turn", turn)
+        object.__setattr__(self, "map_rank", 1 if self.turns else 0)
 
     def invert(self, maps: np.ndarray) -> np.ndarray:
-        if self.map_rank == 2:
-            return maps.swapaxes(0, 1)
         phases = np.conjugate(maps)
         return phases[::-1] if self.map_rank else phases
 
+    def turner(self, maps: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+        if self.turns:
+            return partial(_turn_sequence, _turn_steps(self.turns, maps))
+        return partial(_turn_pair, maps)
+
     def apply(self, maps: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-        for slots in self.groups:
-            self._turn(maps, src, dst, slots)
-        for k in self.copied:  # exactly invariant: copied, not recomputed
-            dst[..., k] = src[..., k]
+        self.turner(maps)(src, dst)
 
 
 ROTATIONS = {  # in the order METHODS lists and reports them
@@ -691,7 +729,7 @@ ROTATIONS = {  # in the order METHODS lists and reports them
     "spherical": Rotation(((0, 1, 2),), 0, _spherical_phases, True, turns=EULER_TURNS),
     "quatro": Rotation(((0, 1, 2),), 2, _quatro_phases, True, turns=EULER_TURNS),
     "care": Rotation(
-        (CARE_VECTOR_SLOTS, CARE_BIVECTOR_SLOTS), 2, _care_maps, True, CARE_INVARIANT_SLOTS, slot_major=True
+        (CARE_VECTOR_SLOTS, CARE_BIVECTOR_SLOTS), 2, _care_phases, True, CARE_INVARIANT_SLOTS, CARE_TURNS
     ),
 }
 METHODS = tuple(ROTATIONS)
@@ -700,31 +738,28 @@ METHOD_WIDTHS = {tag: rotation.width for tag, rotation in ROTATIONS.items()}  # 
 
 def _require_map_kind(tag: str, rotation: Rotation, maps: np.ndarray) -> None:
     """Maps of ``rotation``'s kind, by their attributes alone: complex128
-    phases (rank 0), complex128 with a leading axis of one phase per turn
-    (rank 1), or float64 with (3, 3) leading component axes (rank 2).
-    Maps of another method of the same kind pass, as they rotate the same
-    carriers (the phases of any 3-wide method turn any 3-wide carrier)."""
-    kind = np.dtype(np.float64 if rotation.map_rank == 2 else np.complex128)
-    if maps.dtype != kind:
-        raise ValueError(f"{tag} maps must be {kind}, not {maps.dtype}")
-    turns = len(rotation.turns)
-    if turns and maps.shape[:1] != (turns,):
-        raise ValueError(f"{tag} maps need a leading axis of {turns} turns, got shape {maps.shape}")
-    if rotation.map_rank == 2 and maps.shape[:2] != (3, 3):
-        raise ValueError(f"{tag} maps need (3, 3) leading component axes, got shape {maps.shape}")
+    phases (rank 0), with a leading axis of the three Euler phases for a
+    turn sequence (rank 1). Maps of another method of the same kind pass,
+    as they rotate the same carriers: the phases of any triple method, care
+    among them, turn the triples of any other."""
+    if maps.dtype != np.complex128:
+        raise ValueError(f"{tag} maps must be complex128, not {maps.dtype}")
+    if rotation.map_rank and maps.shape[:1] != (3,):
+        raise ValueError(f"{tag} maps need a leading axis of 3 turns, got shape {maps.shape}")
 
 
 def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
-    """Rotate (..., width) carriers by maps of the method's kind (phases,
-    phases with a leading turn axis, or matrices with two leading
-    component axes; ``_require_map_kind``) whose per-map shape broadcasts
-    against v's leading axes; for the inverse rotation pass
+    """Rotate (..., width) real carriers by maps of the method's kind
+    (phases, or phases with a leading turn axis; ``_require_map_kind``)
+    whose per-map shape broadcasts against v's leading axes; complex
+    carriers raise, named. For the inverse rotation pass
     ``ROTATIONS[tag].invert(maps)``."""
     rotation = ROTATIONS.get(tag)
     if rotation is None:
         raise ValueError(f"unknown encoding method {tag!r}")
     _require_map_kind(tag, rotation, maps)
-    v = np.asarray(v, dtype=np.float64, order="C")  # rope1d views each (x, y) as one complex
+    # C order: rope1d views each (x, y) as one complex
+    v = np.asarray(_real_float64(v, f"{tag} carriers"), order="C")
     width = rotation.width
     if v.shape[-1:] != (width,):
         raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
@@ -764,8 +799,8 @@ def _grid_shape(pos: np.ndarray) -> tuple[int, int] | None:
 def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     """Maps of ``method`` for every (token, band) at (tokens, 2) positions,
     components first; ``rotate_rows`` applies them to any block at those
-    positions. Positions of any other shape raise, and so do angles that
-    overflow float64 (``position_angles``).
+    positions. Positions of any other shape raise, and so do complex
+    positions and angles that overflow float64 (``position_angles``).
 
     On a row-major grid, proven once on the positions' bits, a separable
     method takes its trig once per column and row: angle_x comes from the
@@ -775,7 +810,7 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     """
     rotation = ROTATIONS[method.tag]
     axes = (None, None) if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
-    pos = np.asarray(positions, dtype=np.float64)
+    pos = _real_float64(positions, "positions")
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions must be (tokens, 2), got shape {pos.shape}")
     grid = _grid_shape(pos) if rotation.separable else None
@@ -796,19 +831,16 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     """Rotate every sub-vector of (batch, tokens, head_dim) ``data`` by
     its (token, band) map from ``block_maps`` into a new array of
     ``data``'s dtype; ``inverse=True`` applies the inverse maps. Maps of
-    another kind raise (``apply_maps``' test of dtype and component axes).
+    another kind raise (``apply_maps``' test of dtype and turn axis).
     ``data`` is only read: every turn lands in the output or a scratch.
 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
     leftover trailing dims pass through untouched. ``data`` may be float32
     or float64 and is rotated in float64 one batch row at a time, each row
-    cast back to ``data``'s dtype. A slot-major method (care) rotates each
-    row into a slots-first float64 scratch, allocated once per call, whose
-    per-slot multiply-adds each write one contiguous (tokens, bands) plane;
-    the row is then copied or cast into the output in one pass. The others
-    rotate a float64 row without pass-through dims straight into the
-    output, and any other row through an interleaved scratch; a 3-wide
-    method copies or casts the input row there and turns it in place.
+    cast back to ``data``'s dtype. A float64 row without pass-through dims
+    is rotated straight into the output, and any other row through an
+    interleaved float64 scratch, allocated once per call; a turn sequence
+    copies or casts the input row there and turns it in place.
 
     Each row is checked once, on the values written: the maps are
     orthogonal, so a rotated value is non-finite only if an input value
@@ -838,34 +870,28 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
             f"maps of shape {maps.shape} do not cover {tokens} tokens x {bands} bands"
         )
     out = np.empty(data.shape, data.dtype)
-    if inverse:
-        maps = rotation.invert(maps)
+    turn = rotation.turner(rotation.invert(maps) if inverse else maps)
     body = bands * method.width
     if remainder:
         rest = data[:, :, body:]
         if not np.isfinite(rest).all():
             raise ValueError("block contains non-finite values")
         out[:, :, body:] = rest
-    # One batch row at a time keeps the temporaries cache-sized. A
-    # multiply-add runs as one long loop over (token, band) only on
-    # contiguous rows, so a row goes straight into a float64 out without
-    # pass-through dims and otherwise through a float64 scratch, cast on
-    # the copy. A width-8 carrier fills a cache line, so care's per-slot
-    # passes over an interleaved row would each touch every line of it.
+    # One batch row at a time keeps the temporaries cache-sized. A complex
+    # view needs a contiguous float64 carrier, so a row goes straight into
+    # a float64 out without pass-through dims and otherwise through a
+    # float64 scratch, cast on the copy.
     carriers = (tokens, bands, method.width)
     narrow = data.dtype == np.float32
-    direct = not (narrow or remainder or rotation.slot_major)
-    if rotation.slot_major:
-        scratch = np.moveaxis(np.empty((method.width, tokens, bands)), 0, -1)
-    else:
-        scratch = None if direct else np.empty(carriers)
+    direct = not (narrow or remainder)
+    scratch = None if direct else np.empty(carriers)
     with np.errstate(over="ignore", invalid="ignore"):  # a failed row is named below
         for c in range(batch):
             row = data[c, :, :body].reshape(carriers)
             if not rotation.turns:  # a turn sequence copies any real row into dst itself
                 row = np.ascontiguousarray(row, dtype=np.float64)
             dst = out[c].reshape(carriers) if direct else scratch
-            rotation.apply(maps, row, dst)
+            turn(row, dst)
             if not direct:
                 np.copyto(out[c, :, :body].reshape(carriers), scratch)
             if not np.isfinite(out[c, :, :body] if narrow else dst).all():
@@ -880,8 +906,7 @@ def apply_encoding(block: TokenBlock, method: EncodingMethod, inverse: bool = Fa
 
     Builds the maps at the block's positions (``block_maps``) and applies
     them (``rotate_rows``). ``inverse=True`` applies the inverse rotations
-    (conjugate phases, in reverse turn order, or transposed matrices),
-    recovering the input of a forward pass up to round-off.
+    (conjugate phases, in reverse turn order), recovering the input of a forward pass up to round-off.
     """
     maps = block_maps(method, block.positions)
     data = rotate_rows(block.data, method, maps, inverse)

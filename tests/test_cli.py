@@ -88,10 +88,13 @@ class TestCheck:
     MAP_MUTATIONS = {
         "quatro_transposed": ("quatro", lambda b: lambda *a: encodings.ROTATIONS["quatro"].invert(b(*a))),
         "quatro_axes_swapped": ("quatro", lambda b: lambda ax, ay, ux, uy: b(ax, ay, uy, ux)),
+        "care_transposed": ("care", lambda b: lambda *a: encodings.ROTATIONS["care"].invert(b(*a))),
         "care_in_quatro_order": (
             "care",
-            lambda b: lambda ax, ay, ux, uy: encodings._two_rotor_matrix(
-                encodings.grade1_rotation_axis(ux), ax, encodings.grade1_rotation_axis(uy), ay
+            lambda b: lambda ax, ay, ux, uy: encodings._euler_phases(
+                *encodings._two_rotor_quaternion(
+                    encodings.grade1_rotation_axis(ux), ax, encodings.grade1_rotation_axis(uy), ay
+                )
             ),
         ),
         "rope1d_reads_p_y": ("rope1d", lambda b: lambda ax, ay, ux, uy: b(ay, ax, ux, uy)),

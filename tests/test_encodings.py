@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -232,8 +233,9 @@ def _rows_with_maps(tag, maps):
     return enc.rotate_rows(np.ones((1, 3, 6)), method, maps)
 
 
-# care's (3, 3, tokens, bands) matrices for the 3 tokens and 2 bands of _rows_with_maps
-_CARE_MATRICES = enc.block_maps(enc.EncodingMethod.configure("care", 16), enc.grid_positions(1, 3))
+# float64 (3, 3, tokens, bands) identity matrices for the 3 tokens and 2
+# bands of _rows_with_maps: the matrix kind no method takes
+_MATRICES = np.broadcast_to(np.eye(3)[..., None, None], (3, 3, 3, 2))
 
 
 class TestRefusals:
@@ -285,19 +287,53 @@ class TestRefusals:
                 "quatro maps must be complex128, not float32",
             ),
             (
-                lambda: enc.apply_maps("care", np.ones((3, 3, 2), dtype=np.complex128), np.ones(8)),
-                "care maps must be float64, not complex128",
+                lambda: enc.apply_maps("care", np.ones((3, 3, 2)), np.ones(8)),
+                "care maps must be complex128, not float64",
             ),
             (
-                lambda: enc.apply_maps("care", np.ones(3), np.ones(8)),
-                "care maps need (3, 3) leading component axes, got shape (3,)",
+                lambda: enc.apply_maps("care", np.ones(2, dtype=np.complex128), np.ones(8)),
+                "care maps need a leading axis of 3 turns, got shape (2,)",
             ),
-            (lambda: _rows_with_maps("mixed", _CARE_MATRICES), "mixed maps must be complex128, not float64"),
+            (lambda: _rows_with_maps("mixed", _MATRICES), "mixed maps must be complex128, not float64"),
             (
-                lambda: _rows_with_maps("spherical", _CARE_MATRICES),
+                lambda: _rows_with_maps("spherical", _MATRICES),
                 "spherical maps must be complex128, not float64",
             ),
-            (lambda: _rows_with_maps("quatro", _CARE_MATRICES), "quatro maps must be complex128, not float64"),
+            (lambda: _rows_with_maps("quatro", _MATRICES), "quatro maps must be complex128, not float64"),
+            (
+                lambda: enc.rotate_rows(np.ones((1, 3, 16)), enc.EncodingMethod.configure("care", 16), _MATRICES),
+                "care maps must be complex128, not float64",
+            ),
+            (
+                lambda: enc.block_maps(enc.EncodingMethod.configure("care", 16), np.zeros((4, 2), complex)),
+                "positions must be real, not complex128",
+            ),
+            (
+                lambda: enc.apply_maps("rope1d", np.ones(1, complex), np.ones((1, 2), complex)),
+                "rope1d carriers must be real, not complex128",
+            ),
+            (
+                lambda: enc.apply_maps("care", np.ones((3, 1), complex), np.full((1, 8), 1j)),
+                "care carriers must be real, not complex128",
+            ),
+            (lambda: enc.FrequencySchedule.for_bands(4, base="10"), "schedule base must be a real number, got '10'"),
+            (lambda: enc.FrequencySchedule.for_bands(4, base=None), "schedule base must be a real number, got None"),
+            (
+                lambda: enc.FrequencySchedule.for_bands(4, base=1 + 1j),
+                "schedule base must be a real number, got (1+1j)",
+            ),
+            (
+                lambda: enc.EncodingMethod.configure("quatro", 9, scale_x=None),
+                "scale_x must be a real number, got None",
+            ),
+            (
+                lambda: enc.EncodingMethod.configure("rope1d", 4, scale_y="2"),
+                "scale_y must be a real number, got '2'",
+            ),
+            (
+                lambda: enc.EncodingMethod("rope1d", _TWO_BANDS, scale_x=1j),
+                "scale_x must be a real number, got 1j",
+            ),
             (
                 lambda: _rows_with_maps("quatro", np.ones((2, 3, 2), dtype=np.complex128)),
                 "quatro maps need a leading axis of 3 turns, got shape (2, 3, 2)",
@@ -413,11 +449,21 @@ class TestRefusals:
             "rows_maps_cover",
             "rows_real_maps_for_rope1d",
             "rows_float32_maps",
-            "apply_maps_complex_maps_for_care",
-            "apply_maps_without_component_axes",
+            "apply_maps_real_maps_for_care",
+            "apply_maps_two_turns_for_care",
             "rows_matrices_for_mixed",
             "rows_matrices_for_spherical",
             "rows_matrices_for_quatro",
+            "rows_matrices_for_care",
+            "block_maps_complex_positions",
+            "apply_maps_complex_carriers",
+            "apply_maps_complex_care_carriers",
+            "schedule_string_base",
+            "schedule_none_base",
+            "schedule_complex_base",
+            "configure_none_scale",
+            "configure_string_scale",
+            "method_complex_scale",
             "rows_two_turns_for_quatro",
             "apply_maps_one_phase_for_spherical",
             "commutator_fractional_band",
@@ -464,10 +510,10 @@ class TestRefusals:
                 call()
         assert [str(w.message) for w in caught] == []
 
-    @pytest.mark.parametrize("source", ["mixed", "spherical", "quatro"])
+    @pytest.mark.parametrize("source", ["mixed", "spherical", "quatro", "care"])
     def test_maps_of_another_method_of_the_same_kind_are_accepted(self, source):
         # the kind test reads dtype and turn axis only: the phases of any
-        # 3-wide method turn 3-wide carriers (care's matrices are refused)
+        # triple method, care's among them, turn 3-wide carriers
         maps = enc.block_maps(enc.EncodingMethod.configure(source, 24), enc.grid_positions(2, 3))
         data = rng.standard_normal((2, 6, 6))
         quatro = enc.EncodingMethod.configure("quatro", 6)
@@ -536,23 +582,30 @@ class TestMethodTable:
     @pytest.mark.parametrize("tag", enc.METHODS)
     def test_carrier_layout_is_stated_once(self, tag):
         # the turned groups and the copied slots cover the carrier once each;
-        # the groups' one size and the turns give the map kind: a pair a
-        # phase, a triple a phase per turn or else a matrix
+        # the groups' one size gives the map kind: a pair one phase, triples
+        # the three Euler phases and a turn sequence
         rotation = enc.ROTATIONS[tag]
         slots = [k for group in rotation.groups for k in group] + list(rotation.copied)
         assert sorted(slots) == list(range(rotation.width))
         assert enc.METHOD_WIDTHS[tag] == rotation.width == len(slots)
         sizes = {len(group) for group in rotation.groups}
         assert sizes in ({2}, {3})
-        size = sizes.pop()
-        assert rotation.map_rank == (0 if size == 2 else 1 if rotation.turns else 2)
-        if rotation.map_rank == 0:  # a phase turns the pair (2j, 2j + 1), complex number j
-            assert rotation.width % 2 == 0
-            assert all(group[0] % 2 == 0 and group[1] == group[0] + 1 for group in rotation.groups)
-        if rotation.map_rank == 1:  # each turn a pair adjacent in the group, which is adjacent
-            assert all(list(group) == list(range(group[0], group[0] + size)) for group in rotation.groups)
-            assert all(0 <= k <= size - 2 for k in rotation.turns)
-            assert rotation.turns == rotation.turns[::-1]  # so invert may reverse the phases
+        assert rotation.map_rank == (0 if sizes == {2} else 1) == (1 if rotation.turns else 0)
+        if rotation.map_rank == 0:  # the phase turns the carrier, one complex number
+            assert rotation.groups == ((0, 1),) and rotation.copied == ()
+        for step in rotation.turns:  # equally spaced slot pairs (k, k + 1) of the carrier
+            firsts = [k for k, _ in step]
+            assert all(0 <= k <= rotation.width - 2 for k in firsts)
+            assert len({b - a for a, b in zip(firsts, firsts[1:])}) <= 1
+            assert all((b - a) % 2 == 0 and b - a >= 2 for a, b in zip(firsts, firsts[1:]))
+
+        def mirrored(ref):  # the same turn in the conjugate phases in reverse order
+            return ref.conjugate() if isinstance(ref, complex) else 2 - ref if ref >= 0 else ~(2 - ~ref)
+
+        # read backwards with mirrored phases, a sequence has the same steps
+        # (care's two Rx steps commute), so invert may reverse the phases
+        mirror = [tuple((k, mirrored(ref)) for k, ref in step) for step in reversed(rotation.turns)]
+        assert Counter(mirror) == Counter(rotation.turns)
         # rotate_rows keeps each turned group's norm and copies each copied slot bit for bit
         axes_x, axes_y = draw_axes(tag)
         method = enc.EncodingMethod.configure(tag, 5 * rotation.width + 1, axes_x=axes_x, axes_y=axes_y)
@@ -943,11 +996,12 @@ class TestRotateRows:
             enc.rotate_rows(block.data.astype(np.int64), method, maps)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("head_dim", [16, 17, 18])
+    @pytest.mark.parametrize("head_dim", [16, 17, 18, 64, 66])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_care_rows_equal_the_interleaved_apply(self, dtype, head_dim, batch):
-        # care's rows go through a slots-first scratch; the bits must be
-        # those of its apply into a contiguous interleaved row
+        # care's rows go straight into the output or through a scratch; the
+        # bits must be those of its apply into a contiguous row, and the
+        # scalar and e123 slots those of the input
         method = self.configure("care", head_dim)
         maps = enc.block_maps(method, self.POS)
         data = rng.standard_normal((batch, 12, head_dim)).astype(dtype)
@@ -1175,20 +1229,11 @@ class TestRotationMaps:
             want = enc.apply_encoding(enc.TokenBlock(data=arr.copy(), positions=self.POS), method)
             assert np.array_equal(enc.apply_encoding(block, method).data, want.data)
 
-    def test_matrix_inverse_is_the_transposed_copy(self):
-        # invert() returns a view; it must act exactly as the transposed array
-        method = self.configure("care", 16)
-        maps = enc.block_maps(method, self.POS)
-        v = rng.standard_normal(maps.shape[2:] + (method.width,))
-        got = enc.apply_maps("care", enc.ROTATIONS["care"].invert(maps), v)
-        want = enc.apply_maps("care", np.ascontiguousarray(maps.swapaxes(0, 1)), v)
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("tag", ["mixed", "spherical", "quatro"])
+    @pytest.mark.parametrize("tag", ["mixed", "spherical", "quatro", "care"])
     def test_phase_inverse_is_the_reversed_conjugate(self, tag):
-        # the turns are a palindrome: the conjugate phases, last turn first,
+        # the turns mirror themselves: the conjugate phases, last turn first,
         # undo them, and the reversed view acts as its contiguous copy
-        method = self.configure(tag, 9)
+        method = self.configure(tag, 24)
         maps = enc.block_maps(method, self.POS)
         inverse = enc.ROTATIONS[tag].invert(maps)
         assert np.array_equal(inverse, np.conjugate(maps)[::-1])
@@ -1477,10 +1522,10 @@ class TestComplexPhase:
             assert att.commutator_norm(method, p_a, p_a, band=band) == 0.0
 
 
-class TestTwoRotorMatrix:
+class TestTwoRotorQuaternion:
     """The closed-form two-rotor build against the quaternion oracle, with
     the (bands, 3) axes against (tokens, bands) angles of a block: column j
-    of the matrix of q is the sandwich q e_j q^-1."""
+    of the rotation matrix of q is the sandwich q e_j q^-1."""
 
     TOKENS, BANDS = 40, 7
 
@@ -1491,25 +1536,28 @@ class TestTwoRotorMatrix:
 
     def test_matches_the_quaternion_oracle(self):
         u, a, v, b = self.draw()
-        got = enc._two_rotor_matrix(u, a, v, b)
-        assert got.shape == (3, 3, self.TOKENS, self.BANDS)
         q = hamilton_product(quat_rotor(u, a / 2.0), quat_rotor(v, b / 2.0))
+        got = np.stack(enc._two_rotor_quaternion(u, a, v, b), axis=-1)
+        assert got.shape == (self.TOKENS, self.BANDS, 4)
+        assert np.max(np.abs(got - q)) <= 1e-15
+        mats = enc.rotor_matrix(*np.moveaxis(got, -1, 0))
         columns = quat_sandwich(q[..., None, :], np.eye(3))  # [..., j, i] = M[i, j]
-        assert np.max(np.abs(np.moveaxis(got, (0, 1), (-1, -2)) - columns)) <= 1e-14
+        assert np.max(np.abs(np.moveaxis(mats, (0, 1), (-1, -2)) - columns)) <= 1e-14
 
     def test_is_a_proper_rotation(self):
-        mats = np.moveaxis(enc._two_rotor_matrix(*self.draw()), (0, 1), (-2, -1))
+        mats = np.moveaxis(enc.rotor_matrix(*enc._two_rotor_quaternion(*self.draw())), (0, 1), (-2, -1))
         eye = np.einsum("...ij,...kj->...ik", mats, mats)
         assert np.max(np.abs(eye - np.eye(3))) <= 1e-14
         assert np.max(np.abs(np.linalg.det(mats) - 1.0)) <= 1e-14
 
-    def test_nan_angle_rejected(self):
+    @pytest.mark.parametrize("build", [enc._euler_phases, enc.rotor_matrix])
+    def test_nan_angle_rejected(self, build):
         u, a, v, b = self.draw()
         a[3, 2] = np.nan
         with pytest.raises(ValueError, match="not unit norm"):
-            enc._two_rotor_matrix(u, a, v, b)
+            build(*enc._two_rotor_quaternion(u, a, v, b))
         with pytest.raises(ValueError, match="not unit norm"):
-            enc._two_rotor_matrix(u, b, v, a)
+            build(*enc._two_rotor_quaternion(u, b, v, a))
 
 
 def _unit_rows(q) -> np.ndarray:
@@ -1552,6 +1600,22 @@ class TestEulerPhases:
         assert np.max(np.abs(np.abs(phases) - 1.0)) <= 1e-15
         want = np.moveaxis(enc.rotor_matrix(*q.T), (0, 1), (-2, -1))
         assert np.max(np.abs(self.turned(phases) - want)) <= 2e-15
+
+    def test_care_turns_both_triples_by_the_rotation_matrix(self):
+        # care's sequence turns (e1, e2, e3) and (e23, e31, e12) by the M
+        # of the same quaternion, and copies the scalar and e123 slots: the
+        # 8x8 map is block-diag(1, M, M, 1) in those slots, and its inverse
+        # the transpose
+        q = np.concatenate([self.EDGES, _unit_rows(rng.standard_normal((500, 4)))])
+        phases = enc._euler_phases(*q.T)
+        m = np.moveaxis(enc.rotor_matrix(*q.T), (0, 1), (-2, -1))
+        want = np.zeros((len(q), 8, 8))
+        want[:, 0, 0] = want[:, 7, 7] = 1.0
+        for triple in (enc.CARE_VECTOR_SLOTS, enc.CARE_BIVECTOR_SLOTS):
+            want[:, np.array(triple)[:, None], np.array(triple)] = m
+        for maps, mats in ((phases, want), (enc.ROTATIONS["care"].invert(phases), np.swapaxes(want, -1, -2))):
+            turned = enc.apply_maps("care", maps[..., None], np.eye(8))  # [..., j, i]
+            assert np.max(np.abs(np.swapaxes(turned, -1, -2) - mats)) <= 2e-15
 
     def test_zero_b_keeps_only_the_phase_of_a(self):
         q = self.EDGES[4]  # A = 0.6 - 0.8i, B = 0
