@@ -19,7 +19,7 @@ speed factors; ``position_angles`` forms them and refuses any that
 overflow float64. One method table, ``ROTATIONS``, holds each method's
 carrier layout (the slot groups its maps turn and the slots they copy),
 its axis rule and how it builds one orthogonal map per (token, band),
-applied to every batch row by one ``apply``; ``METHODS``, the widths
+applied to every batch row by one ``turner``; ``METHODS``, the widths
 and the map kinds are read off it. A pair is turned by a complex phase
 exp(i angle) (rank 0). Every triple is turned as Rz(alpha) Rx(beta)
 Rz(gamma), by three phases (rank 1) that multiply adjacent slot pairs in
@@ -683,9 +683,8 @@ class Rotation:
     returns the maps components first: (...) or (3, ...) phases.
     ``turner(maps)`` gives the function (src, dst) that turns src's
     (..., width) carriers into dst, and forms what every row needs of the
-    maps (conjugate rows, stacked phases) once; ``apply(maps, src, dst)``
-    is one call of it. A pair phase multiplies src into dst; a turn
-    sequence copies the whole carrier into dst and turns it there, so it
+    maps (conjugate rows, stacked phases) once. A pair phase multiplies
+    src into dst; a turn sequence copies the whole carrier into dst and turns it there, so it
     reads src only and takes any real src. ``invert(maps)`` gives the
     conjugate phases, in reverse order for a turn sequence, which mirrors
     itself. build and the turns trust their inputs (finite angles, unit
@@ -717,9 +716,6 @@ class Rotation:
         if self.turns:
             return partial(_turn_sequence, _turn_steps(self.turns, maps))
         return partial(_turn_pair, maps)
-
-    def apply(self, maps: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-        self.turner(maps)(src, dst)
 
 
 ROTATIONS = {  # in the order METHODS lists and reports them
@@ -765,7 +761,7 @@ def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
         raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
     lead = np.broadcast_shapes(maps.shape[rotation.map_rank :], v.shape[:-1])
     out = np.empty(lead + (width,))
-    rotation.apply(maps, v, out)
+    rotation.turner(maps)(v, out)
     return out
 
 

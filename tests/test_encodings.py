@@ -1009,11 +1009,10 @@ class TestRotateRows:
         carriers = (batch, 12, head_dim // 8, 8)
         invariant = list(enc.CARE_INVARIANT_SLOTS)
         for inverse in (False, True):
-            applied = enc.ROTATIONS["care"].invert(maps) if inverse else maps
+            turn = enc.ROTATIONS["care"].turner(enc.ROTATIONS["care"].invert(maps) if inverse else maps)
             want = np.empty(carriers)
             for c in range(batch):
-                row = data[c, :, :body].astype(np.float64).reshape(carriers[1:])
-                enc.ROTATIONS["care"].apply(applied, row, want[c])
+                turn(data[c, :, :body].astype(np.float64).reshape(carriers[1:]), want[c])
             got = enc.rotate_rows(data, method, maps, inverse)
             assert got.dtype == dtype
             assert np.array_equal(got[..., :body], want.reshape(batch, 12, body).astype(dtype))
