@@ -128,7 +128,7 @@ class FrequencySchedule:
         require_integer(num_bands, "num_bands")
         if num_bands < 1:
             raise ValueError("schedule needs at least one band")
-        require_real(base, "schedule base")
+        base = _real_number(base, "schedule base")
         if not math.isfinite(base):
             raise ValueError(f"schedule base must be finite, got {base!r}")
         if base <= 1.0:
@@ -136,7 +136,7 @@ class FrequencySchedule:
         i = np.arange(num_bands, dtype=np.float64)
         angles = base ** (-i / num_bands)  # == base**(-2i / (2*num_bands))
         angles.flags.writeable = False
-        return cls(base=float(base), num_bands=num_bands, band_angles=angles)
+        return cls(base=base, num_bands=num_bands, band_angles=angles)
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,11 @@ class EncodingMethod:
     def __post_init__(self):
         if self.tag not in METHODS:
             raise ValueError(f"unknown encoding method {self.tag!r}")
-        for name, scale in (("scale_x", self.scale_x), ("scale_y", self.scale_y)):
-            require_real(scale, name)
+        for name in ("scale_x", "scale_y"):
+            scale = _real_number(getattr(self, name), name)
             if not math.isfinite(scale):
                 raise ValueError(f"{name} must be finite, got {scale!r}")
-            object.__setattr__(self, name, float(scale))
+            object.__setattr__(self, name, scale)
         free_axes = ROTATIONS[self.tag].free_axes
         if not free_axes:
             if self.axes is not None:
@@ -247,11 +247,16 @@ def require_integer(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def require_real(value, name: str) -> None:
-    """Refuse a ``value`` that is not a Python or numpy real number (a bool
-    is not one, nor a string, None or a complex)."""
+def _real_number(value, name: str) -> float:
+    """``value`` as a float. What is not a Python or numpy real number (a
+    bool, a string, None, a complex) raises, named, and so does an integer
+    beyond float64's range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond float64's range") from None
 
 
 def _per_band(axes, num_bands: int, name: str) -> np.ndarray:
@@ -604,8 +609,9 @@ def _turn_steps(turns, maps) -> list:
     """The steps of the sequence ``turns`` for ``maps``, formed once per
     call, each as (first, end, pick, factor): the step's pairs are
     dst[..., first:end] viewed as complex128 numbers, indexed by ``pick``
-    (one pair, or every other one), and ``factor`` is their phase, stacked
-    on a last axis for several pairs. A conjugate row is formed once."""
+    (0 for one pair, a stride for several), and ``factor`` is their phase,
+    stacked on a last axis for several pairs. A conjugate row is formed
+    once."""
     conjugates = {}
 
     def phase(ref):
@@ -684,13 +690,14 @@ class Rotation:
     ``turner(maps)`` gives the function (src, dst) that turns src's
     (..., width) carriers into dst, and forms what every row needs of the
     maps (conjugate rows, stacked phases) once. A pair phase multiplies
-    src into dst; a turn sequence copies the whole carrier into dst and turns it there, so it
-    reads src only and takes any real src. ``invert(maps)`` gives the
-    conjugate phases, in reverse order for a turn sequence, which mirrors
-    itself. build and the turns trust their inputs (finite angles, unit
-    axes, contiguous float64 carriers): ``block_maps`` and the gradient
-    check pass build angles from ``position_angles`` and unit axes, and
-    ``apply_maps`` and ``rotate_rows`` prove the turns'.
+    src into dst; a turn sequence copies the whole carrier into dst and
+    turns it there, so it reads src only and takes any real src.
+    ``invert(maps)`` gives the conjugate phases, in reverse order for a
+    turn sequence, which mirrors itself. build and the turns trust their
+    inputs (finite angles, unit axes, contiguous float64 carriers):
+    ``block_maps`` and the gradient check pass build angles from
+    ``position_angles`` and unit axes, and ``apply_maps`` and
+    ``rotate_rows`` prove the turns'.
     """
 
     groups: tuple[tuple[int, ...], ...]  # slot groups the maps turn

@@ -335,6 +335,14 @@ class TestRefusals:
                 "scale_x must be a real number, got 1j",
             ),
             (
+                lambda: enc.FrequencySchedule.for_bands(4, base=10**400),
+                "schedule base must be finite, got an integer beyond float64's range",
+            ),
+            (
+                lambda: enc.EncodingMethod.configure("quatro", 9, scale_y=-(10**400)),
+                "scale_y must be finite, got an integer beyond float64's range",
+            ),
+            (
                 lambda: _rows_with_maps("quatro", np.ones((2, 3, 2), dtype=np.complex128)),
                 "quatro maps need a leading axis of 3 turns, got shape (2, 3, 2)",
             ),
@@ -464,6 +472,8 @@ class TestRefusals:
             "configure_none_scale",
             "configure_string_scale",
             "method_complex_scale",
+            "schedule_huge_integer_base",
+            "configure_huge_integer_scale",
             "rows_two_turns_for_quatro",
             "apply_maps_one_phase_for_spherical",
             "commutator_fractional_band",
