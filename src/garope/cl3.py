@@ -44,7 +44,14 @@ from typing import Callable
 import numpy as np
 
 from . import _cl3_numpy  # noqa: F401  (perfbench's Tracer.install reads it; ROADMAP item 1 removes it)
-from .encodings import CARE_INVARIANT_SLOTS, SPHERICAL_AXIS_X, SPHERICAL_AXIS_Y, as_axes, require_unit_norm
+from .encodings import (
+    CARE_INVARIANT_SLOTS,
+    SPHERICAL_AXIS_X,
+    SPHERICAL_AXIS_Y,
+    _real_float64,
+    as_axes,
+    require_unit_norm,
+)
 from .ga import Algebra
 from .quaternion import even_cl3_coeffs, hamilton_product, quat_rotor, quat_sandwich, require_unit_axis
 
@@ -60,7 +67,7 @@ def backend_name() -> str:
 
 
 def _as_mv8(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
+    arr = _real_float64(a, "mv8 values")
     if arr.shape[-1:] != (8,):
         raise ValueError(f"mv8 values need a trailing axis of 8, got shape {arr.shape}")
     return arr
@@ -117,10 +124,10 @@ PRODUCT_TERMS = derive_product_terms()
 
 
 def _carriers(v, tag: str, width: int) -> np.ndarray:
-    """``v`` as float64 (..., width) carriers of ``tag``; another trailing
-    axis raises, named. The oracles keep their own widths, apart from
-    ``ROTATIONS``."""
-    v = np.asarray(v, dtype=np.float64)
+    """``v`` as float64 (..., width) carriers of ``tag``; complex carriers
+    or another trailing axis raise, named. The oracles keep their own
+    widths, apart from ``ROTATIONS``."""
+    v = _real_float64(v, f"{tag} carriers")
     if v.shape[-1:] != (width,):
         raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
     return v
@@ -170,7 +177,7 @@ def mv8_rotor(unit, half_angle) -> np.ndarray:
 
 
 def care_apply(m, angle_x, angle_y, unit_x, unit_y) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
+    m = _real_float64(m, "care carriers")
     rx = mv8_rotor(unit_x, np.asarray(angle_x) / 2.0)
     ry = mv8_rotor(unit_y, np.asarray(angle_y) / 2.0)
     out = mv8_rotor_sandwich(mv8_product(ry, rx), m)

@@ -20,11 +20,12 @@ overflow float64. One method table, ``ROTATIONS``, holds each method's
 carrier layout (the slot groups its maps turn and the slots they copy),
 its axis rule and how it builds one orthogonal map per (token, band),
 applied to every batch row by one ``turner``; ``METHODS``, the widths
-and the map kinds are read off it. A pair is turned by a complex phase
-exp(i angle) (rank 0). Every triple is turned as Rz(alpha) Rx(beta)
-Rz(gamma), by three phases (rank 1) that multiply adjacent slot pairs in
-place, in the order of the method's turn sequence; mixed's, quatro's and
-care's are read off their quaternion with no trig (``_euler_phases``).
+and the phase counts are read off it. Every map is complex phases with a
+leading phase axis, which multiply adjacent slot pairs in the order of
+the method's turn sequence: a pair is turned by one phase exp(i angle)
+(``PAIR_TURNS``), and every triple as Rz(alpha) Rx(beta) Rz(gamma), by
+three phases; mixed's, quatro's and care's are read off their
+quaternion with no trig (``_euler_phases``).
 care's two triples sit on adjacent slots once its (e12, e3) pair is
 turned by a quarter turn, which the sequence undoes at its end
 (``CARE_TURNS``). A block is encoded in two steps, ``block_maps``
@@ -85,8 +86,9 @@ def _axis_norms(axis: np.ndarray, what: str, degenerate: str) -> np.ndarray:
 
 
 def as_axes(axis) -> np.ndarray:
-    """(..., 3) rotation axes as float64; any other trailing axis raises, named."""
-    axis = np.asarray(axis, dtype=np.float64)
+    """(..., 3) rotation axes as float64; complex axes or any other
+    trailing axis raise, named."""
+    axis = _real_float64(axis, "rotation axes")
     if axis.shape[-1:] != (3,):
         raise ValueError(f"rotation axes need a trailing axis of 3, got shape {axis.shape}")
     return axis
@@ -128,9 +130,7 @@ class FrequencySchedule:
         require_integer(num_bands, "num_bands")
         if num_bands < 1:
             raise ValueError("schedule needs at least one band")
-        base = _real_number(base, "schedule base")
-        if not math.isfinite(base):
-            raise ValueError(f"schedule base must be finite, got {base!r}")
+        base = _finite_number(base, "schedule base")
         if base <= 1.0:
             raise ValueError("schedule base must exceed 1")
         i = np.arange(num_bands, dtype=np.float64)
@@ -151,7 +151,7 @@ class AxisParams:
 
     def __post_init__(self):
         for name, unit_name in (("axes_x", "unit_x"), ("axes_y", "unit_y")):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = _real_float64(getattr(self, name), name)
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{name} must have shape (num_bands, 3)")
             norm = _axis_norms(arr, name, f"{name} contains a degenerate or non-finite axis")
@@ -182,10 +182,7 @@ class EncodingMethod:
         if self.tag not in METHODS:
             raise ValueError(f"unknown encoding method {self.tag!r}")
         for name in ("scale_x", "scale_y"):
-            scale = _real_number(getattr(self, name), name)
-            if not math.isfinite(scale):
-                raise ValueError(f"{name} must be finite, got {scale!r}")
-            object.__setattr__(self, name, scale)
+            object.__setattr__(self, name, _finite_number(getattr(self, name), name))
         free_axes = ROTATIONS[self.tag].free_axes
         if not free_axes:
             if self.axes is not None:
@@ -251,6 +248,8 @@ def _real_number(value, name: str) -> float:
     """``value`` as a float. What is not a Python or numpy real number (a
     bool, a string, None, a complex) raises, named, and so does an integer
     beyond float64's range."""
+    if type(value) is float:  # the common case, without the slower ABC test
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -259,9 +258,17 @@ def _real_number(value, name: str) -> float:
         raise ValueError(f"{name} must be finite, got an integer beyond float64's range") from None
 
 
+def _finite_number(value, name: str) -> float:
+    """``_real_number``, and a NaN or infinity raises, named."""
+    number = _real_number(value, name)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    return number
+
+
 def _per_band(axes, num_bands: int, name: str) -> np.ndarray:
     """(num_bands, 3) axes from one shared 3-vector or a per-band list."""
-    arr = np.asarray(axes, dtype=np.float64)
+    arr = _real_float64(axes, name)
     if arr.shape == (3,):
         arr = np.tile(arr, (num_bands, 1))
     if arr.ndim == 2 and arr.shape[1] == 3 and arr.shape[0] != num_bands:
@@ -275,7 +282,7 @@ def _real_float64(values, name: str) -> np.ndarray:
     """Real ``values`` as float64. Complex values raise, named, rather than
     losing their imaginary part in the cast."""
     arr = np.asarray(values)
-    if np.iscomplexobj(arr):
+    if arr.dtype.kind == "c":
         raise ValueError(f"{name} must be real, not {arr.dtype}")
     return np.asarray(arr, dtype=np.float64)
 
@@ -336,16 +343,18 @@ class TokenBlock:
 
 def grid_positions(grid_h: int, grid_w: int, origin=(0.0, 0.0)) -> np.ndarray:
     """Row-major (tokens, 2) positions of a unit-spaced grid whose first
-    token sits at ``origin``, a 2-vector (which may be fractional); p_x
-    runs along columns. A size that is not an integer, or is negative, raises."""
+    token sits at ``origin``, a 2-vector of finite real numbers (which may
+    be fractional); p_x runs along columns. A size that is not an integer,
+    or is negative, raises, and so does any other origin."""
     require_integer(grid_h, "grid_h")
     require_integer(grid_w, "grid_w")
     if grid_h < 0 or grid_w < 0:
         raise ValueError(f"grid size must not be negative, got {grid_h} x {grid_w}")
     if np.shape(origin) != (2,):
         raise ValueError(f"origin must be a 2-vector (p_x, p_y), got shape {np.shape(origin)}")
+    origin_x, origin_y = (_finite_number(c, f"origin {name}") for c, name in zip(origin, ("p_x", "p_y")))
     rows, cols = np.meshgrid(np.arange(grid_h), np.arange(grid_w), indexing="ij")
-    pos = np.stack([cols.ravel() + origin[0], rows.ravel() + origin[1]], axis=-1)
+    pos = np.stack([cols.ravel() + origin_x, rows.ravel() + origin_y], axis=-1)
     return pos.astype(np.float64)
 
 
@@ -368,8 +377,14 @@ def position_angles(p, theta, scale_x: float, scale_y: float) -> tuple[np.ndarra
     all form angles here, so they agree to the last bit. A non-finite
     angle raises: named as not finite when a position, band angle or
     scale is, and otherwise as an overflow (a coordinate scale times a
-    position beyond float64's range)."""
-    p = np.asarray(p, dtype=np.float64)
+    position beyond float64's range). Complex positions or band angles,
+    positions whose last axis is not 2 and scales that are not real
+    numbers raise, named."""
+    p = _real_float64(p, "positions")
+    if p.shape[-1:] != (2,):
+        raise ValueError(f"positions need a trailing axis of 2, got shape {p.shape}")
+    theta = _real_float64(theta, "band angles")
+    scale_x, scale_y = _real_number(scale_x, "scale_x"), _real_number(scale_y, "scale_y")
     with np.errstate(over="ignore", invalid="ignore"):  # named just below
         angle_x, angle_y = theta * (scale_x * p[..., 0]), theta * (scale_y * p[..., 1])
     if not (np.isfinite(angle_x).all() and np.isfinite(angle_y).all()):
@@ -440,11 +455,15 @@ def care_rotate(
 #
 # Every method is one orthogonal map per (token, band) that turns a few
 # slot groups of its carrier and copies the rest; each ROTATIONS row states
-# that layout once. rope1d turns its one pair by the unit complex phase
-# exp(i angle) = cos + i sin (RoFormer's complex form of RoPE). The other
-# methods turn each triple as Rz(alpha) Rx(beta) Rz(gamma): three phases
-# e^{i gamma}, e^{i beta}, e^{i alpha}, 48 bytes per map, each an in-place
-# complex multiply on adjacent slot pairs of a contiguous float64 row.
+# that layout once. Every map is complex128 phases, (phases, tokens,
+# bands), and one turn-sequence apply turns every method's carriers.
+# rope1d turns its one pair by the unit complex phase exp(i angle)
+# = cos + i sin (RoFormer's complex form of RoPE), one step that turns
+# every slot, so it multiplies a C-contiguous float64 row straight into
+# the output. The other methods turn each triple as Rz(alpha) Rx(beta)
+# Rz(gamma): three phases e^{i gamma}, e^{i beta}, e^{i alpha}, 48 bytes
+# per map, each an in-place complex multiply on adjacent slot pairs of a
+# contiguous float64 copy of the row.
 # mixed, spherical and quatro turn the pairs (0, 1), (1, 2), then (0, 1).
 # spherical's phases are its oracle's two turns and 1; mixed's, quatro's
 # and care's come from their quaternion q (for mixed cos(t/2) + sin(t/2) u)
@@ -456,7 +475,7 @@ def care_rotate(
 # = (e1, e2, e3) e123 by the same M, and leaves the scalar and e123 slots:
 # its 8x8 map is block-diag(1, M, M, 1). Its turn sequence, CARE_TURNS,
 # turns the two triples on adjacent slots in place, with no gather.
-# Maps are built for every (token, band), components first, and applied to
+# Maps are built for every (token, band), phases first, and applied to
 # every batch row; on a grid, block_maps takes the trig once per column
 # (angle_x) and row (angle_y) and the elementwise steps broadcast them.
 # The inverse maps are formed once per call, before the rows are rotated.
@@ -467,9 +486,9 @@ CARE_INVARIANT_SLOTS = (0, 7)  # scalar, e123
 
 
 def _planar_maps(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
-    phase = np.empty(angles_x.shape, dtype=np.complex128)  # p_y does not contribute
-    np.cos(angles_x, out=phase.real)
-    np.sin(angles_x, out=phase.imag)
+    phase = np.empty((1,) + angles_x.shape, dtype=np.complex128)  # p_y does not contribute
+    np.cos(angles_x, out=phase.real[0, ...])
+    np.sin(angles_x, out=phase.imag[0, ...])
     return phase
 
 
@@ -599,19 +618,19 @@ def _care_phases(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
     )
 
 
-def _turn_pair(phase, src, dst) -> None:
-    """dst = phase src, the pair carriers (x, y) viewed as complex128
-    numbers x + i y."""
-    np.multiply(src.view(np.complex128)[..., 0], phase, out=dst.view(np.complex128)[..., 0])
+def _turn_steps(turns, maps, width: int, contiguous: bool) -> tuple:
+    """The steps of the sequence ``turns`` for ``maps`` and carriers of
+    ``width`` slots, formed once per call, each as (first, end, pick,
+    factor): the step's pairs are dst[..., first:end] viewed as complex128
+    numbers, indexed by ``pick`` (0 for one pair, a stride for several),
+    and ``factor`` is their phase, stacked on a last axis for several
+    pairs. A conjugate row is formed once.
 
-
-def _turn_steps(turns, maps) -> list:
-    """The steps of the sequence ``turns`` for ``maps``, formed once per
-    call, each as (first, end, pick, factor): the step's pairs are
-    dst[..., first:end] viewed as complex128 numbers, indexed by ``pick``
-    (0 for one pair, a stride for several), and ``factor`` is their phase,
-    stacked on a last axis for several pairs. A conjugate row is formed
-    once."""
+    Returns (lead, steps). When every src will be C-contiguous float64
+    (``contiguous``) and the first step turns every slot, as rope1d's one
+    pair does, ``lead`` is that step's (pick, factor), taken from src
+    straight into dst, and ``steps`` the rest; otherwise ``lead`` is None
+    and src is copied first."""
     conjugates = {}
 
     def phase(ref):
@@ -632,15 +651,24 @@ def _turn_steps(turns, maps) -> list:
             pick = slice(None, None, (step[1][0] - first) // 2)
             factor = np.stack([phase(ref) for _, ref in step], axis=-1)
             steps.append((first, step[-1][0] + 2, pick, factor))
-    return steps
+    first, end, pick, factor = steps[0]
+    if contiguous and first == 0 and end == width == 2 * len(turns[0]):
+        return (pick, factor), steps[1:]
+    return None, steps
 
 
-def _turn_sequence(steps, src, dst) -> None:
-    """dst = src turned by ``_turn_steps``' steps in order. Every slot of
-    src, turned or not, is copied into dst first, and each step is one
-    in-place multiply of its pairs there. dst's last axis is contiguous
-    float64; src, only read, may be any real array that broadcasts to dst."""
-    np.copyto(dst, src)
+def _turn_sequence(lead, steps, src, dst) -> None:
+    """dst = src turned by ``_turn_steps``' lead and steps in order. A
+    ``lead`` step multiplies src's pairs into dst in one pass; without
+    one, every slot of src is copied into dst first. Each other step is
+    one in-place multiply of its pairs there. dst is C-contiguous float64;
+    src, only read, is C-contiguous float64 for a lead and otherwise may
+    be any real array; it broadcasts to dst."""
+    if lead is None:
+        np.copyto(dst, src)
+    else:
+        pick, factor = lead
+        np.multiply(src.view(np.complex128)[..., pick], factor, out=dst.view(np.complex128)[..., pick])
     for first, end, pick, factor in steps:
         pairs = dst[..., first:end].view(np.complex128)[..., pick]
         np.multiply(pairs, factor, out=pairs)
@@ -649,7 +677,9 @@ def _turn_sequence(steps, src, dst) -> None:
 # A turn sequence lists its steps in order. A step gives the (k, phase) of
 # each slot pair (k, k + 1) it multiplies in one call, the pairs equally
 # spaced: phase n is row n of the maps, ~n its conjugate, and a complex
-# number a constant.
+# number a constant. The maps' leading axis holds the phases the steps read.
+# rope1d's one pair (0, 1) by its one phase
+PAIR_TURNS = (((0, 0),),)
 # Rz(gamma) on (0, 1), then Rx(beta) on (1, 2), then Rz(alpha) on (0, 1):
 # a palindrome, so the conjugate phases in reverse order undo it
 EULER_TURNS = (((0, 0),), ((1, 1),), ((0, 2),))
@@ -679,25 +709,27 @@ class Rotation:
     applies its per-(token, band) maps. The layout is stated once, as
     ``groups``, the slot groups each map turns (all of one size), and
     ``copied``, the slots it leaves as they are; ``width`` (the slots
-    covered) is read off it. A pair carrier, the one group (0, 1), takes
-    one complex phase cos + i sin (``map_rank`` 0). Triples take the three
-    Euler phases (rank 1) and are turned by ``turns``, a turn sequence
-    (``EULER_TURNS``, ``CARE_TURNS``).
+    covered) is read off it. Every map is a few complex phases that turn
+    the carrier by ``turns``, a turn sequence (``PAIR_TURNS``,
+    ``EULER_TURNS``, ``CARE_TURNS``): a pair takes its one phase
+    cos + i sin, triples the three Euler phases. ``phases``, the length of
+    the maps' leading axis, is read off the turns.
 
     ``build(angles_x, angles_y, unit_x, unit_y)`` takes resolved angles and
     unit axes that broadcast against them (axes carry a trailing 3) and
-    returns the maps components first: (...) or (3, ...) phases.
-    ``turner(maps)`` gives the function (src, dst) that turns src's
+    returns the maps phases first, (phases, ...). ``turner(maps,
+    contiguous=False)`` gives the function (src, dst) that turns src's
     (..., width) carriers into dst, and forms what every row needs of the
-    maps (conjugate rows, stacked phases) once. A pair phase multiplies
-    src into dst; a turn sequence copies the whole carrier into dst and
-    turns it there, so it reads src only and takes any real src.
-    ``invert(maps)`` gives the conjugate phases, in reverse order for a
-    turn sequence, which mirrors itself. build and the turns trust their
-    inputs (finite angles, unit axes, contiguous float64 carriers):
-    ``block_maps`` and the gradient check pass build angles from
-    ``position_angles`` and unit axes, and ``apply_maps`` and
-    ``rotate_rows`` prove the turns'.
+    maps (conjugate rows, stacked phases) once. It copies the whole carrier
+    into dst and turns it there, so it reads src only and takes any real
+    src; when every src is C-contiguous float64 (``contiguous``) and the
+    first step turns every slot, that step multiplies src into dst
+    instead, in one pass. ``invert(maps)`` gives the conjugate phases in
+    reverse order, which undo the turns, as each sequence mirrors itself.
+    build and the turns trust their inputs (finite angles, unit axes,
+    carriers of the stated layout): ``block_maps`` and the gradient check
+    pass build angles from ``position_angles`` and unit axes, and
+    ``apply_maps`` and ``rotate_rows`` prove the turns'.
     """
 
     groups: tuple[tuple[int, ...], ...]  # slot groups the maps turn
@@ -706,69 +738,75 @@ class Rotation:
     # build takes its trig of angle_x and of angle_y apart, so on a grid it
     # can take (1, columns, bands) and (rows, 1, bands) angles
     separable: bool
+    turns: tuple  # the turn sequence
     copied: tuple[int, ...] = ()  # slots the maps leave as they are
-    turns: tuple = ()  # a triple method's turn sequence
     width: int = field(init=False)  # carrier width: every slot, turned or copied
-    map_rank: int = field(init=False)  # leading component axes of the maps
+    phases: int = field(init=False)  # the maps' leading axis: the phase rows the turns read
 
     def __post_init__(self):
         object.__setattr__(self, "width", sum(map(len, self.groups)) + len(self.copied))
-        object.__setattr__(self, "map_rank", 1 if self.turns else 0)
+        refs = [ref for step in self.turns for _, ref in step if not isinstance(ref, complex)]
+        object.__setattr__(self, "phases", max(ref if ref >= 0 else ~ref for ref in refs) + 1)
 
     def invert(self, maps: np.ndarray) -> np.ndarray:
-        phases = np.conjugate(maps)
-        return phases[::-1] if self.map_rank else phases
+        return np.conjugate(maps)[::-1]
 
-    def turner(self, maps: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
-        if self.turns:
-            return partial(_turn_sequence, _turn_steps(self.turns, maps))
-        return partial(_turn_pair, maps)
+    def turner(self, maps: np.ndarray, contiguous: bool = False) -> Callable[[np.ndarray, np.ndarray], None]:
+        return partial(_turn_sequence, *_turn_steps(self.turns, maps, self.width, contiguous))
 
 
 ROTATIONS = {  # in the order METHODS lists and reports them
-    "rope1d": Rotation(((0, 1),), 0, _planar_maps, True),
+    "rope1d": Rotation(((0, 1),), 0, _planar_maps, True, PAIR_TURNS),
     # mixed turns by the sum angle_x + angle_y, one trig argument per token
-    "mixed": Rotation(((0, 1, 2),), 1, _mixed_phases, False, turns=EULER_TURNS),
-    "spherical": Rotation(((0, 1, 2),), 0, _spherical_phases, True, turns=EULER_TURNS),
-    "quatro": Rotation(((0, 1, 2),), 2, _quatro_phases, True, turns=EULER_TURNS),
+    "mixed": Rotation(((0, 1, 2),), 1, _mixed_phases, False, EULER_TURNS),
+    "spherical": Rotation(((0, 1, 2),), 0, _spherical_phases, True, EULER_TURNS),
+    "quatro": Rotation(((0, 1, 2),), 2, _quatro_phases, True, EULER_TURNS),
     "care": Rotation(
-        (CARE_VECTOR_SLOTS, CARE_BIVECTOR_SLOTS), 2, _care_phases, True, CARE_INVARIANT_SLOTS, CARE_TURNS
+        (CARE_VECTOR_SLOTS, CARE_BIVECTOR_SLOTS), 2, _care_phases, True, CARE_TURNS, CARE_INVARIANT_SLOTS
     ),
 }
 METHODS = tuple(ROTATIONS)
 METHOD_WIDTHS = {tag: rotation.width for tag, rotation in ROTATIONS.items()}  # perfbench reads it
 
 
-def _require_map_kind(tag: str, rotation: Rotation, maps: np.ndarray) -> None:
-    """Maps of ``rotation``'s kind, by their attributes alone: complex128
-    phases (rank 0), with a leading axis of the three Euler phases for a
-    turn sequence (rank 1). Maps of another method of the same kind pass,
-    as they rotate the same carriers: the phases of any triple method, care
-    among them, turn the triples of any other."""
+def _require_map_kind(tag: str, rotation: Rotation, maps) -> None:
+    """Maps of ``rotation``'s kind, by their attributes alone: a complex128
+    numpy array with a leading axis of its phases (1 for a pair, 3 for
+    triples). Maps of another method of the same kind pass, as they rotate
+    the same carriers: the phases of any triple method, care among them,
+    turn the triples of any other."""
+    if not isinstance(maps, np.ndarray):
+        raise ValueError(f"{tag} maps must be a numpy array, not {type(maps).__name__}")
     if maps.dtype != np.complex128:
         raise ValueError(f"{tag} maps must be complex128, not {maps.dtype}")
-    if rotation.map_rank and maps.shape[:1] != (3,):
-        raise ValueError(f"{tag} maps need a leading axis of 3 turns, got shape {maps.shape}")
+    if maps.shape[:1] != (rotation.phases,):
+        raise ValueError(
+            f"{tag} maps need a leading phase axis of length {rotation.phases}, got shape {maps.shape}"
+        )
 
 
 def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
     """Rotate (..., width) real carriers by maps of the method's kind
-    (phases, or phases with a leading turn axis; ``_require_map_kind``)
-    whose per-map shape broadcasts against v's leading axes; complex
-    carriers raise, named. For the inverse rotation pass
+    (phases first; ``_require_map_kind``) whose per-map shape broadcasts
+    against v's leading axes; complex carriers raise, named, and so do
+    maps and carriers that do not broadcast. For the inverse rotation pass
     ``ROTATIONS[tag].invert(maps)``."""
     rotation = ROTATIONS.get(tag)
     if rotation is None:
         raise ValueError(f"unknown encoding method {tag!r}")
     _require_map_kind(tag, rotation, maps)
-    # C order: rope1d views each (x, y) as one complex
-    v = np.asarray(_real_float64(v, f"{tag} carriers"), order="C")
+    v = _real_float64(v, f"{tag} carriers")
     width = rotation.width
     if v.shape[-1:] != (width,):
         raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
-    lead = np.broadcast_shapes(maps.shape[rotation.map_rank :], v.shape[:-1])
+    try:
+        lead = np.broadcast_shapes(maps.shape[1:], v.shape[:-1])
+    except ValueError:
+        raise ValueError(
+            f"{tag} maps of shape {maps.shape} do not broadcast against carriers of shape {v.shape}"
+        ) from None
     out = np.empty(lead + (width,))
-    rotation.turner(maps)(v, out)
+    rotation.turner(maps, v.flags.c_contiguous)(v, out)
     return out
 
 
@@ -801,9 +839,10 @@ def _grid_shape(pos: np.ndarray) -> tuple[int, int] | None:
 
 def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     """Maps of ``method`` for every (token, band) at (tokens, 2) positions,
-    components first; ``rotate_rows`` applies them to any block at those
-    positions. Positions of any other shape raise, and so do complex
-    positions and angles that overflow float64 (``position_angles``).
+    complex128 (phases, tokens, bands); ``rotate_rows`` applies them to
+    any block at those positions. Positions of any other shape raise, and
+    so do complex positions and angles that overflow float64
+    (``position_angles``).
 
     On a row-major grid, proven once on the positions' bits, a separable
     method takes its trig once per column and row: angle_x comes from the
@@ -824,17 +863,18 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     # non-finite angle raises with the per-token message
     ax, ay = token_band_angles(method, np.concatenate([pos[:columns], pos[::columns]]))
     maps = rotation.build(ax[None, :columns], ay[columns:, None], *axes)
-    full = maps.shape[: rotation.map_rank] + (rows, columns, ax.shape[1])
+    full = maps.shape[:1] + (rows, columns, ax.shape[1])
     if maps.shape != full:  # rope1d's phase is one row, repeated by the copying reshape
         maps = np.broadcast_to(maps, full)
-    return maps.reshape(full[:-3] + (len(pos), full[-1]))
+    return maps.reshape(full[0], len(pos), full[-1])
 
 
 def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Rotate every sub-vector of (batch, tokens, head_dim) ``data`` by
     its (token, band) map from ``block_maps`` into a new array of
     ``data``'s dtype; ``inverse=True`` applies the inverse maps. Maps of
-    another kind raise (``apply_maps``' test of dtype and turn axis).
+    another kind raise (``_require_map_kind``' test of type, dtype and
+    phase axis), and so do maps that do not cover the block.
     ``data`` is only read: every turn lands in the output or a scratch.
 
     head_dim splits into floor(head_dim / width) contiguous sub-vectors;
@@ -842,8 +882,10 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     or float64 and is rotated in float64 one batch row at a time, each row
     cast back to ``data``'s dtype. A float64 row without pass-through dims
     is rotated straight into the output, and any other row through an
-    interleaved float64 scratch, allocated once per call; a turn sequence
-    copies or casts the input row there and turns it in place.
+    interleaved float64 scratch, allocated once per call. The input row is
+    copied or cast there and turned in place, except that a sequence whose
+    first step turns every slot (rope1d's) multiplies the rows of a
+    C-contiguous float64 block straight into the output.
 
     Each row is checked once, on the values written: the maps are
     orthogonal, so a rotated value is non-finite only if an input value
@@ -868,12 +910,11 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
         )
     rotation = ROTATIONS[method.tag]
     _require_map_kind(method.tag, rotation, maps)
-    if maps.shape[rotation.map_rank :] != (tokens, bands):
+    if maps.shape[1:] != (tokens, bands):
         raise ValueError(
             f"maps of shape {maps.shape} do not cover {tokens} tokens x {bands} bands"
         )
     out = np.empty(data.shape, data.dtype)
-    turn = rotation.turner(rotation.invert(maps) if inverse else maps)
     body = bands * method.width
     if remainder:
         rest = data[:, :, body:]
@@ -883,18 +924,17 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     # One batch row at a time keeps the temporaries cache-sized. A complex
     # view needs a contiguous float64 carrier, so a row goes straight into
     # a float64 out without pass-through dims and otherwise through a
-    # float64 scratch, cast on the copy.
+    # float64 scratch, cast on the copy. The turner reads rows of a
+    # C-contiguous float64 block in place.
     carriers = (tokens, bands, method.width)
     narrow = data.dtype == np.float32
     direct = not (narrow or remainder)
     scratch = None if direct else np.empty(carriers)
+    turn = rotation.turner(rotation.invert(maps) if inverse else maps, direct and data.flags.c_contiguous)
     with np.errstate(over="ignore", invalid="ignore"):  # a failed row is named below
         for c in range(batch):
-            row = data[c, :, :body].reshape(carriers)
-            if not rotation.turns:  # a turn sequence copies any real row into dst itself
-                row = np.ascontiguousarray(row, dtype=np.float64)
             dst = out[c].reshape(carriers) if direct else scratch
-            turn(row, dst)
+            turn(data[c, :, :body].reshape(carriers), dst)
             if not direct:
                 np.copyto(out[c, :, :body].reshape(carriers), scratch)
             if not np.isfinite(out[c, :, :body] if narrow else dst).all():

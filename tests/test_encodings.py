@@ -276,7 +276,7 @@ class TestRefusals:
             (lambda: _rope1d_rows(np.zeros((1, 3, 1)), 3), "head_dim 1 is below the sub-vector width 2"),
             (
                 lambda: _rope1d_rows(np.zeros((1, 3, 4)), 2),
-                "maps of shape (2, 2) do not cover 3 tokens x 2 bands",
+                "maps of shape (1, 2, 2) do not cover 3 tokens x 2 bands",
             ),
             (
                 lambda: _rows_with_maps("rope1d", np.full((3, 3), 0.5)),
@@ -292,7 +292,7 @@ class TestRefusals:
             ),
             (
                 lambda: enc.apply_maps("care", np.ones(2, dtype=np.complex128), np.ones(8)),
-                "care maps need a leading axis of 3 turns, got shape (2,)",
+                "care maps need a leading phase axis of length 3, got shape (2,)",
             ),
             (lambda: _rows_with_maps("mixed", _MATRICES), "mixed maps must be complex128, not float64"),
             (
@@ -344,11 +344,11 @@ class TestRefusals:
             ),
             (
                 lambda: _rows_with_maps("quatro", np.ones((2, 3, 2), dtype=np.complex128)),
-                "quatro maps need a leading axis of 3 turns, got shape (2, 3, 2)",
+                "quatro maps need a leading phase axis of length 3, got shape (2, 3, 2)",
             ),
             (
                 lambda: enc.apply_maps("spherical", np.ones(5, dtype=np.complex128), np.ones(3)),
-                "spherical maps need a leading axis of 3 turns, got shape (5,)",
+                "spherical maps need a leading phase axis of length 3, got shape (5,)",
             ),
             (
                 lambda: commutator_norm(_SPHERICAL_6, (0, 0), (1, 1), band=1.5),
@@ -442,6 +442,67 @@ class TestRefusals:
             (lambda: cl3.mv8_reverse(np.ones(1)), "Cl(3,0) operands need a trailing axis of 8, got shape (1,)"),
             (lambda: Algebra(3).grade_project(np.ones(8), 1.5), "grade must be an integer, got 1.5"),
             (lambda: Algebra(3).grade_project(np.ones(8), True), "grade must be an integer, got True"),
+            (
+                lambda: enc.apply_maps("rope1d", np.ones((3, 2), complex), np.ones((2, 2))),
+                "rope1d maps need a leading phase axis of length 1, got shape (3, 2)",
+            ),
+            (
+                lambda: _rows_with_maps("quatro", np.ones((3, 3, 2), complex).tolist()),
+                "quatro maps must be a numpy array, not list",
+            ),
+            (
+                lambda: enc.apply_maps("quatro", np.ones((3, 3, 2), complex).tolist(), np.ones(3)),
+                "quatro maps must be a numpy array, not list",
+            ),
+            (
+                lambda: enc.apply_maps("quatro", np.ones((3, 4, 2), complex), np.ones((3, 3))),
+                "quatro maps of shape (3, 4, 2) do not broadcast against carriers of shape (3, 3)",
+            ),
+            (lambda: enc.as_axes(np.array([1j, 0, 0])), "rotation axes must be real, not complex128"),
+            (lambda: enc.unit_axis(np.array([1j, 1, 0])), "rotation axes must be real, not complex128"),
+            (
+                lambda: enc.grade1_rotation_axis(np.array([1j, 0, 0])),
+                "rotation axes must be real, not complex128",
+            ),
+            (
+                lambda: enc.AxisParams(np.full((2, 3), 1j), np.ones((2, 3))),
+                "axes_x must be real, not complex128",
+            ),
+            (lambda: quat_rotor(np.array([1j, 0, 0]), 0.3), "rotation axes must be real, not complex128"),
+            (
+                lambda: enc.position_angles(np.array([1j, 0]), 1.0, 1.0, 1.0),
+                "positions must be real, not complex128",
+            ),
+            (
+                lambda: enc.position_angles(np.ones((4, 2)), 1j, 1.0, 1.0),
+                "band angles must be real, not complex128",
+            ),
+            (
+                lambda: cl3.ORACLES["quatro"](np.full(3, 1j), 0.1, 0.2, _E3, _E3),
+                "quatro carriers must be real, not complex128",
+            ),
+            (
+                lambda: cl3.care_apply(np.full(8, 1j), 0.1, 0.2, _E3, _E3),
+                "care carriers must be real, not complex128",
+            ),
+            (
+                lambda: enc.EncodingMethod.configure("quatro", 6, axes_x=[1j, 0, 0]),
+                "axes_x must be real, not complex128",
+            ),
+            (
+                lambda: enc.position_angles(np.ones((4, 3)), 1.0, 1.0, 1.0),
+                "positions need a trailing axis of 2, got shape (4, 3)",
+            ),
+            (
+                lambda: enc.position_angles(np.ones((4, 2)), 1.0, "a", 1.0),
+                "scale_x must be a real number, got 'a'",
+            ),
+            (lambda: enc.grid_positions(2, 2, origin=(np.nan, 0)), "origin p_x must be finite, got nan"),
+            (lambda: enc.grid_positions(2, 2, origin=(0, np.inf)), "origin p_y must be finite, got inf"),
+            (
+                lambda: enc.grid_positions(2, 2, origin=("a", "b")),
+                "origin p_x must be a real number, got 'a'",
+            ),
         ],
         ids=[
             "axis_params_shape",
@@ -511,6 +572,25 @@ class TestRefusals:
             "mv8_reverse_one_wide",
             "grade_project_fractional_grade",
             "grade_project_bool_grade",
+            "apply_maps_three_phases_for_rope1d",
+            "rows_list_maps",
+            "apply_maps_list_maps",
+            "apply_maps_maps_and_carriers_do_not_broadcast",
+            "as_axes_complex",
+            "unit_axis_complex",
+            "grade1_axis_complex",
+            "axis_params_complex",
+            "quat_rotor_complex_axis",
+            "position_angles_complex_positions",
+            "position_angles_complex_band_angles",
+            "quatro_oracle_complex_carriers",
+            "care_apply_complex_carriers",
+            "configure_complex_axis",
+            "position_angles_three_wide",
+            "position_angles_string_scale",
+            "grid_nan_origin",
+            "grid_inf_origin",
+            "grid_string_origin",
         ],
     )
     def test_refusal_names_its_cause(self, call, message):
@@ -542,7 +622,7 @@ class TestRefusals:
     def test_block_maps_accepts_no_tokens(self, tag):
         method = enc.EncodingMethod.configure(tag, 24)
         maps = enc.block_maps(method, np.zeros((0, 2)))
-        assert maps.shape[enc.ROTATIONS[tag].map_rank :] == (0, method.schedule.num_bands)
+        assert maps.shape == (enc.ROTATIONS[tag].phases, 0, method.schedule.num_bands)
 
     # a non-finite coordinate is refused at position_angles, the way in for angles
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -592,25 +672,31 @@ class TestMethodTable:
     @pytest.mark.parametrize("tag", enc.METHODS)
     def test_carrier_layout_is_stated_once(self, tag):
         # the turned groups and the copied slots cover the carrier once each;
-        # the groups' one size gives the map kind: a pair one phase, triples
-        # the three Euler phases and a turn sequence
+        # every method turns by a sequence, and its phase count is the one
+        # the groups' size asks for: a pair one phase, triples the three
+        # Euler phases
         rotation = enc.ROTATIONS[tag]
         slots = [k for group in rotation.groups for k in group] + list(rotation.copied)
         assert sorted(slots) == list(range(rotation.width))
         assert enc.METHOD_WIDTHS[tag] == rotation.width == len(slots)
         sizes = {len(group) for group in rotation.groups}
         assert sizes in ({2}, {3})
-        assert rotation.map_rank == (0 if sizes == {2} else 1) == (1 if rotation.turns else 0)
-        if rotation.map_rank == 0:  # the phase turns the carrier, one complex number
+        assert rotation.phases == (1 if sizes == {2} else 3)
+        if rotation.phases == 1:  # the phase turns the carrier, one complex number
             assert rotation.groups == ((0, 1),) and rotation.copied == ()
+            assert rotation.turns == enc.PAIR_TURNS
+        refs = [ref for step in rotation.turns for _, ref in step if not isinstance(ref, complex)]
+        assert {ref if ref >= 0 else ~ref for ref in refs} == set(range(rotation.phases))  # every phase row is read
         for step in rotation.turns:  # equally spaced slot pairs (k, k + 1) of the carrier
             firsts = [k for k, _ in step]
             assert all(0 <= k <= rotation.width - 2 for k in firsts)
             assert len({b - a for a, b in zip(firsts, firsts[1:])}) <= 1
             assert all((b - a) % 2 == 0 and b - a >= 2 for a, b in zip(firsts, firsts[1:]))
 
+        last = rotation.phases - 1
+
         def mirrored(ref):  # the same turn in the conjugate phases in reverse order
-            return ref.conjugate() if isinstance(ref, complex) else 2 - ref if ref >= 0 else ~(2 - ~ref)
+            return ref.conjugate() if isinstance(ref, complex) else last - ref if ref >= 0 else ~(last - ~ref)
 
         # read backwards with mirrored phases, a sequence has the same steps
         # (care's two Rx steps commute), so invert may reverse the phases
@@ -1031,6 +1117,49 @@ class TestRotateRows:
             assert np.array_equal(got[..., body:], data[..., body:])
             again = enc.rotate_rows(data, method, maps, inverse)
             assert np.array_equal(again, got) and not np.shares_memory(again, got)
+
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    def test_both_turn_routes_give_the_same_bits(self, tag):
+        # a sequence whose first step turns every slot (rope1d's) multiplies
+        # a C-contiguous float64 src straight into dst; any other src is
+        # copied into dst and turned there. Both routes give the same bits,
+        # through the turner and through every entry that picks a route.
+        draw = np.random.default_rng(4404)  # apart from rng, so the later tests draw what they drew before
+        rotation = enc.ROTATIONS[tag]
+        width, bands = rotation.width, 5
+        axes_x = draw.standard_normal(3) if rotation.free_axes else None
+        axes_y = draw.standard_normal(3) if rotation.free_axes == 2 else None
+        method, padded = (
+            enc.EncodingMethod.configure(tag, head_dim, axes_x=axes_x, axes_y=axes_y)
+            for head_dim in (bands * width, bands * width + 1)
+        )
+        maps = enc.block_maps(method, self.POS)
+        lead, _ = enc._turn_steps(rotation.turns, maps, width, True)
+        assert (lead is not None) == (tag == "rope1d")
+        data = draw.standard_normal((3, len(self.POS), bands * width))
+        carriers = data.reshape(3, len(self.POS), bands, width)
+        v = draw.standard_normal((bands, width))  # broadcasts against every token's maps
+        strided = np.empty((bands, 2 * width))[:, ::2]
+        strided[...] = v
+        for inverse in (False, True):
+            phases = rotation.invert(maps) if inverse else maps
+            copied, read = np.empty(carriers.shape), np.empty(carriers.shape)
+            rotation.turner(phases)(carriers, copied)
+            rotation.turner(phases, True)(carriers, read)
+            assert np.array_equal(read, copied)
+            # C-contiguous float64 rows against float32 rows and rows with a pass-through dim
+            wide = enc.rotate_rows(data, method, maps, inverse)
+            assert np.array_equal(wide, copied.reshape(data.shape))
+            narrow = data.astype(np.float32)
+            want = enc.rotate_rows(narrow.astype(np.float64), method, maps, inverse).astype(np.float32)
+            assert np.array_equal(enc.rotate_rows(narrow, method, maps, inverse), want)
+            rest = draw.standard_normal((3, len(self.POS), 1))
+            got = enc.rotate_rows(np.concatenate([data, rest], axis=-1), padded, maps, inverse)
+            assert np.array_equal(got[..., :-1], wide) and np.array_equal(got[..., -1:], rest)
+            # carriers that broadcast in apply_maps, contiguous and strided
+            got = enc.apply_maps(tag, phases, v)
+            assert np.array_equal(got, enc.apply_maps(tag, phases, strided))
+            assert got.shape == (len(self.POS), bands, width)
 
     @staticmethod
     def bad_slots(tag, head_dim):
@@ -1511,15 +1640,16 @@ class TestComplexPhase:
     def test_phase_is_unit(self):
         method = self.method(64)
         phase = enc.block_maps(method, enc.grid_positions(32, 32, origin=(7.0, -3.0)))
-        assert phase.dtype == np.complex128 and phase.shape == (1024, 32)
-        assert enc.ROTATIONS["rope1d"].map_rank == 0
+        assert phase.dtype == np.complex128 and phase.shape == (1, 1024, 32)
+        assert enc.ROTATIONS["rope1d"].phases == 1
         assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
 
     def test_phase_components_are_cos_and_sin(self):
         angles = rng.uniform(-100.0, 100.0, (5, 4))
         phase = enc.ROTATIONS["rope1d"].build(angles, np.zeros_like(angles), None, None)
-        assert np.array_equal(phase.real, np.cos(angles))
-        assert np.array_equal(phase.imag, np.sin(angles))
+        assert phase.shape == (1, 5, 4)
+        assert np.array_equal(phase.real[0], np.cos(angles))
+        assert np.array_equal(phase.imag[0], np.sin(angles))
 
     def test_commutator_norm_is_zero(self):
         from garope import attention as att
