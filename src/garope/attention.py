@@ -19,6 +19,7 @@ from .encodings import (
     EncodingMethod,
     TokenBlock,
     _read_only,
+    _real_float64,
     apply_maps,
     block_maps,
     require_integer,
@@ -90,7 +91,7 @@ def score_matrix(
 
 def shift_positions(block: TokenBlock, shift) -> TokenBlock:
     """Same data, every position moved by one common 2D offset."""
-    shift = np.asarray(shift, dtype=np.float64)
+    shift = _real_float64(shift, "shift")
     if shift.shape != (2,):
         raise ValueError("shift must be a 2-vector")
     return TokenBlock(data=block.data, positions=block.positions + shift)
@@ -124,7 +125,7 @@ def _unit_directions(width: int) -> np.ndarray:
 
 
 def _finite_position(p, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
+    p = _real_float64(p, name)
     if p.shape != (2,) or not np.all(np.isfinite(p)):
         raise ValueError(f"{name} must be a finite 2-vector")
     return p

@@ -66,13 +66,6 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _as_mv8(a) -> np.ndarray:
-    arr = _real_float64(a, "mv8 values")
-    if arr.shape[-1:] != (8,):
-        raise ValueError(f"mv8 values need a trailing axis of 8, got shape {arr.shape}")
-    return arr
-
-
 def mv8_from_quaternion(q) -> np.ndarray:
     """mv8 slots of quaternions (..., 4): ``even_cl3_coeffs`` with the e31 flip."""
     return even_cl3_coeffs(q) * _SLOT_ORIENTATION
@@ -81,8 +74,8 @@ def mv8_from_quaternion(q) -> np.ndarray:
 def mv8_product(a, b) -> np.ndarray:
     """Geometric product of mv8 arrays with shape (..., 8), broadcasting:
     the generic engine's product with slot 5 flipped in and out."""
-    a = _as_mv8(a) * _SLOT_ORIENTATION
-    b = _as_mv8(b) * _SLOT_ORIENTATION
+    a = _real_float64(a, "mv8 values", 8) * _SLOT_ORIENTATION
+    b = _real_float64(b, "mv8 values", 8) * _SLOT_ORIENTATION
     return Algebra(3).gp(a, b) * _SLOT_ORIENTATION
 
 
@@ -103,7 +96,7 @@ def mv8_rotor_sandwich(rotor, a) -> np.ndarray:
     central in Cl(3,0)); the products recompute them anyway and tests pin
     the pass-through to round-off.
     """
-    rotor = _as_mv8(rotor)
+    rotor = _real_float64(rotor, "mv8 values", 8)
     _validate_rotor(rotor)
     return mv8_product(mv8_product(rotor, a), mv8_reverse(rotor))
 
@@ -123,25 +116,17 @@ def derive_product_terms() -> tuple[tuple[int, int, int, int], ...]:
 PRODUCT_TERMS = derive_product_terms()
 
 
-def _carriers(v, tag: str, width: int) -> np.ndarray:
-    """``v`` as float64 (..., width) carriers of ``tag``; complex carriers
-    or another trailing axis raise, named. The oracles keep their own
-    widths, apart from ``ROTATIONS``."""
-    v = _real_float64(v, f"{tag} carriers")
-    if v.shape[-1:] != (width,):
-        raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
-    return v
-
-
+# The oracles keep their own carrier widths, apart from ROTATIONS.
 def rope1d_apply(v, angle) -> np.ndarray:
-    v = _carriers(v, "rope1d", 2)
+    v = _real_float64(v, "rope1d carriers", 2)
+    angle = _real_float64(angle, "angles")
     c, s = np.cos(angle), np.sin(angle)
     return np.stack([c * v[..., 0] - s * v[..., 1], s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
 def spherical_apply(v, angle_x, angle_y) -> np.ndarray:
     """Two rope1d_apply turns: the xy-plane by angle_y, then the yz-plane by angle_x."""
-    v = _carriers(v, "spherical", 3)
+    v = _real_float64(v, "spherical carriers", 3)
     lead = np.broadcast_shapes(v.shape[:-1], np.shape(angle_x), np.shape(angle_y))
     out = np.array(np.broadcast_to(v, lead + (3,)))
     out[..., 0:2] = rope1d_apply(out[..., 0:2], angle_y)
@@ -150,15 +135,15 @@ def spherical_apply(v, angle_x, angle_y) -> np.ndarray:
 
 
 def quatro_apply(v, angle_x, angle_y, unit_x, unit_y) -> np.ndarray:
-    v = _carriers(v, "quatro", 3)
+    v = _real_float64(v, "quatro carriers", 3)
     rotor = hamilton_product(quat_rotor(unit_x, angle_x / 2.0), quat_rotor(unit_y, angle_y / 2.0))
     return quat_sandwich(rotor, v)
 
 
 def mixed_apply(v, angle, unit) -> np.ndarray:
     u = require_unit_axis(unit)
-    v = _carriers(v, "mixed", 3)
-    angle = np.asarray(angle, dtype=np.float64)[..., None]  # one angle per carrier
+    v = _real_float64(v, "mixed carriers", 3)
+    angle = _real_float64(angle, "angles")[..., None]  # one angle per carrier
     c, s = np.cos(angle), np.sin(angle)
     return c * v + s * np.cross(u, v) + (1.0 - c) * np.sum(u * v, axis=-1, keepdims=True) * u
 
@@ -178,8 +163,8 @@ def mv8_rotor(unit, half_angle) -> np.ndarray:
 
 def care_apply(m, angle_x, angle_y, unit_x, unit_y) -> np.ndarray:
     m = _real_float64(m, "care carriers")
-    rx = mv8_rotor(unit_x, np.asarray(angle_x) / 2.0)
-    ry = mv8_rotor(unit_y, np.asarray(angle_y) / 2.0)
+    rx = mv8_rotor(unit_x, _real_float64(angle_x, "angles") / 2.0)
+    ry = mv8_rotor(unit_y, _real_float64(angle_y, "angles") / 2.0)
     out = mv8_rotor_sandwich(mv8_product(ry, rx), m)
     # scalar and e123 commute with every rotor, so these channels are
     # exactly invariant; copy them through instead of keeping the

@@ -88,10 +88,7 @@ def _axis_norms(axis: np.ndarray, what: str, degenerate: str) -> np.ndarray:
 def as_axes(axis) -> np.ndarray:
     """(..., 3) rotation axes as float64; complex axes or any other
     trailing axis raise, named."""
-    axis = _real_float64(axis, "rotation axes")
-    if axis.shape[-1:] != (3,):
-        raise ValueError(f"rotation axes need a trailing axis of 3, got shape {axis.shape}")
-    return axis
+    return _real_float64(axis, "rotation axes", 3)
 
 
 def unit_axis(axis) -> np.ndarray:
@@ -278,13 +275,17 @@ def _per_band(axes, num_bands: int, name: str) -> np.ndarray:
     return arr
 
 
-def _real_float64(values, name: str) -> np.ndarray:
+def _real_float64(values, name: str, width: int | None = None) -> np.ndarray:
     """Real ``values`` as float64. Complex values raise, named, rather than
-    losing their imaginary part in the cast."""
+    losing their imaginary part in the cast, and so does a last axis other
+    than ``width`` when one is given."""
     arr = np.asarray(values)
     if arr.dtype.kind == "c":
         raise ValueError(f"{name} must be real, not {arr.dtype}")
-    return np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype=np.float64)
+    if width is not None and arr.shape[-1:] != (width,):
+        raise ValueError(f"{name} need a trailing axis of {width}, got shape {arr.shape}")
+    return arr
 
 
 def _read_only(values, name: str) -> np.ndarray:
@@ -296,6 +297,15 @@ def _read_only(values, name: str) -> np.ndarray:
         arr = arr.view()
         arr.flags.writeable = False
     return arr
+
+
+def _token_positions(positions) -> np.ndarray:
+    """(tokens, 2) real positions as float64; complex positions or any
+    other shape raise, named."""
+    pos = _real_float64(positions, "positions")
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions must be (tokens, 2), got shape {pos.shape}")
+    return pos
 
 
 @dataclass(frozen=True)
@@ -359,8 +369,9 @@ def grid_positions(grid_h: int, grid_w: int, origin=(0.0, 0.0)) -> np.ndarray:
 
 
 def random_block(batch: int, head_dim: int, positions, seed: int) -> TokenBlock:
-    """Standard-normal block with fixed positions, reproducible by seed."""
-    positions = np.asarray(positions, dtype=np.float64)
+    """Standard-normal block with fixed positions, reproducible by seed;
+    positions that are not (tokens, 2), or complex ones, raise, named."""
+    positions = _token_positions(positions)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((batch, positions.shape[0], head_dim))
     return TokenBlock(data=data, positions=positions)
@@ -380,9 +391,7 @@ def position_angles(p, theta, scale_x: float, scale_y: float) -> tuple[np.ndarra
     position beyond float64's range). Complex positions or band angles,
     positions whose last axis is not 2 and scales that are not real
     numbers raise, named."""
-    p = _real_float64(p, "positions")
-    if p.shape[-1:] != (2,):
-        raise ValueError(f"positions need a trailing axis of 2, got shape {p.shape}")
+    p = _real_float64(p, "positions", 2)
     theta = _real_float64(theta, "band angles")
     scale_x, scale_y = _real_number(scale_x, "scale_x"), _real_number(scale_y, "scale_y")
     with np.errstate(over="ignore", invalid="ignore"):  # named just below
@@ -401,7 +410,7 @@ def rope1d_rotate(v, p, theta, scale_x: float = 1.0) -> np.ndarray:
     """Planar rotation of a 2-vector by theta (s_x p), p being p_x alone.
     The ``*_rotate`` wrappers are kept only for the benchmark's gates."""
     from .cl3 import rope1d_apply
-    p = np.asarray(p, dtype=np.float64)
+    p = _real_float64(p, "positions")
     angle, _ = position_angles(np.stack([p, np.zeros_like(p)], axis=-1), theta, scale_x, 1.0)
     return rope1d_apply(v, angle)
 
@@ -458,12 +467,10 @@ def care_rotate(
 # that layout once. Every map is complex128 phases, (phases, tokens,
 # bands), and one turn-sequence apply turns every method's carriers.
 # rope1d turns its one pair by the unit complex phase exp(i angle)
-# = cos + i sin (RoFormer's complex form of RoPE), one step that turns
-# every slot, so it multiplies a C-contiguous float64 row straight into
-# the output. The other methods turn each triple as Rz(alpha) Rx(beta)
-# Rz(gamma): three phases e^{i gamma}, e^{i beta}, e^{i alpha}, 48 bytes
-# per map, each an in-place complex multiply on adjacent slot pairs of a
-# contiguous float64 copy of the row.
+# = cos + i sin (RoFormer's complex form of RoPE). The other methods turn
+# each triple as Rz(alpha) Rx(beta) Rz(gamma): three phases e^{i gamma},
+# e^{i beta}, e^{i alpha}, 48 bytes per map, each a complex multiply on
+# adjacent slot pairs of the row (_turn_sequence).
 # mixed, spherical and quatro turn the pairs (0, 1), (1, 2), then (0, 1).
 # spherical's phases are its oracle's two turns and 1; mixed's, quatro's
 # and care's come from their quaternion q (for mixed cos(t/2) + sin(t/2) u)
@@ -618,57 +625,24 @@ def _care_phases(angles_x, angles_y, unit_x, unit_y) -> np.ndarray:
     )
 
 
-def _turn_steps(turns, maps, width: int, contiguous: bool) -> tuple:
-    """The steps of the sequence ``turns`` for ``maps`` and carriers of
-    ``width`` slots, formed once per call, each as (first, end, pick,
-    factor): the step's pairs are dst[..., first:end] viewed as complex128
-    numbers, indexed by ``pick`` (0 for one pair, a stride for several),
-    and ``factor`` is their phase, stacked on a last axis for several
-    pairs. A conjugate row is formed once.
+def _turn_sequence(leads: bool, steps, src, dst) -> None:
+    """dst = src turned by ``steps`` in order. A step (first, end, pick,
+    factor) multiplies the pairs dst[..., first:end], viewed as complex128
+    numbers and indexed by ``pick`` (0 for one pair, a stride for
+    several), by ``factor``. dst is C-contiguous float64; src is only read
+    and may be any real array that broadcasts to dst.
 
-    Returns (lead, steps). When every src will be C-contiguous float64
-    (``contiguous``) and the first step turns every slot, as rope1d's one
-    pair does, ``lead`` is that step's (pick, factor), taken from src
-    straight into dst, and ``steps`` the rest; otherwise ``lead`` is None
-    and src is copied first."""
-    conjugates = {}
-
-    def phase(ref):
-        if isinstance(ref, complex):
-            return ref
-        if ref >= 0:
-            return maps[ref]
-        if ref not in conjugates:
-            conjugates[ref] = np.conjugate(maps[~ref])
-        return conjugates[ref]
-
-    steps = []
-    for step in turns:
-        first = step[0][0]
-        if len(step) == 1:
-            steps.append((first, first + 2, 0, phase(step[0][1])))
-        else:
-            pick = slice(None, None, (step[1][0] - first) // 2)
-            factor = np.stack([phase(ref) for _, ref in step], axis=-1)
-            steps.append((first, step[-1][0] + 2, pick, factor))
-    first, end, pick, factor = steps[0]
-    if contiguous and first == 0 and end == width == 2 * len(turns[0]):
-        return (pick, factor), steps[1:]
-    return None, steps
-
-
-def _turn_sequence(lead, steps, src, dst) -> None:
-    """dst = src turned by ``_turn_steps``' lead and steps in order. A
-    ``lead`` step multiplies src's pairs into dst in one pass; without
-    one, every slot of src is copied into dst first. Each other step is
-    one in-place multiply of its pairs there. dst is C-contiguous float64;
-    src, only read, is C-contiguous float64 for a lead and otherwise may
-    be any real array; it broadcasts to dst."""
-    if lead is None:
-        np.copyto(dst, src)
-    else:
-        pick, factor = lead
+    The route is read off the row. When the first step turns every slot
+    (``leads``: rope1d's one pair) and src is C-contiguous float64, that
+    step multiplies src straight into dst, in one pass. Otherwise every
+    slot of src is copied into dst first, and each step turns dst in
+    place. Both routes give the same bits."""
+    if leads and src.dtype == np.float64 and src.flags.c_contiguous:
+        _, _, pick, factor = steps[0]
         np.multiply(src.view(np.complex128)[..., pick], factor, out=dst.view(np.complex128)[..., pick])
+        steps = steps[1:]
+    else:
+        np.copyto(dst, src)
     for first, end, pick, factor in steps:
         pairs = dst[..., first:end].view(np.complex128)[..., pick]
         np.multiply(pairs, factor, out=pairs)
@@ -677,7 +651,8 @@ def _turn_sequence(lead, steps, src, dst) -> None:
 # A turn sequence lists its steps in order. A step gives the (k, phase) of
 # each slot pair (k, k + 1) it multiplies in one call, the pairs equally
 # spaced: phase n is row n of the maps, ~n its conjugate, and a complex
-# number a constant. The maps' leading axis holds the phases the steps read.
+# number a constant, which turns one pair alone. The maps' leading axis
+# holds the phases the steps read.
 # rope1d's one pair (0, 1) by its one phase
 PAIR_TURNS = (((0, 0),),)
 # Rz(gamma) on (0, 1), then Rx(beta) on (1, 2), then Rz(alpha) on (0, 1):
@@ -712,24 +687,24 @@ class Rotation:
     covered) is read off it. Every map is a few complex phases that turn
     the carrier by ``turns``, a turn sequence (``PAIR_TURNS``,
     ``EULER_TURNS``, ``CARE_TURNS``): a pair takes its one phase
-    cos + i sin, triples the three Euler phases. ``phases``, the length of
-    the maps' leading axis, is read off the turns.
+    cos + i sin, triples the three Euler phases. The turns are read once,
+    here: ``steps`` holds each step's (first, end, pick) and its constant
+    or phase refs, ``reads`` the phase rows and conjugates the steps read,
+    ``phases`` the length of the maps' leading axis, and ``leads`` whether
+    the first step turns every slot.
 
     ``build(angles_x, angles_y, unit_x, unit_y)`` takes resolved angles and
     unit axes that broadcast against them (axes carry a trailing 3) and
-    returns the maps phases first, (phases, ...). ``turner(maps,
-    contiguous=False)`` gives the function (src, dst) that turns src's
-    (..., width) carriers into dst, and forms what every row needs of the
-    maps (conjugate rows, stacked phases) once. It copies the whole carrier
-    into dst and turns it there, so it reads src only and takes any real
-    src; when every src is C-contiguous float64 (``contiguous``) and the
-    first step turns every slot, that step multiplies src into dst
-    instead, in one pass. ``invert(maps)`` gives the conjugate phases in
-    reverse order, which undo the turns, as each sequence mirrors itself.
-    build and the turns trust their inputs (finite angles, unit axes,
-    carriers of the stated layout): ``block_maps`` and the gradient check
-    pass build angles from ``position_angles`` and unit axes, and
-    ``apply_maps`` and ``rotate_rows`` prove the turns'.
+    returns the maps phases first, (phases, ...). ``turner(maps)`` forms
+    each step's factor once (a phase row, a conjugate, care's stacked pair
+    or a constant) and gives the function (src, dst) that turns src's
+    (..., width) carriers into dst (``_turn_sequence``). ``invert(maps)``
+    gives the conjugate phases in reverse order, which undo the turns, as
+    each sequence mirrors itself. build and the turns trust their inputs
+    (finite angles, unit axes, carriers of the stated layout):
+    ``block_maps`` and the gradient check pass build angles from
+    ``position_angles`` and unit axes, and ``apply_maps`` and
+    ``rotate_rows`` prove the turns'.
     """
 
     groups: tuple[tuple[int, ...], ...]  # slot groups the maps turn
@@ -741,18 +716,39 @@ class Rotation:
     turns: tuple  # the turn sequence
     copied: tuple[int, ...] = ()  # slots the maps leave as they are
     width: int = field(init=False)  # carrier width: every slot, turned or copied
-    phases: int = field(init=False)  # the maps' leading axis: the phase rows the turns read
+    steps: tuple = field(init=False)  # per step: its pairs dst[..., first:end][pick], and its constant or refs
+    reads: tuple[int, ...] = field(init=False)  # the phase rows (n) and conjugates (~n) the turns read
+    phases: int = field(init=False)  # the maps' leading axis
+    leads: bool = field(init=False)  # the first step turns every slot
 
     def __post_init__(self):
         object.__setattr__(self, "width", sum(map(len, self.groups)) + len(self.copied))
-        refs = [ref for step in self.turns for _, ref in step if not isinstance(ref, complex)]
-        object.__setattr__(self, "phases", max(ref if ref >= 0 else ~ref for ref in refs) + 1)
+        steps = []
+        for step in self.turns:
+            (first, ref), (last, _) = step[0], step[-1]
+            pick = 0 if len(step) == 1 else slice(None, None, (step[1][0] - first) // 2)
+            refs = ref if isinstance(ref, complex) else tuple(r for _, r in step)
+            steps.append((first, last + 2, pick, refs))
+        reads = sorted({ref for *_, refs in steps if isinstance(refs, tuple) for ref in refs})
+        first, end, _, _ = steps[0]
+        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "reads", tuple(reads))
+        object.__setattr__(self, "phases", max(ref if ref >= 0 else ~ref for ref in reads) + 1)
+        object.__setattr__(self, "leads", first == 0 and end == self.width == 2 * len(self.turns[0]))
 
     def invert(self, maps: np.ndarray) -> np.ndarray:
         return np.conjugate(maps)[::-1]
 
-    def turner(self, maps: np.ndarray, contiguous: bool = False) -> Callable[[np.ndarray, np.ndarray], None]:
-        return partial(_turn_sequence, *_turn_steps(self.turns, maps, self.width, contiguous))
+    def turner(self, maps: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+        rows = {}  # plain loops: comprehensions cost a call each, per turner
+        for ref in self.reads:
+            rows[ref] = maps[ref] if ref >= 0 else np.conjugate(maps[~ref])
+        steps = []
+        for first, end, pick, refs in self.steps:
+            if isinstance(refs, tuple):  # phase rows, stacked for several pairs; a constant stays
+                refs = rows[refs[0]] if len(refs) == 1 else np.stack([rows[ref] for ref in refs], axis=-1)
+            steps.append((first, end, pick, refs))
+        return partial(_turn_sequence, self.leads, steps)
 
 
 ROTATIONS = {  # in the order METHODS lists and reports them
@@ -795,10 +791,8 @@ def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
     if rotation is None:
         raise ValueError(f"unknown encoding method {tag!r}")
     _require_map_kind(tag, rotation, maps)
-    v = _real_float64(v, f"{tag} carriers")
     width = rotation.width
-    if v.shape[-1:] != (width,):
-        raise ValueError(f"{tag} carriers need a trailing axis of {width}, got shape {v.shape}")
+    v = _real_float64(v, f"{tag} carriers", width)
     try:
         lead = np.broadcast_shapes(maps.shape[1:], v.shape[:-1])
     except ValueError:
@@ -806,7 +800,7 @@ def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
             f"{tag} maps of shape {maps.shape} do not broadcast against carriers of shape {v.shape}"
         ) from None
     out = np.empty(lead + (width,))
-    rotation.turner(maps, v.flags.c_contiguous)(v, out)
+    rotation.turner(maps)(v, out)
     return out
 
 
@@ -816,8 +810,9 @@ def apply_maps(tag: str, maps: np.ndarray, v) -> np.ndarray:
 
 def token_band_angles(method: EncodingMethod, positions) -> tuple[np.ndarray, np.ndarray]:
     """(angle_x, angle_y) of ``method`` for every (token, band) at
-    (tokens, 2) positions, each of shape (tokens, bands)."""
-    pos = np.asarray(positions, dtype=np.float64)[:, None, :]  # (tokens, 1, 2)
+    (tokens, 2) positions, each of shape (tokens, bands); positions of any
+    other shape, or complex ones, raise, named."""
+    pos = _token_positions(positions)[:, None, :]  # (tokens, 1, 2)
     return position_angles(pos, method.schedule.band_angles, method.scale_x, method.scale_y)
 
 
@@ -852,9 +847,7 @@ def block_maps(method: EncodingMethod, positions) -> np.ndarray:
     """
     rotation = ROTATIONS[method.tag]
     axes = (None, None) if method.axes is None else (method.axes.unit_x, method.axes.unit_y)
-    pos = _real_float64(positions, "positions")
-    if pos.ndim != 2 or pos.shape[1] != 2:
-        raise ValueError(f"positions must be (tokens, 2), got shape {pos.shape}")
+    pos = _token_positions(positions)
     grid = _grid_shape(pos) if rotation.separable else None
     if grid is None:
         return rotation.build(*token_band_angles(method, pos), *axes)
@@ -882,10 +875,8 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     or float64 and is rotated in float64 one batch row at a time, each row
     cast back to ``data``'s dtype. A float64 row without pass-through dims
     is rotated straight into the output, and any other row through an
-    interleaved float64 scratch, allocated once per call. The input row is
-    copied or cast there and turned in place, except that a sequence whose
-    first step turns every slot (rope1d's) multiplies the rows of a
-    C-contiguous float64 block straight into the output.
+    interleaved float64 scratch, allocated once per call, by the method's
+    ``turner``.
 
     Each row is checked once, on the values written: the maps are
     orthogonal, so a rotated value is non-finite only if an input value
@@ -924,13 +915,12 @@ def rotate_rows(data, method: EncodingMethod, maps: np.ndarray, inverse: bool = 
     # One batch row at a time keeps the temporaries cache-sized. A complex
     # view needs a contiguous float64 carrier, so a row goes straight into
     # a float64 out without pass-through dims and otherwise through a
-    # float64 scratch, cast on the copy. The turner reads rows of a
-    # C-contiguous float64 block in place.
+    # float64 scratch, cast on the copy.
     carriers = (tokens, bands, method.width)
     narrow = data.dtype == np.float32
     direct = not (narrow or remainder)
     scratch = None if direct else np.empty(carriers)
-    turn = rotation.turner(rotation.invert(maps) if inverse else maps, direct and data.flags.c_contiguous)
+    turn = rotation.turner(rotation.invert(maps) if inverse else maps)
     with np.errstate(over="ignore", invalid="ignore"):  # a failed row is named below
         for c in range(batch):
             dst = out[c].reshape(carriers) if direct else scratch

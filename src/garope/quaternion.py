@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encodings import as_axes, require_unit_norm
+from .encodings import _real_float64, as_axes, require_unit_norm
 
 PURE_RESIDUE_TOL = 1e-12  # scalar residue allowed after a sandwich, then truncated
 
@@ -26,8 +26,7 @@ _EVEN_MASKS = (0, 0b011, 0b110, 0b101)
 
 def hamilton_product(p, q) -> np.ndarray:
     """Hamilton product on (..., 4) arrays, broadcasting like numpy."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    p, q = _real_float64(p, "quaternions", 4), _real_float64(q, "quaternions", 4)
     pw, px, py, pz = (p[..., i] for i in range(4))
     qw, qx, qy, qz = (q[..., i] for i in range(4))
     return np.stack(
@@ -42,7 +41,7 @@ def hamilton_product(p, q) -> np.ndarray:
 
 
 def conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
+    q = _real_float64(q, "quaternions", 4)
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
@@ -62,7 +61,7 @@ def quat_rotor(axis, half_angle) -> np.ndarray:
     unit length (see require_unit_axis).
     """
     axis = require_unit_axis(axis)
-    half_angle = np.asarray(half_angle, dtype=np.float64)
+    half_angle = _real_float64(half_angle, "half angles")
     w = np.cos(half_angle)
     xyz = np.sin(half_angle)[..., None] * axis
     return np.concatenate([np.broadcast_to(w[..., None], xyz.shape[:-1] + (1,)), xyz], axis=-1)
@@ -75,8 +74,8 @@ def quat_sandwich(r, v) -> np.ndarray:
     below PURE_RESIDUE_TOL (scaled by |v| above unit magnitude) and then
     dropped so the output is exactly pure.
     """
-    r = np.asarray(r, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    r = _real_float64(r, "quaternion rotors", 4)
+    v = _real_float64(v, "pure quaternions", 3)
     require_unit_norm(np.sum(r * r, axis=-1), "quaternion rotor is not unit norm")
     vq = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
     out = hamilton_product(hamilton_product(r, vq), conjugate(r))
@@ -94,7 +93,7 @@ def even_cl3_coeffs(q) -> np.ndarray:
     Exact coefficient placement (1, i, j, k) -> (1, e12, e23, e13); a
     product homomorphism onto ``Algebra(3).gp``.
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = _real_float64(q, "quaternions", 4)
     coeffs = np.zeros(q.shape[:-1] + (8,))
     coeffs[..., _EVEN_MASKS] = q
     return coeffs

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from garope import bench, cl3
 from garope import encodings as enc
-from garope.attention import AttentionScores, commutator_norm
+from garope.attention import AttentionScores, commutator_norm, shift_positions
 from garope.ga import Algebra
-from garope.quaternion import hamilton_product, quat_rotor, quat_sandwich
+from garope.quaternion import conjugate, even_cl3_coeffs, hamilton_product, quat_rotor, quat_sandwich
 
 rng = np.random.default_rng(31337)
 
@@ -503,6 +503,66 @@ class TestRefusals:
                 lambda: enc.grid_positions(2, 2, origin=("a", "b")),
                 "origin p_x must be a real number, got 'a'",
             ),
+            (lambda: hamilton_product(np.full(4, 1j), np.ones(4)), "quaternions must be real, not complex128"),
+            (
+                lambda: hamilton_product(np.ones(3), np.ones(4)),
+                "quaternions need a trailing axis of 4, got shape (3,)",
+            ),
+            (lambda: conjugate(np.full(4, 1j)), "quaternions must be real, not complex128"),
+            (lambda: even_cl3_coeffs(np.full(4, 1j)), "quaternions must be real, not complex128"),
+            (lambda: quat_rotor(_E3, np.array(0.3j)), "half angles must be real, not complex128"),
+            (
+                lambda: quat_sandwich(np.full(4, 0.5j), np.ones(3)),
+                "quaternion rotors must be real, not complex128",
+            ),
+            (
+                lambda: quat_sandwich(np.array([1.0, 0.0, 0.0, 0.0]), np.full(3, 1j)),
+                "pure quaternions must be real, not complex128",
+            ),
+            (
+                lambda: quat_sandwich(np.array([1.0, 0.0, 0.0, 0.0]), np.ones(4)),
+                "pure quaternions need a trailing axis of 3, got shape (4,)",
+            ),
+            (lambda: cl3.rope1d_apply(np.ones(2), np.array(1j)), "angles must be real, not complex128"),
+            (lambda: cl3.spherical_apply(np.ones(3), 0.1, np.array(0.2j)), "angles must be real, not complex128"),
+            (lambda: cl3.mixed_apply(np.ones(3), np.array(0.1j), _E3), "angles must be real, not complex128"),
+            (
+                lambda: cl3.ORACLES["quatro"](np.ones(3), np.array(0.1j), 0.2, _E3, _E3),
+                "half angles must be real, not complex128",
+            ),
+            (
+                lambda: cl3.care_apply(np.ones(8), 0.1, np.array(0.2j), _E3, _E3),
+                "angles must be real, not complex128",
+            ),
+            (
+                lambda: cl3.rotation_gradient("rope1d", "angle_x", np.ones(2), np.array(1j), 0.0),
+                "angles must be real, not complex128",
+            ),
+            (
+                lambda: shift_positions(enc.random_block(1, 4, enc.grid_positions(1, 2), 0), np.array([1j, 0])),
+                "shift must be real, not complex128",
+            ),
+            (
+                lambda: commutator_norm(_SPHERICAL_6, np.array([1j, 0]), (1, 1)),
+                "p_a must be real, not complex128",
+            ),
+            (
+                lambda: enc.random_block(1, 4, np.zeros((2, 2), complex), 0),
+                "positions must be real, not complex128",
+            ),
+            (
+                lambda: enc.random_block(1, 4, np.zeros(2), 0),
+                "positions must be (tokens, 2), got shape (2,)",
+            ),
+            (
+                lambda: enc.token_band_angles(_SPHERICAL_6, np.zeros((2, 2), complex)),
+                "positions must be real, not complex128",
+            ),
+            (
+                lambda: enc.token_band_angles(_SPHERICAL_6, np.array([1.0, 0.0])),
+                "positions must be (tokens, 2), got shape (2,)",
+            ),
+            (lambda: enc.rope1d_rotate(np.ones(2), np.array(1j), 1.0), "positions must be real, not complex128"),
         ],
         ids=[
             "axis_params_shape",
@@ -591,6 +651,27 @@ class TestRefusals:
             "grid_nan_origin",
             "grid_inf_origin",
             "grid_string_origin",
+            "hamilton_product_complex",
+            "hamilton_product_three_wide",
+            "quat_conjugate_complex",
+            "even_cl3_coeffs_complex",
+            "quat_rotor_complex_half_angle",
+            "quat_sandwich_complex_rotor",
+            "quat_sandwich_complex_vector",
+            "quat_sandwich_four_wide_vector",
+            "rope1d_oracle_complex_angle",
+            "spherical_oracle_complex_angle",
+            "mixed_oracle_complex_angle",
+            "quatro_oracle_complex_angle",
+            "care_oracle_complex_angle",
+            "gradient_complex_angle",
+            "shift_complex",
+            "commutator_complex_position",
+            "random_block_complex_positions",
+            "random_block_flat_positions",
+            "token_band_angles_complex_positions",
+            "token_band_angles_flat_positions",
+            "rope1d_rotate_complex_position",
         ],
     )
     def test_refusal_names_its_cause(self, call, message):
@@ -1120,12 +1201,14 @@ class TestRotateRows:
 
     @pytest.mark.parametrize("tag", enc.METHODS)
     def test_both_turn_routes_give_the_same_bits(self, tag):
-        # a sequence whose first step turns every slot (rope1d's) multiplies
-        # a C-contiguous float64 src straight into dst; any other src is
-        # copied into dst and turned there. Both routes give the same bits,
-        # through the turner and through every entry that picks a route.
+        # the turner reads its route off each src: when the first step
+        # turns every slot (rope1d's alone), a C-contiguous float64 src is
+        # multiplied straight into dst, and any other src is copied into
+        # dst and turned there. Both routes give the same bits, through
+        # the one turner and through every entry that calls it.
         draw = np.random.default_rng(4404)  # apart from rng, so the later tests draw what they drew before
         rotation = enc.ROTATIONS[tag]
+        assert rotation.leads == (tag == "rope1d")
         width, bands = rotation.width, 5
         axes_x = draw.standard_normal(3) if rotation.free_axes else None
         axes_y = draw.standard_normal(3) if rotation.free_axes == 2 else None
@@ -1134,22 +1217,26 @@ class TestRotateRows:
             for head_dim in (bands * width, bands * width + 1)
         )
         maps = enc.block_maps(method, self.POS)
-        lead, _ = enc._turn_steps(rotation.turns, maps, width, True)
-        assert (lead is not None) == (tag == "rope1d")
         data = draw.standard_normal((3, len(self.POS), bands * width))
         carriers = data.reshape(3, len(self.POS), bands, width)
+        strided_carriers = np.empty(carriers.shape[:-1] + (2 * width,))[..., ::2]
+        strided_carriers[...] = carriers
         v = draw.standard_normal((bands, width))  # broadcasts against every token's maps
         strided = np.empty((bands, 2 * width))[:, ::2]
         strided[...] = v
         for inverse in (False, True):
             phases = rotation.invert(maps) if inverse else maps
-            copied, read = np.empty(carriers.shape), np.empty(carriers.shape)
-            rotation.turner(phases)(carriers, copied)
-            rotation.turner(phases, True)(carriers, read)
-            assert np.array_equal(read, copied)
+            turn = rotation.turner(phases)
+            read = np.empty(carriers.shape)
+            turn(carriers, read)
+            for src in (np.asfortranarray(carriers), strided_carriers):
+                assert not src.flags.c_contiguous
+                copied = np.empty(carriers.shape)
+                turn(src, copied)
+                assert np.array_equal(copied, read)
             # C-contiguous float64 rows against float32 rows and rows with a pass-through dim
             wide = enc.rotate_rows(data, method, maps, inverse)
-            assert np.array_equal(wide, copied.reshape(data.shape))
+            assert np.array_equal(wide, read.reshape(data.shape))
             narrow = data.astype(np.float32)
             want = enc.rotate_rows(narrow.astype(np.float64), method, maps, inverse).astype(np.float32)
             assert np.array_equal(enc.rotate_rows(narrow, method, maps, inverse), want)
@@ -1358,10 +1445,16 @@ class TestRotationMaps:
                     assert np.max(np.abs(forward - block.data[c, t, seg])) <= 1e-12
         assert np.array_equal(back[..., nb * w :], block.data[..., nb * w :])
 
-    def test_non_contiguous_block_data(self):
-        method = self.configure("quatro", 7)
-        fortran = np.asfortranarray(rng.standard_normal((2, 12, 7)))
-        strided = rng.standard_normal((2, 12, 14))[:, :, ::2]
+    @pytest.mark.parametrize("tag", enc.METHODS)
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_non_contiguous_block_data(self, tag, extra):
+        # Fortran-ordered and strided data give the bits of their C-contiguous
+        # copy, with and without a pass-through dim
+        head_dim = 2 * enc.METHOD_WIDTHS[tag] + extra
+        method = self.configure(tag, head_dim)
+        draw = np.random.default_rng(4405)
+        fortran = np.asfortranarray(draw.standard_normal((2, 12, head_dim)))
+        strided = draw.standard_normal((2, 12, 2 * head_dim))[:, :, ::2]
         for arr in (fortran, strided):
             block = enc.TokenBlock(data=arr, positions=self.POS)
             want = enc.apply_encoding(enc.TokenBlock(data=arr.copy(), positions=self.POS), method)
